@@ -7,7 +7,8 @@ direction matrix G carries the constraints, and a dual matrix V plus a
 quadratic penalty rho tie them together. Per outer iteration the X block has
 a closed-form update through a thin SVD, and the G block is solved by
 majorize-minimize sweeps whose per-row minimizers are known in closed form on
-the feasible arc.
+the feasible arc. A sweep updates all N rows in one array expression
+(_mm_rows); mm_row_update is the same kernel applied to a single row.
 
 For spread bounds above pi the solver works in a rotation-equivalent arc
 centered on pi/2 (where the constraint is a plain elementwise vector bound)
@@ -39,8 +40,8 @@ from .fim import (
     sensitivity_diag,
     solver_arc_offset,
 )
-from .model import Placement, Scenario, SourceParams, direction_to_angle, wrap_angle
-from .numerics import psd_sqrt, sym_eig_max, thin_svd
+from .model import Placement, Scenario, ScenarioError, SourceParams, Variant, wrap_angles
+from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +113,20 @@ class AdmmTrace:
     state: AdmmState = None
 
 
+def check_sensor_count(scenario: Scenario) -> None:
+    """Reject swarms too small to locate the source.
+
+    RSSD has three unknowns (P0, x, y), so fewer than three sensors leave
+    the information matrix singular; no variant can place fewer than two.
+    """
+    need = 3 if scenario.variant is Variant.RSSD else 2
+    if scenario.n_sensors < need:
+        raise ScenarioError(
+            f"{scenario.variant.value} scenarios need at least {need} sensors, "
+            f"got {scenario.n_sensors}"
+        )
+
+
 def uniform_init(n: int, beta_max: float) -> Placement:
     """Evenly spread angles i * beta_max / n, i = 1..n (the baseline strategy)."""
     if n < 2:
@@ -140,42 +155,46 @@ def x_update(j_k: np.ndarray, rho: float) -> np.ndarray:
     return (svd.u * lam) @ svd.v.T
 
 
-def _arc_candidates(bound: ConstraintBound):
-    """Endpoint candidates of the feasible arc, ordered by increasing angle."""
+def _arc_candidates(bound: ConstraintBound) -> np.ndarray:
+    """(2, 2) endpoint directions of the feasible arc, by increasing angle."""
     beta_max = bound.beta_max
     if beta_max <= math.pi:
         angles = (0.0, beta_max)
     else:
         angles = ((math.pi + beta_max) / 2.0, (5.0 * math.pi - beta_max) / 2.0)
-    return [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    return np.array([[math.cos(a), math.sin(a)] for a in angles])
+
+
+def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
+    """Minimize g_i.T q_i over unit vectors in the feasible arc, for every row i.
+
+    The unconstrained minimizer -q_i/|q_i| wins where it satisfies the vector
+    bound; elsewhere the minimum sits at an arc endpoint (the objective is
+    unimodal along the circle), ties going to the smaller angle. Rows with
+    q_i = 0 keep prev_i: every feasible point is optimal there.
+    """
+    nq = np.sqrt(row_dots(q, q))
+    zero = nq == 0.0
+    interior = -q / np.where(zero, 1.0, nq)[:, None]
+    ends = _arc_candidates(bound)
+    lower_first = row_dots(q, ends[1]) < row_dots(q, ends[0])
+    endpoint = np.where(lower_first[:, None], ends[1], ends[0])
+    feasible = np.all(interior >= bound.g0, axis=1)
+    g = np.where(feasible[:, None], interior, endpoint)
+    return np.where(zero[:, None], prev, g)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray = None) -> np.ndarray:
-    """Minimize g.T q over unit vectors in the feasible arc.
+    """Minimize g.T q over unit vectors in the feasible arc (one row of _mm_rows).
 
-    The unconstrained minimizer -q/|q| wins when it satisfies the vector
-    bound; otherwise the minimum sits at an arc endpoint (the objective is
-    unimodal along the circle). Ties between endpoints go to the smaller
-    angle. For q = 0 every feasible point is optimal and the previous row is
-    kept for determinism.
+    For q = 0 every feasible point is optimal: the previous row is kept for
+    determinism, or the arc midpoint returned when there is none.
     """
-    q = np.asarray(q, dtype=float)
-    nq = float(np.linalg.norm(q))
-    if nq == 0.0:
-        if prev is not None:
-            return np.array(prev, dtype=float)
+    if prev is None:
         mid = bound.beta_max / 2.0 if bound.beta_max <= math.pi else math.pi / 2.0
-        return np.array([math.cos(mid), math.sin(mid)])
-    interior = -q / nq
-    if np.all(interior >= bound.g0):
-        return interior
-    best = None
-    best_val = math.inf
-    for cand in _arc_candidates(bound):
-        val = float(cand @ q)
-        if val < best_val:
-            best, best_val = cand, val
-    return best
+        prev = [math.cos(mid), math.sin(mid)]
+    q = np.asarray(q, dtype=float).reshape(1, 2)
+    return _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2))[0]
 
 
 def _g_objective(g: np.ndarray, half_bd: np.ndarray, c: np.ndarray, rho: float) -> float:
@@ -200,8 +219,8 @@ def g_update_mm(
     The quadratic coupling through M = (S D)^T S D is linearized at the
     current iterate using m_tilde = M - lambda_max(M) I (negative
     semidefinite, so the linearization is a global upper bound); the linear
-    surrogate splits into independent per-row problems solved by
-    mm_row_update. Sweeps stop when the subproblem objective change falls
+    surrogate splits into independent per-row problems, all solved at once
+    by _mm_rows. Sweeps stop when the subproblem objective change falls
     below mm_tol (relative) or the iterate moves less than mm_tol in
     Frobenius norm. Returns (G, sweeps performed).
     """
@@ -212,9 +231,7 @@ def g_update_mm(
     inner = 0
     for _ in range(max_inner):
         q_all = base + rho * (m_tilde @ g)
-        g_next = np.empty_like(g)
-        for i in range(g.shape[0]):
-            g_next[i] = mm_row_update(q_all[i], bound, prev=g[i])
+        g_next = _mm_rows(q_all, bound, g)
         inner += 1
         obj = _g_objective(g_next, half_bd, c, rho)
         delta = float(np.linalg.norm(g_next - g))
@@ -231,18 +248,22 @@ def _log_det_inv_gram(x: np.ndarray) -> float:
 
 
 def _to_user_frame(g_solver: np.ndarray, beta_max: float, offset: float) -> Placement:
-    """Rotate solver-frame directions back into [0, beta_max] user angles."""
+    """Rotate solver-frame directions back into [0, beta_max] user angles.
+
+    Angles within 1e-9 above beta_max snap to beta_max, and those within
+    1e-9 below 2*pi to 0. The row angles use math.atan2, which can differ
+    from np.arctan2 in the last bit.
+    """
     snap = 1e-9
-    angles = []
-    for row in g_solver:
-        a = wrap_angle(direction_to_angle(row) - offset)
-        if a > beta_max:
-            if TWO_PI - a <= snap:
-                a = 0.0
-            elif a - beta_max <= snap:
-                a = beta_max
-        angles.append(a)
-    return Placement.from_angles(angles)
+    raw = np.array([math.atan2(y, x) for x, y in g_solver.tolist()])
+    a = wrap_angles(wrap_angles(raw) - offset)
+    over = a > beta_max
+    a = np.where(
+        over & (TWO_PI - a <= snap),
+        0.0,
+        np.where(over & (a - beta_max <= snap), beta_max, a),
+    )
+    return Placement.from_angles(a)
 
 
 def optimize(
@@ -258,6 +279,7 @@ def optimize(
     the result never loses to it). The trace carries one record per outer
     iteration, record 0 being the uniform initialization.
     """
+    check_sensor_count(scenario)
     options = options if options is not None else AdmmOptions()
     if source_guess is None:
         source_guess = SourceParams(p0=0.0, position=scenario.source[:2])

@@ -5,6 +5,10 @@ that serializes to CSV. Rows never contain wall-clock timing so that two runs
 with identical seeds are byte-identical; timing is reported on the result
 object for console summaries. Placements are embedded in each row (degrees,
 six decimals, semicolon-separated) so any row can be re-scored offline.
+
+Modes run their designs one after another in the calling thread. A design is
+a sequence of short NumPy calls that hold the interpreter lock, so threads
+would only contend for it.
 """
 
 from __future__ import annotations
@@ -12,14 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmOptions, optimize, uniform_init
+from .admm import AdmmOptions, check_sensor_count, optimize, uniform_init
 from .estimator import mle_estimate
 from .fim import coupling_matrix, fim_full, g0_bound, noise_weights
 from .model import (
@@ -102,15 +104,6 @@ def write_csv(result: RunResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parallel_map(fn, items):
-    """Bounded worker pool preserving input order (safe: jobs are pure)."""
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = min(len(items), os.cpu_count() or 1, 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _improvement_pct(lb_uniform: float, lb_opt: float) -> float:
     return 100.0 * (1.0 - lb_opt / lb_uniform)
 
@@ -126,16 +119,12 @@ def run_convergence(
     options = options or AdmmOptions()
     shash = scenario_hash(scenario)
 
-    def one(beta_max):
-        sc = replace(scenario, beta_max=beta_max)
-        placement, trace = optimize(sc, options=options)
-        return sc, placement, trace
-
-    results = _parallel_map(one, [float(b) for b in beta_max_list])
     rows = []
     converged_all = True
     mean_inner = {}
-    for sc, placement, trace in results:
+    for beta_max in beta_max_list:
+        sc = replace(scenario, beta_max=float(beta_max))
+        placement, trace = optimize(sc, options=options)
         converged_all &= trace.converged
         deg = math.degrees(sc.beta_max)
         mean_inner[_fmt(deg)] = trace.mean_inner
@@ -212,17 +201,13 @@ def run_sweep_n(
         for beta_max in beta_max_list:
             jobs.append((int(n), float(beta_max)))
 
-    def one(job):
-        n, beta_max = job
+    rows = []
+    converged_all = True
+    for n, beta_max in jobs:
         sc = replace(resize_sensors(scenario_template, n), beta_max=beta_max)
         placement, trace = optimize(sc, options=options)
         lb_u = trace.records[0].lb_rmse
         lb_o = min(rec.lb_rmse for rec in trace.records)
-        return sc, n, beta_max, placement, trace, lb_u, lb_o
-
-    rows = []
-    converged_all = True
-    for sc, n, beta_max, placement, trace, lb_u, lb_o in _parallel_map(one, jobs):
         converged_all &= trace.converged
         rows.append(
             {
@@ -256,16 +241,13 @@ def run_sweep_angle(
         raise ScenarioError("sweep-angle: grid values must lie in (0, 2*pi]")
     shash = scenario_hash(scenario)
 
-    def one(beta_max):
+    rows = []
+    converged_all = True
+    for beta_max in grid:
         sc = replace(scenario, beta_max=beta_max)
         placement, trace = optimize(sc, options=options)
         lb_u = trace.records[0].lb_rmse
         lb_o = min(rec.lb_rmse for rec in trace.records)
-        return beta_max, placement, trace, lb_u, lb_o
-
-    rows = []
-    converged_all = True
-    for beta_max, placement, trace, lb_u, lb_o in _parallel_map(one, grid):
         converged_all &= trace.converged
         rows.append(
             {
@@ -316,7 +298,9 @@ def run_practical(
     theory_placement, theory_trace = optimize(scenario, options=options)
     lb_theory = min(rec.lb_rmse for rec in theory_trace.records)
 
-    def one(t):
+    rows = []
+    converged_all = theory_trace.converged
+    for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
         err = rng.normal(0.0, prior_std, size=2)
         prior_pos = truth.position + err
@@ -340,12 +324,6 @@ def run_practical(
                 multistart_spread=2.0 * prior_std,
             )
             emp_err = float(np.linalg.norm(result.theta_hat[1:] - truth.position))
-        return t, err, prior_pos, placement, trace, lb_practical, emp_err
-
-    results = _parallel_map(one, list(range(trials)))
-    rows = []
-    converged_all = theory_trace.converged
-    for t, err, prior_pos, placement, trace, lb_practical, emp_err in results:
         converged_all &= trace.converged
         rows.append(
             {
@@ -432,6 +410,7 @@ def validate_scenario(path) -> ValidationReport:
     """Parse a scenario file, check invariants, and derive key quantities."""
     try:
         scenario = load_scenario(path)
+        check_sensor_count(scenario)
     except (ScenarioError, OSError) as exc:
         return ValidationReport(ok=False, message=str(exc))
     weights = noise_weights(scenario)

@@ -143,6 +143,16 @@ def wrap_angle(beta: float) -> float:
     return wrapped if wrapped < TWO_PI else 0.0
 
 
+def wrap_angles(beta) -> np.ndarray:
+    """Array form of wrap_angle, equal to it bit for bit on every entry."""
+    beta = np.asarray(beta, dtype=float)
+    if np.any(np.isinf(beta)):
+        raise ValueError("angles must not be infinite")
+    wrapped = np.fmod(beta, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    return np.where(wrapped < TWO_PI, wrapped, 0.0)
+
+
 def angle_to_direction(beta: float) -> np.ndarray:
     """Unit direction [cos(beta), sin(beta)] for a horizontal angle."""
     return np.array([math.cos(beta), math.sin(beta)])
@@ -168,7 +178,7 @@ class Placement:
     directions: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.angles = np.array([wrap_angle(b) for b in np.asarray(self.angles, dtype=float)])
+        self.angles = wrap_angles(self.angles)
         derived = np.column_stack([np.cos(self.angles), np.sin(self.angles)])
         if self.directions is None:
             self.directions = derived
@@ -228,8 +238,13 @@ def sensor_positions(scenario: Scenario, placement: Placement) -> np.ndarray:
     """(N, 3) positions of the whole swarm for a placement."""
     if placement.n_sensors != scenario.n_sensors:
         raise ValueError("placement size does not match scenario")
-    return np.stack(
-        [sensor_position(scenario, i, b) for i, b in enumerate(placement.angles)]
+    r = scenario.horiz_dist
+    return np.column_stack(
+        [
+            scenario.source[0] + r * np.sin(placement.angles),
+            scenario.source[1] + r * np.cos(placement.angles),
+            scenario.vert_dist,
+        ]
     )
 
 

@@ -95,3 +95,13 @@ def sym_eig_max(m: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix."""
     m = _check_symmetric(m)
     return float(np.linalg.eigvalsh(m)[-1])
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of a with b: its matching row, or one shared vector.
+
+    Goes through the same BLAS dot as the 1-D product a[i] @ b[i], so every
+    entry is bit-identical to it (a sum such as np.sum(a * b, axis=1) rounds
+    differently).
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]

@@ -8,6 +8,8 @@ from scipy.optimize import minimize
 
 from rssdgeom.admm import (
     AdmmOptions,
+    _mm_rows,
+    _to_user_frame,
     g_update_mm,
     mm_row_update,
     optimal_distance,
@@ -23,8 +25,19 @@ from rssdgeom.fim import (
     is_feasible,
     noise_weights,
     sensitivity_diag,
+    solver_arc_offset,
 )
-from rssdgeom.model import Placement, SourceParams, case_a, case_b
+from rssdgeom.model import (
+    Placement,
+    Scenario,
+    ScenarioError,
+    SourceParams,
+    Variant,
+    case_a,
+    case_b,
+    direction_to_angle,
+    wrap_angle,
+)
 from rssdgeom.numerics import psd_sqrt, sym_eig_max
 
 TWO_PI = 2.0 * math.pi
@@ -166,6 +179,118 @@ class TestMmRowUpdate:
                 g = mm_row_update(q, bound)
                 assert float(g @ q) <= gmin + 1e-9
                 assert np.all(g >= bound.g0 - 1e-12)
+
+
+def reference_row_update(q, bound, prev):
+    """The per-row MM rule written out one row at a time.
+
+    The unconstrained minimizer -q/|q| if it satisfies the vector bound, else
+    the arc endpoint with the lower g.T q, ties going to the smaller angle;
+    q = 0 keeps the previous row.
+    """
+    nq = float(np.linalg.norm(q))
+    if nq == 0.0:
+        return np.array(prev, dtype=float)
+    interior = -q / nq
+    if np.all(interior >= bound.g0):
+        return interior
+    if bound.beta_max <= math.pi:
+        angles = (0.0, bound.beta_max)
+    else:
+        angles = ((math.pi + bound.beta_max) / 2.0, (5.0 * math.pi - bound.beta_max) / 2.0)
+    best, best_val = None, math.inf
+    for a in angles:
+        cand = np.array([math.cos(a), math.sin(a)])
+        val = float(cand @ q)
+        if val < best_val:
+            best, best_val = cand, val
+    return best
+
+
+class TestBatchedRowUpdate:
+    BETAS = (0.3, 1.0, math.pi / 2, 2.5, math.pi, 3.5, 4.7, 6.0, TWO_PI)
+
+    def test_equals_scalar_rule_bitwise(self):
+        rng = np.random.default_rng(31)
+        seen = {"zero": 0, "interior": 0, "endpoint": 0, "tie": 0}
+        for beta_max in self.BETAS:
+            bound = g0_bound(beta_max)
+            if beta_max <= math.pi:
+                ends = [np.array([1.0, 0.0]), np.array([math.cos(beta_max), math.sin(beta_max)])]
+                sign = 1.0
+            else:
+                ends = [
+                    np.array([math.cos(a), math.sin(a)])
+                    for a in ((math.pi + beta_max) / 2, (5 * math.pi - beta_max) / 2)
+                ]
+                sign = -1.0
+            # rows along the arc bisector pointing away from the arc: both
+            # endpoints score the same up to rounding, often exactly
+            bisector = sign * rng.uniform(0.1, 10.0, (60, 1)) * (ends[0] + ends[1])
+            q = np.vstack(
+                [rng.normal(size=(200, 2)) * rng.uniform(1e-3, 1e3, (200, 1)), bisector, np.zeros((20, 2))]
+            )
+            q = q[rng.permutation(len(q))]
+            angles = rng.uniform(0.0, TWO_PI, len(q))
+            prev = np.column_stack([np.cos(angles), np.sin(angles)])
+
+            got = _mm_rows(q, bound, prev)
+            for i in range(len(q)):
+                want = reference_row_update(q[i], bound, prev[i])
+                assert got[i].tobytes() == want.tobytes()
+                assert mm_row_update(q[i], bound, prev=prev[i]).tobytes() == want.tobytes()
+                nq = float(np.linalg.norm(q[i]))
+                if nq == 0.0:
+                    seen["zero"] += 1
+                elif np.all(-q[i] / nq >= bound.g0):
+                    seen["interior"] += 1
+                else:
+                    seen["endpoint"] += 1
+                    seen["tie"] += float(ends[0] @ q[i]) == float(ends[1] @ q[i])
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_exact_tie_goes_to_smaller_angle(self):
+        # at beta_max = pi/2 the endpoints score 1 and 1 + 6e-17, which rounds to 1
+        bound = g0_bound(math.pi / 2)
+        q = np.array([1.0, 1.0])
+        np.testing.assert_array_equal(mm_row_update(q, bound), [1.0, 0.0])
+        np.testing.assert_array_equal(_mm_rows(q[None, :], bound, np.zeros((1, 2)))[0], [1.0, 0.0])
+
+
+def reference_user_frame(g_solver, beta_max, offset):
+    """Rotate solver-frame rows back to user angles, one row at a time."""
+    snap = 1e-9
+    angles = []
+    for row in g_solver:
+        a = wrap_angle(direction_to_angle(row) - offset)
+        if a > beta_max:
+            if TWO_PI - a <= snap:
+                a = 0.0
+            elif a - beta_max <= snap:
+                a = beta_max
+        angles.append(a)
+    return Placement.from_angles(angles)
+
+
+class TestToUserFrame:
+    def test_equals_per_row_rule_and_snaps(self):
+        rng = np.random.default_rng(32)
+        for beta_max in (0.4, 2.0, math.pi, 3.9, 5.5, TWO_PI - 1e-3):
+            offset = solver_arc_offset(beta_max)
+            special = np.array(
+                [beta_max + 5e-10, TWO_PI - 5e-10, beta_max + 1e-6, 0.0, beta_max, beta_max / 2]
+            )
+            user = np.concatenate([rng.uniform(0.0, TWO_PI, 200), special])
+            solver = user + offset
+            g = np.column_stack([np.cos(solver), np.sin(solver)])
+            got = _to_user_frame(g, beta_max, offset)
+            want = reference_user_frame(g, beta_max, offset)
+            assert got.angles.tobytes() == want.angles.tobytes()
+            assert got.directions.tobytes() == want.directions.tobytes()
+            snapped = got.angles[-6:]
+            assert snapped[0] == beta_max  # within 1e-9 above beta_max
+            assert snapped[1] == 0.0  # within 1e-9 below 2*pi
+            assert snapped[2] > beta_max  # 1e-6 above is left alone
 
 
 def random_mm_instance(rng, n=5, beta_max=math.radians(140)):
@@ -363,6 +488,33 @@ class TestOptimize:
         guess = SourceParams(0.0, [400.0, -250.0])
         p1, _ = optimize(sc.with_source(guess.position), source_guess=guess)
         np.testing.assert_allclose(p0.angles, p1.angles, atol=1e-12)
+
+
+def tiny_swarm(n, variant):
+    return Scenario(
+        source=[0.0, 0.0, 0.0],
+        n_sensors=n,
+        gamma=2.0,
+        horiz_dist=np.full(n, 1000.0),
+        vert_dist=np.full(n, 100.0),
+        noise_std=np.full(n, 2.0),
+        beta_max=math.radians(120.0),
+        variant=variant,
+    )
+
+
+class TestSwarmSizeChecks:
+    @pytest.mark.parametrize(
+        "n, variant", [(2, Variant.RSSD), (1, Variant.RSSD), (1, Variant.RSS)]
+    )
+    def test_too_few_sensors_rejected(self, n, variant):
+        with pytest.raises(ScenarioError, match="at least"):
+            optimize(tiny_swarm(n, variant))
+
+    def test_smallest_accepted_swarms(self):
+        for n, variant in ((3, Variant.RSSD), (2, Variant.RSS)):
+            placement, _ = optimize(tiny_swarm(n, variant))
+            assert placement.n_sensors == n
 
 
 def grid_best_distance(r_range, h_range, n_grid=1000):

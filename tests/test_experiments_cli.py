@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rssdgeom.admm import AdmmOptions
+from rssdgeom.cli import main
 from rssdgeom.experiments import (
     placement_from_field,
     resize_sensors,
@@ -191,6 +192,20 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    def test_too_small_swarm_is_a_config_error(self, tmp_path, capsys):
+        import json
+        data = json.loads(CASE_A.read_text())
+        for n in (2, 1):
+            data["sensors"] = data["sensors"][:n]
+            path = tmp_path / f"n{n}.json"
+            path.write_text(json.dumps(data))
+            for mode in ("optimize", "practical"):
+                code = main([mode, "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+                assert code == 2, (mode, n)
+                assert "at least 3 sensors" in capsys.readouterr().err
+            report = validate_scenario(path)
+            assert not report.ok and "at least 3 sensors" in report.message
 
     def test_seeded_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

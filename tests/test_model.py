@@ -23,9 +23,11 @@ from rssdgeom.model import (
     scenario_from_dict,
     scenario_to_dict,
     sensor_position,
+    sensor_positions,
     simulate_measurements,
     slant_distance,
     wrap_angle,
+    wrap_angles,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -102,6 +104,21 @@ class TestSensorPosition:
             expected = math.hypot(sc.horiz_dist[i], sc.vert_dist[i])
             assert d == pytest.approx(expected, rel=1e-12)
 
+    def test_swarm_positions_equal_per_sensor_positions_bitwise(self):
+        rng = np.random.default_rng(3)
+        n = 50
+        sc = Scenario(
+            source=[12.5, -40.0, 0.0],
+            n_sensors=n,
+            gamma=2.0,
+            horiz_dist=rng.uniform(10.0, 2000.0, n),
+            vert_dist=rng.uniform(0.0, 200.0, n),
+            noise_std=np.ones(n),
+        )
+        placement = Placement.from_angles(rng.uniform(0.0, TWO_PI, n))
+        want = np.stack([sensor_position(sc, i, b) for i, b in enumerate(placement.angles)])
+        assert sensor_positions(sc, placement).tobytes() == want.tobytes()
+
     def test_index_out_of_range(self):
         sc = small_scenario()
         with pytest.raises(IndexError):
@@ -152,6 +169,14 @@ class TestPlacement:
     def test_angles_normalized(self):
         p = Placement.from_angles([TWO_PI, -math.pi / 2, 3 * TWO_PI + 0.25])
         np.testing.assert_allclose(p.angles, [0.0, 1.5 * math.pi, 0.25], atol=1e-12)
+
+    def test_array_wrap_equals_scalar_wrap_bitwise(self):
+        rng = np.random.default_rng(4)
+        edge = [0.0, -0.0, -1e-20, -1e-300, TWO_PI, -TWO_PI, TWO_PI - 1e-16, 3 * TWO_PI, math.nan]
+        beta = np.concatenate([rng.uniform(-30.0, 30.0, 500), edge])
+        want = np.array([wrap_angle(b) for b in beta])
+        assert wrap_angles(beta).tobytes() == want.tobytes()
+        assert Placement.from_angles(beta).angles.tobytes() == want.tobytes()
 
     def test_directions_unit_rows(self):
         p = Placement.from_angles(np.linspace(0, 6, 13))

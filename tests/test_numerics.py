@@ -5,7 +5,7 @@ import pytest
 
 from rssdgeom.fim import coupling_matrix, noise_weights
 from rssdgeom.model import Scenario
-from rssdgeom.numerics import psd_sqrt, sym_eig, sym_eig_max, thin_svd
+from rssdgeom.numerics import psd_sqrt, row_dots, sym_eig, sym_eig_max, thin_svd
 
 
 def case_a_coupling():
@@ -152,3 +152,14 @@ class TestSymEig:
         assert np.all(np.diff(eig.values) <= 1e-12)
         rec = (eig.vectors * eig.values) @ eig.vectors.T
         np.testing.assert_allclose(rec, m, atol=1e-10 * max(1.0, np.abs(m).max()))
+
+
+class TestRowDots:
+    def test_equals_one_dimensional_dot_bitwise(self):
+        rng = np.random.default_rng(10)
+        for n in (2, 3, 8, 17, 64):
+            a = rng.normal(size=(40, n)) * rng.uniform(1e-3, 1e3, (40, 1))
+            b = rng.normal(size=(40, n))
+            shared = rng.normal(size=n)
+            np.testing.assert_array_equal(row_dots(a, b), [float(x @ y) for x, y in zip(a, b)])
+            np.testing.assert_array_equal(row_dots(a, shared), [float(x @ shared) for x in a])
