@@ -3,99 +3,36 @@
 Core entry points:
 
 * :func:`rssdgeom.admm.optimize` computes optimal sensor angles under a
-  spread-angle constraint;
-* :func:`rssdgeom.fim.fim_full` scores a placement (FIM, CRLB, LB-RMSE);
+  spread-angle constraint, starting from :func:`rssdgeom.admm.uniform_init`;
+  :func:`rssdgeom.admm.optimal_distance` gives the best per-sensor distances;
+* :func:`rssdgeom.fim.fim_full` scores a placement (FIM, reduced matrix T,
+  LB-RMSE);
 * :func:`rssdgeom.estimator.mle_estimate` refines a source estimate from
   measurements;
 * :mod:`rssdgeom.experiments` and the ``rssdgeom`` CLI run the bundled
   benchmark studies and write CSV tables.
+
+Scenarios, placements and source parameters come from :mod:`rssdgeom.model`
+(:func:`load_scenario` reads the JSON files, :func:`case_a` builds the first
+benchmark case). Everything else is importable from its own module.
 """
 
-from .admm import (
-    AdmmOptions,
-    AdmmTrace,
-    optimal_distance,
-    optimize,
-    singular_value_map,
-    uniform_init,
-    x_update,
-)
-from .estimator import MleResult, mle_estimate
-from .fim import (
-    ConstraintBound,
-    CouplingMatrix,
-    FimSummary,
-    NoiseWeights,
-    SensitivityDiag,
-    apply_orthogonal,
-    coupling_matrix,
-    fim_full,
-    g0_bound,
-    is_feasible,
-    lb_rmse,
-    noise_weights,
-    sensitivity_diag,
-    t_matrix,
-)
-from .model import (
-    Placement,
-    Scenario,
-    ScenarioError,
-    SourceParams,
-    Variant,
-    angle_to_direction,
-    case_a,
-    case_b,
-    direction_to_angle,
-    load_scenario,
-    mean_rss,
-    save_scenario,
-    sensor_position,
-    sensor_positions,
-    simulate_measurements,
-    slant_distance,
-)
+from .admm import optimal_distance, optimize, uniform_init
+from .estimator import mle_estimate
+from .fim import fim_full
+from .model import Placement, Scenario, SourceParams, case_a, load_scenario
 
 __all__ = [
-    "AdmmOptions",
-    "AdmmTrace",
-    "ConstraintBound",
-    "CouplingMatrix",
-    "FimSummary",
-    "MleResult",
-    "NoiseWeights",
     "Placement",
     "Scenario",
-    "ScenarioError",
-    "SensitivityDiag",
     "SourceParams",
-    "Variant",
-    "angle_to_direction",
-    "apply_orthogonal",
     "case_a",
-    "case_b",
-    "coupling_matrix",
-    "direction_to_angle",
     "fim_full",
-    "g0_bound",
-    "is_feasible",
-    "lb_rmse",
     "load_scenario",
-    "mean_rss",
     "mle_estimate",
-    "noise_weights",
     "optimal_distance",
     "optimize",
-    "save_scenario",
-    "sensitivity_diag",
-    "sensor_position",
-    "sensor_positions",
-    "simulate_measurements",
-    "singular_value_map",
-    "slant_distance",
-    "t_matrix",
     "uniform_init",
-    "x_update",
 ]
 
 __version__ = "0.1.0"

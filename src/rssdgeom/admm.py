@@ -27,7 +27,7 @@ Two conventions worth knowing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,23 +94,14 @@ class TraceRecord:
 
 
 @dataclass
-class AdmmState:
-    """Final iterates of a run (solver frame)."""
-
-    x: np.ndarray
-    g: np.ndarray
-    v: np.ndarray
-    k: int
-    primal_residual: float
-
-
-@dataclass
 class AdmmTrace:
+    """Per-iteration records of a run; best is the record of the returned placement."""
+
     records: list
     converged: bool
     outer_iters: int
     mean_inner: float
-    state: AdmmState = None
+    best: TraceRecord
 
 
 def check_sensor_count(scenario: Scenario) -> None:
@@ -277,7 +268,8 @@ def optimize(
     determinant seen during the run, restricted to iterates that do not score
     worse than the uniform baseline (the baseline itself is a candidate, so
     the result never loses to it). The trace carries one record per outer
-    iteration, record 0 being the uniform initialization.
+    iteration, record 0 being the uniform initialization, and keeps the
+    record of the returned placement as trace.best.
     """
     check_sensor_count(scenario)
     options = options if options is not None else AdmmOptions()
@@ -325,7 +317,7 @@ def optimize(
         )
     ]
     best_placement = uniform
-    best_det_t = uniform_det_t
+    best = records[0]
     lb_budget = uniform_summary.lb_rmse + 1e-9
 
     converged = False
@@ -359,8 +351,8 @@ def optimize(
                 angles=placement_k.angles.copy(),
             )
         )
-        if det_t_k > best_det_t and summary_k.lb_rmse <= lb_budget:
-            best_det_t = det_t_k
+        if det_t_k > best.det_t and summary_k.lb_rmse <= lb_budget:
+            best = records[-1]
             best_placement = placement_k
 
         # Relative LB-RMSE change against the previous iterate and the one
@@ -383,10 +375,7 @@ def optimize(
         converged=converged,
         outer_iters=k,
         mean_inner=float(np.mean(inner_counts)) if inner_counts else 0.0,
-        state=AdmmState(
-            x=x, g=g, v=v, k=k,
-            primal_residual=records[-1].primal_residual,
-        ),
+        best=best,
     )
     return best_placement, trace
 

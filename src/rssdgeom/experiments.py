@@ -207,7 +207,7 @@ def run_sweep_n(
         sc = replace(resize_sensors(scenario_template, n), beta_max=beta_max)
         placement, trace = optimize(sc, options=options)
         lb_u = trace.records[0].lb_rmse
-        lb_o = min(rec.lb_rmse for rec in trace.records)
+        lb_o = trace.best.lb_rmse
         converged_all &= trace.converged
         rows.append(
             {
@@ -247,7 +247,7 @@ def run_sweep_angle(
         sc = replace(scenario, beta_max=beta_max)
         placement, trace = optimize(sc, options=options)
         lb_u = trace.records[0].lb_rmse
-        lb_o = min(rec.lb_rmse for rec in trace.records)
+        lb_o = trace.best.lb_rmse
         converged_all &= trace.converged
         rows.append(
             {
@@ -296,7 +296,7 @@ def run_practical(
     truth = SourceParams(p0=truth_p0, position=scenario.source[:2])
 
     theory_placement, theory_trace = optimize(scenario, options=options)
-    lb_theory = min(rec.lb_rmse for rec in theory_trace.records)
+    lb_theory = theory_trace.best.lb_rmse
 
     rows = []
     converged_all = theory_trace.converged
@@ -374,7 +374,7 @@ def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0)
     options = options or AdmmOptions()
     placement, trace = optimize(scenario, options=options)
     lb_u = trace.records[0].lb_rmse
-    lb_o = min(rec.lb_rmse for rec in trace.records)
+    lb_o = trace.best.lb_rmse
     row = {
         "beta_max_deg": math.degrees(scenario.beta_max),
         "lb_rmse_uniform_m": lb_u,

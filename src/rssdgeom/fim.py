@@ -3,11 +3,17 @@
 The estimation parameters are theta = (P0, x, y). For Gaussian measurement
 noise the FIM is F = Jac.T @ N^-1 @ Jac with Jac = [1, a_x, a_y] per sensor,
 where a_x, a_y are the derivatives of the path-loss mean w.r.t. the source
-coordinates. The position block of the CRLB factorizes through a reduced
-2x2 matrix T = G.T D B D G built from the direction matrix G, the
+coordinates. fim_full keeps F (this unknown-power FIM, whatever the variant)
+for the determinant identity below; everything it scores comes from the
+reduced 2x2 matrix T = G.T D B D G, built from the direction matrix G, the
 sensitivity diagonal D = diag(r_i / d_i^2) and a noise-coupling matrix B.
+T and the LB-RMSE follow the scenario's variant: for RSSD, B profiles P0 out
+and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
+power) B is diagonal and the same formula gives the known-power bound.
+fim_full evaluates T in O(N) as a weighted covariance; t_matrix and
+coupling_matrix build it the N x N way for solver set-up and as a reference.
 
-The determinant identity relating both routes is
+For RSSD the determinant identity relating F and T is
 
     det(F) = (10*gamma/ln 10)^4 * (N * mean_inv_var)^3 * det(T)
 
@@ -30,9 +36,7 @@ from .model import (
     Scenario,
     SourceParams,
     Variant,
-    direction_to_angle,
     sensor_positions,
-    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -108,14 +112,17 @@ def t_matrix(g: np.ndarray, d: SensitivityDiag, b: CouplingMatrix) -> np.ndarray
 
 @dataclass
 class FimSummary:
-    """FIM, CRLB and scalar figures of merit for one placement.
+    """Scalar figures of merit of one placement and the matrices behind them.
 
-    When f is numerically singular (degenerate geometry) crlb holds the
-    pseudo-inverse and lb_rmse is +inf with the degenerate flag set.
+    f is the 3x3 FIM of (P0, x, y), the unknown-power model of the
+    determinant identity, whatever the scenario's variant. t and lb_rmse
+    follow the variant: for RSSD t is the reduced matrix with P0 profiled
+    out, for RSS (known power) the plain weighted second moment, and
+    lb_rmse is the matching position bound. A numerically singular t
+    (degenerate geometry) sets the degenerate flag and lb_rmse to +inf.
     """
 
     f: np.ndarray
-    crlb: np.ndarray
     t: np.ndarray
     det_f: float
     lb_rmse: float
@@ -126,11 +133,19 @@ _DEGENERACY_RCOND = 1e-12
 
 
 def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> FimSummary:
-    """Assemble the full 3x3 FIM of a placement, evaluated at a source position.
+    """Score a placement, evaluated at a source position.
 
     Sensor positions are built around the scenario's own source; the FIM is
     evaluated against the supplied source, which may differ (that is how a
     placement designed around a prior estimate is scored against the truth).
+
+    With u_i = (dy_i, dx_i) / d_i^2 relative to that source and w the
+    normalised inverse effective variances, T = sum w_i u_i u_i^T - m m^T
+    with m = sum w_i u_i (RSS: no m m^T term), computed as the weighted
+    covariance sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
+    (slope^2 * sum 1/var_i * T)^-1, so
+    LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)); it is +inf when
+    lambda_min(T) <= 1e-12 * lambda_max(T).
     """
     pos = sensor_positions(scenario, placement)
     dx = pos[:, 0] - source.position[0]
@@ -147,37 +162,26 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
     f = jac.T @ (inv_var[:, None] * jac)
     f = 0.5 * (f + f.T)
 
-    weights = noise_weights(scenario)
-    b = coupling_matrix(weights, scenario.variant)
-    # direction rows [cos, sin] of the angle convention tan(beta) = dx/dy
-    g_rel = np.column_stack([dy / r, dx / r])
-    t = t_matrix(g_rel, SensitivityDiag(d=r / d_sq), b)
+    inv_var_sum = inv_var.sum()
+    w = inv_var / inv_var_sum
+    # rows (cos, sin) * r / d^2 of the angle convention tan(beta) = dx/dy
+    u = np.column_stack([dy, dx]) / d_sq[:, None]
+    if scenario.variant is Variant.RSSD:
+        u = u - w @ u
+    t = (w[:, None] * u).T @ u
+    t = 0.5 * (t + t.T)
 
-    det_f = float(np.linalg.det(f))
-    eigvals = np.linalg.eigvalsh(f)
-    degenerate = eigvals[0] <= _DEGENERACY_RCOND * max(eigvals[-1], 0.0)
+    half_trace = 0.5 * (t[0, 0] + t[1, 1])
+    half_gap = math.hypot(0.5 * (t[0, 0] - t[1, 1]), t[0, 1])
+    lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
+    degenerate = bool(lam_min <= _DEGENERACY_RCOND * max(lam_max, 0.0))
     if degenerate:
-        crlb = np.linalg.pinv(f)
         lb = math.inf
     else:
-        crlb = np.linalg.inv(f)
-        lb = math.sqrt(crlb[1, 1] + crlb[2, 2])
-    return FimSummary(f=f, crlb=crlb, t=t, det_f=det_f, lb_rmse=lb, degenerate=degenerate)
-
-
-def lb_rmse(f: np.ndarray) -> float:
-    """Root of the summed position variances of F^-1; +inf if F is singular."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {f.shape}")
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if np.max(np.abs(f - f.T)) > 1e-10 * scale:
-        raise ValueError("FIM must be symmetric")
-    eigvals = np.linalg.eigvalsh(f)
-    if eigvals[0] <= _DEGENERACY_RCOND * max(eigvals[-1], 0.0):
-        return math.inf
-    crlb = np.linalg.inv(f)
-    return math.sqrt(crlb[1, 1] + crlb[2, 2])
+        lb = math.sqrt((1.0 / lam_min + 1.0 / lam_max) / (slope**2 * inv_var_sum))
+    return FimSummary(
+        f=f, t=t, det_f=float(np.linalg.det(f)), lb_rmse=lb, degenerate=degenerate
+    )
 
 
 def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:
@@ -228,16 +232,6 @@ def solver_arc_offset(beta_max: float) -> float:
     if beta_max <= math.pi:
         return 0.0
     return math.pi / 2.0 - beta_max / 2.0
-
-
-def in_equivalent_arc(beta: float, beta_max: float, tol: float = 0.0) -> bool:
-    """Membership of an angle in the arc described by the vector bound."""
-    beta = wrap_angle(beta)
-    if beta_max <= math.pi:
-        return -tol <= beta <= beta_max + tol or beta >= TWO_PI - tol
-    lo = 5.0 * math.pi / 2.0 - beta_max / 2.0
-    hi = math.pi / 2.0 + beta_max / 2.0
-    return beta <= hi + tol or beta >= lo - tol
 
 
 @dataclass

@@ -171,26 +171,16 @@ def direction_to_angle(g) -> float:
 class Placement:
     """Horizontal angles of all sensors plus the equivalent direction matrix.
 
-    angles[i] is normalized to [0, 2*pi); directions[i] = [cos, sin] of it.
+    angles[i] is normalized to [0, 2*pi); directions[i] = [cos, sin] of it,
+    derived from the wrapped angles.
     """
 
     angles: np.ndarray
-    directions: np.ndarray = field(default=None)
+    directions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.angles = wrap_angles(self.angles)
-        derived = np.column_stack([np.cos(self.angles), np.sin(self.angles)])
-        if self.directions is None:
-            self.directions = derived
-        else:
-            self.directions = np.asarray(self.directions, dtype=float)
-            if self.directions.shape != derived.shape:
-                raise ValueError("directions: shape must be (N, 2)")
-            norms = np.linalg.norm(self.directions, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-12):
-                raise ValueError("directions: rows must be unit-norm within 1e-12")
-            if np.max(np.abs(self.directions - derived)) > 1e-9:
-                raise ValueError("directions inconsistent with angles")
+        self.directions = np.column_stack([np.cos(self.angles), np.sin(self.angles)])
 
     @classmethod
     def from_angles(cls, angles) -> "Placement":
@@ -246,13 +236,6 @@ def sensor_positions(scenario: Scenario, placement: Placement) -> np.ndarray:
             scenario.vert_dist,
         ]
     )
-
-
-def extract_angle(scenario: Scenario, position) -> float:
-    """Recover the horizontal angle of a sensor position (tan(beta) = dx/dy)."""
-    dx = position[0] - scenario.source[0]
-    dy = position[1] - scenario.source[1]
-    return wrap_angle(math.atan2(dx, dy))
 
 
 def mean_rss(p0: float, gamma: float, d: float) -> float:

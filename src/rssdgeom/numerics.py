@@ -31,21 +31,6 @@ class ThinSvd:
         return self.u @ np.diag(self.sigma) @ self.v.T
 
 
-@dataclass
-class SymEig:
-    """Symmetric eigendecomposition with descending eigenvalues."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig(m: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    _check_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
-    return SymEig(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
-
-
 def _check_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

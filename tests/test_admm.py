@@ -457,6 +457,24 @@ class TestOptimize:
             det_uniform = trace.records[0].det_t
             assert np.linalg.det(summary.t) >= det_uniform - 1e-12
 
+    def test_best_record_is_the_returned_placement(self):
+        for sc in (case_a(beta_max=math.radians(120.0)), case_b(beta_max=math.radians(60.0))):
+            placement, trace = optimize(sc)
+            assert trace.best.angles.tobytes() == placement.angles.tobytes()
+            assert trace.best is trace.records[trace.best.k]
+            summary = fim_full(sc, placement, SourceParams(0.0, [0.0, 0.0]))
+            assert trace.best.lb_rmse == summary.lb_rmse
+
+    def test_three_sensors_on_one_degree_score_finite(self):
+        # det T > 0 on a 1 degree arc, so the bound is finite, if large
+        sc = case_b(n_sensors=3, beta_max=math.radians(1.0))
+        summary = fim_full(sc, uniform_init(3, sc.beta_max), SourceParams(0.0, [0.0, 0.0]))
+        assert not summary.degenerate
+        assert math.isfinite(summary.lb_rmse)
+        assert np.linalg.det(summary.t) > 0
+        _, trace = optimize(sc)
+        assert all(math.isfinite(rec.lb_rmse) for rec in trace.records)
+
     def test_deterministic_trajectories(self):
         sc = case_a(beta_max=math.radians(280.0))
         p1, t1 = optimize(sc)

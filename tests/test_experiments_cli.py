@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rssdgeom.experiments import (
     placement_from_field,
     resize_sensors,
     run_convergence,
+    run_optimize,
     run_practical,
     run_sweep_angle,
     run_sweep_n,
@@ -73,6 +75,32 @@ class TestConvergenceMode:
             placement = placement_from_field(row["placement_deg"])
             again = fim_full(sc_row, placement, src).lb_rmse
             assert again == pytest.approx(row["lb_rmse_m"], rel=1e-5)
+
+
+class TestReportedScores:
+    def test_rows_score_their_own_placement(self):
+        # lb_rmse_opt_m (the practical aggregate row: lb_rmse_theoretical_m)
+        # must be the score of the placement written in the same row; case B
+        # at 60 degrees and case A with 8 sensors at 120 degrees pass through
+        # iterates with a lower LB-RMSE than the returned det-T maximizer
+        sc_a, sc_b60 = case_a(), case_b(beta_max=math.radians(60.0))
+        src = SourceParams(0.0, sc_a.source[:2])
+        arcs = [math.radians(120.0), math.radians(200.0)]
+        checks = []
+        for row in run_optimize(sc_b60).rows:
+            checks.append((sc_b60, row["placement_deg"], row["lb_rmse_opt_m"]))
+        for row in run_sweep_n(sc_a, [4, 8], arcs).rows:
+            sc = replace(resize_sensors(sc_a, row["n"]), beta_max=math.radians(row["beta_max_deg"]))
+            checks.append((sc, row["placement_deg"], row["lb_rmse_opt_m"]))
+        for row in run_sweep_angle(case_b(), [math.radians(60.0), math.radians(105.0)]).rows:
+            sc = case_b(beta_max=math.radians(row["beta_max_deg"]))
+            checks.append((sc, row["placement_deg"], row["lb_rmse_opt_m"]))
+        agg = run_practical(sc_b60, prior_std=50.0, trials=1, refine=False).rows[-1]
+        assert agg["trial"] == -1
+        checks.append((sc_b60, agg["placement_deg"], agg["lb_rmse_theoretical_m"]))
+        for sc, field, reported in checks:
+            again = fim_full(sc, placement_from_field(field), src).lb_rmse
+            assert again == pytest.approx(reported, rel=1e-6), (sc.n_sensors, sc.beta_max)
 
 
 class TestSweepN:

@@ -1,6 +1,7 @@
 """Fisher information, reduced form, and constraint machinery tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,19 @@ from rssdgeom.fim import (
     fim_full,
     g0_bound,
     is_feasible,
-    lb_rmse,
     loss_slope,
     noise_weights,
     sensitivity_diag,
     t_matrix,
 )
-from rssdgeom.model import Placement, Scenario, SourceParams, Variant, wrap_angle
+from rssdgeom.model import (
+    Placement,
+    Scenario,
+    SourceParams,
+    Variant,
+    sensor_positions,
+    wrap_angle,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,21 +211,52 @@ class TestFimFull:
         assert scaled.det_f == pytest.approx(base.det_f * c**-6, rel=1e-9)
         np.testing.assert_allclose(scaled.f, base.f / c**2, rtol=1e-12)
 
-    def test_crlb_inverts_fim(self):
-        rng = np.random.default_rng(16)
-        sc = random_scenario(rng)
-        placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
-        summary = fim_full(sc, placement, SourceParams(0.0, sc.source[:2]))
-        if not summary.degenerate:
-            np.testing.assert_allclose(summary.f @ summary.crlb, np.eye(3), atol=1e-8)
-
     def test_lb_rmse_consistent_with_field(self):
         sc = make_scenario()
         placement = Placement.from_angles(TWO_PI * np.arange(1, 9) / 8)
         summary = fim_full(sc, placement, SourceParams(0.0, [0.0, 0.0]))
-        assert summary.lb_rmse == pytest.approx(
-            math.sqrt(summary.crlb[1, 1] + summary.crlb[2, 2]), rel=1e-12
-        )
+        inv = cofactor_inverse_3x3(summary.f)
+        assert summary.lb_rmse == pytest.approx(math.sqrt(inv[1, 1] + inv[2, 2]), rel=1e-12)
+
+    def test_t_matches_coupling_reference(self):
+        # the O(N) weighted-covariance T against G' D B D G built from the
+        # N x N coupling matrix, for both variants and an off-source evaluation
+        rng = np.random.default_rng(21)
+        for variant in (Variant.RSSD, Variant.RSS):
+            for _ in range(20):
+                sc = replace(random_scenario(rng), variant=variant)
+                placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
+                at = sc.source[:2] + rng.normal(0.0, 30.0, 2)
+                summary = fim_full(sc, placement, SourceParams(0.0, at))
+                pos = sensor_positions(sc, placement)
+                dx, dy = pos[:, 0] - at[0], pos[:, 1] - at[1]
+                r = np.hypot(dx, dy)
+                d_sq = r**2 + pos[:, 2] ** 2
+                ref = t_matrix(
+                    np.column_stack([dy / r, dx / r]),
+                    SensitivityDiag(d=r / d_sq),
+                    coupling_matrix(noise_weights(sc), variant),
+                )
+                np.testing.assert_allclose(summary.t, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_rss_lb_rmse_is_known_power_bound(self):
+        # with P0 known the position FIM is the (x, y) block of F itself
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            sc = replace(random_scenario(rng), variant=Variant.RSS)
+            placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
+            summary = fim_full(sc, placement, SourceParams(0.0, sc.source[:2]))
+            expect = math.sqrt(np.trace(np.linalg.inv(summary.f[1:, 1:])))
+            assert summary.lb_rmse == pytest.approx(expect, rel=1e-12)
+        # case A geometry, uniform over 120 degrees: the known-power bound is
+        # far below the unknown-power one
+        sc = make_scenario(sigma_sq=[8.0] * 4 + [2.0] * 4, m=10, beta_max=math.radians(120.0))
+        placement = Placement.from_angles(sc.beta_max * np.arange(1, 9) / 8)
+        src = SourceParams(0.0, [0.0, 0.0])
+        rss = fim_full(replace(sc, variant=Variant.RSS), placement, src).lb_rmse
+        rssd = fim_full(sc, placement, src).lb_rmse
+        assert rss == pytest.approx(58.32, abs=0.01)
+        assert rssd == pytest.approx(176.27, abs=0.01)
 
 
 def cofactor_inverse_3x3(f):
@@ -238,10 +276,6 @@ def cofactor_inverse_3x3(f):
 
 
 class TestLbRmse:
-    def test_diagonal_values(self):
-        assert lb_rmse(np.diag([1.0, 4.0, 4.0])) == pytest.approx(0.7071067811865476, abs=1e-12)
-        assert lb_rmse(np.eye(3)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
     def test_matches_cofactor_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -252,16 +286,7 @@ class TestLbRmse:
                 continue
             inv = cofactor_inverse_3x3(summary.f)
             expect = math.sqrt(inv[1, 1] + inv[2, 2])
-            assert lb_rmse(summary.f) == pytest.approx(expect, rel=1e-10)
-
-    def test_singular_gives_infinity(self):
-        assert lb_rmse(np.diag([1.0, 1.0, 0.0])) == math.inf
-
-    def test_rejects_asymmetric(self):
-        f = np.eye(3)
-        f[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            lb_rmse(f)
+            assert summary.lb_rmse == pytest.approx(expect, rel=1e-10)
 
 
 def rotation(phi):

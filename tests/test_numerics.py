@@ -5,7 +5,7 @@ import pytest
 
 from rssdgeom.fim import coupling_matrix, noise_weights
 from rssdgeom.model import Scenario
-from rssdgeom.numerics import psd_sqrt, row_dots, sym_eig, sym_eig_max, thin_svd
+from rssdgeom.numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 
 def case_a_coupling():
@@ -141,17 +141,6 @@ class TestSymEigMax:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSymEig:
-    def test_descending_and_reconstructs(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(5, 5))
-        m = 0.5 * (a + a.T)
-        eig = sym_eig(m)
-        assert np.all(np.diff(eig.values) <= 1e-12)
-        rec = (eig.vectors * eig.values) @ eig.vectors.T
-        np.testing.assert_allclose(rec, m, atol=1e-10 * max(1.0, np.abs(m).max()))
 
 
 class TestRowDots:
