@@ -257,11 +257,7 @@ def _to_user_frame(g_solver: np.ndarray, beta_max: float, offset: float) -> Plac
     return Placement.from_angles(a)
 
 
-def optimize(
-    scenario: Scenario,
-    source_guess: SourceParams = None,
-    options: AdmmOptions = None,
-):
+def optimize(scenario: Scenario, options: AdmmOptions = None):
     """Run the full optimizer and return (placement, trace).
 
     The placement is the feasible iterate with the largest reduced-information
@@ -270,12 +266,14 @@ def optimize(
     the result never loses to it). The trace carries one record per outer
     iteration, record 0 being the uniform initialization, and keeps the
     record of the returned placement as trace.best.
+
+    Every iterate is scored at the scenario's own source. The design depends
+    only on the distances, noise, arc and variant: moving the source moves
+    the sensors with it, and the information matrix sees only their offsets.
     """
     check_sensor_count(scenario)
     options = options if options is not None else AdmmOptions()
-    if source_guess is None:
-        source_guess = SourceParams(p0=0.0, position=scenario.source[:2])
-    eval_scenario = scenario.with_source(source_guess.position)
+    source = SourceParams(p0=0.0, position=scenario.source[:2])
     n = scenario.n_sensors
     beta_max = scenario.beta_max
     bound = g0_bound(beta_max)
@@ -296,7 +294,7 @@ def optimize(
     rho = options.rho * _PENALTY_SCALE / op_norm**2
 
     uniform = uniform_init(n, beta_max)
-    uniform_summary = fim_full(eval_scenario, uniform, source_guess)
+    uniform_summary = fim_full(scenario, uniform, source)
     uniform_det_t = float(np.linalg.det(uniform_summary.t))
 
     g = np.column_stack(
@@ -338,7 +336,7 @@ def optimize(
         inner_counts.append(inner)
 
         placement_k = _to_user_frame(g, beta_max, offset)
-        summary_k = fim_full(eval_scenario, placement_k, source_guess)
+        summary_k = fim_full(scenario, placement_k, source)
         det_t_k = float(np.linalg.det(summary_k.t))
         records.append(
             TraceRecord(

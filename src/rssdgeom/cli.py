@@ -43,7 +43,10 @@ def _parse_float_list(text: str):
 
 
 def _parse_int_list(text: str):
-    return [int(v) for v in _parse_float_list(text)]
+    values = _parse_float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise ScenarioError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True):

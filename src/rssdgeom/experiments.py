@@ -104,8 +104,23 @@ def write_csv(result: RunResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _improvement_pct(lb_uniform: float, lb_opt: float) -> float:
-    return 100.0 * (1.0 - lb_opt / lb_uniform)
+def _design_row(scenario: Scenario, options: AdmmOptions):
+    """Optimize one scenario; return (trace, row) with the fields every design row shares.
+
+    The row holds the arc, the uniform and optimized LB-RMSE, the improvement
+    and the placement; callers add the scenario hash and the seed.
+    """
+    placement, trace = optimize(scenario, options=options)
+    lb_u = trace.records[0].lb_rmse
+    lb_o = trace.best.lb_rmse
+    row = {
+        "beta_max_deg": math.degrees(scenario.beta_max),
+        "lb_rmse_uniform_m": lb_u,
+        "lb_rmse_opt_m": lb_o,
+        "improvement_pct": 100.0 * (1.0 - lb_o / lb_u),
+        "placement_deg": placement_to_field(placement),
+    }
+    return trace, row
 
 
 # -- study modes --------------------------------------------------------------
@@ -205,22 +220,9 @@ def run_sweep_n(
     converged_all = True
     for n, beta_max in jobs:
         sc = replace(resize_sensors(scenario_template, n), beta_max=beta_max)
-        placement, trace = optimize(sc, options=options)
-        lb_u = trace.records[0].lb_rmse
-        lb_o = trace.best.lb_rmse
+        trace, row = _design_row(sc, options)
         converged_all &= trace.converged
-        rows.append(
-            {
-                "n": n,
-                "beta_max_deg": math.degrees(beta_max),
-                "lb_rmse_uniform_m": lb_u,
-                "lb_rmse_opt_m": lb_o,
-                "improvement_pct": _improvement_pct(lb_u, lb_o),
-                "placement_deg": placement_to_field(placement),
-                "scenario_hash": scenario_hash(sc),
-                "seed": seed,
-            }
-        )
+        rows.append({"n": n, **row, "scenario_hash": scenario_hash(sc), "seed": seed})
     return RunResult(
         mode="sweep-n",
         header=HEADERS["sweep-n"],
@@ -244,22 +246,9 @@ def run_sweep_angle(
     rows = []
     converged_all = True
     for beta_max in grid:
-        sc = replace(scenario, beta_max=beta_max)
-        placement, trace = optimize(sc, options=options)
-        lb_u = trace.records[0].lb_rmse
-        lb_o = trace.best.lb_rmse
+        trace, row = _design_row(replace(scenario, beta_max=beta_max), options)
         converged_all &= trace.converged
-        rows.append(
-            {
-                "beta_max_deg": math.degrees(beta_max),
-                "lb_rmse_uniform_m": lb_u,
-                "lb_rmse_opt_m": lb_o,
-                "improvement_pct": _improvement_pct(lb_u, lb_o),
-                "placement_deg": placement_to_field(placement),
-                "scenario_hash": shash,
-                "seed": seed,
-            }
-        )
+        rows.append({**row, "scenario_hash": shash, "seed": seed})
     return RunResult(
         mode="sweep-angle",
         header=HEADERS["sweep-angle"],
@@ -278,9 +267,12 @@ def run_practical(
     truth_p0: float = 0.0,
     refine: bool = True,
 ) -> RunResult:
-    """Optimize around noisy prior positions and score against the truth.
+    """Fly one design around noisy prior positions and score it against the truth.
 
-    Per trial: draw a Gaussian prior error, design the placement around the
+    The placement is designed once: the information matrix depends only on
+    where the sensors sit relative to the source, so the best angles around
+    any prior are the angles around the true source. Per trial: draw a
+    Gaussian prior error, place the swarm at those angles around the
     perturbed prior, evaluate its LB-RMSE at the true source, and (when
     refine is set) simulate measurements and refine the prior by maximum
     likelihood. A final aggregate row (trial = -1) carries the means and the
@@ -295,18 +287,16 @@ def run_practical(
     shash = scenario_hash(scenario)
     truth = SourceParams(p0=truth_p0, position=scenario.source[:2])
 
-    theory_placement, theory_trace = optimize(scenario, options=options)
-    lb_theory = theory_trace.best.lb_rmse
+    placement, trace = optimize(scenario, options=options)
+    lb_theory = trace.best.lb_rmse
+    placement_deg = placement_to_field(placement)
 
     rows = []
-    converged_all = theory_trace.converged
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
         err = rng.normal(0.0, prior_std, size=2)
         prior_pos = truth.position + err
         sc_prior = scenario.with_source(prior_pos)
-        guess = SourceParams(p0=truth_p0, position=prior_pos)
-        placement, trace = optimize(sc_prior, source_guess=guess, options=options)
         lb_practical = fim_full(sc_prior, placement, truth).lb_rmse
         emp_err = math.nan
         if refine:
@@ -320,11 +310,10 @@ def run_practical(
                 pos,
                 np.sqrt(scenario.effective_var),
                 scenario.gamma,
-                init=guess,
+                init=SourceParams(p0=truth_p0, position=prior_pos),
                 multistart_spread=2.0 * prior_std,
             )
             emp_err = float(np.linalg.norm(result.theta_hat[1:] - truth.position))
-        converged_all &= trace.converged
         rows.append(
             {
                 "trial": t,
@@ -334,7 +323,7 @@ def run_practical(
                 "lb_rmse_theoretical_m": lb_theory,
                 "lb_rmse_practical_m": lb_practical,
                 "empirical_rmse_m": emp_err,
-                "placement_deg": placement_to_field(placement),
+                "placement_deg": placement_deg,
                 "scenario_hash": shash,
                 "seed": seed,
             }
@@ -350,7 +339,7 @@ def run_practical(
             "lb_rmse_theoretical_m": lb_theory,
             "lb_rmse_practical_m": float(np.mean(lb_vals)),
             "empirical_rmse_m": math.sqrt(float(np.mean(emp_sq))) if emp_sq else math.nan,
-            "placement_deg": placement_to_field(theory_placement),
+            "placement_deg": placement_deg,
             "scenario_hash": shash,
             "seed": seed,
         }
@@ -359,7 +348,7 @@ def run_practical(
         mode="practical",
         header=HEADERS["practical"],
         rows=rows,
-        converged_all=converged_all,
+        converged_all=trace.converged,
         elapsed_s=time.perf_counter() - t0,
         summary={
             "lb_rmse_theoretical_m": lb_theory,
@@ -371,22 +360,14 @@ def run_practical(
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
     t0 = time.perf_counter()
-    options = options or AdmmOptions()
-    placement, trace = optimize(scenario, options=options)
-    lb_u = trace.records[0].lb_rmse
-    lb_o = trace.best.lb_rmse
-    row = {
-        "beta_max_deg": math.degrees(scenario.beta_max),
-        "lb_rmse_uniform_m": lb_u,
-        "lb_rmse_opt_m": lb_o,
-        "improvement_pct": _improvement_pct(lb_u, lb_o),
-        "iterations": trace.outer_iters,
-        "converged": trace.converged,
-        "mean_inner_iters": trace.mean_inner,
-        "placement_deg": placement_to_field(placement),
-        "scenario_hash": scenario_hash(scenario),
-        "seed": seed,
-    }
+    trace, row = _design_row(scenario, options or AdmmOptions())
+    row.update(
+        iterations=trace.outer_iters,
+        converged=trace.converged,
+        mean_inner_iters=trace.mean_inner,
+        scenario_hash=scenario_hash(scenario),
+        seed=seed,
+    )
     return RunResult(
         mode="optimize",
         header=HEADERS["optimize"],
@@ -411,7 +392,7 @@ def validate_scenario(path) -> ValidationReport:
     try:
         scenario = load_scenario(path)
         check_sensor_count(scenario)
-    except (ScenarioError, OSError) as exc:
+    except ScenarioError as exc:
         return ValidationReport(ok=False, message=str(exc))
     weights = noise_weights(scenario)
     coupling = coupling_matrix(weights, scenario.variant)

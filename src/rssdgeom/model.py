@@ -92,6 +92,8 @@ class Scenario:
 
     def __post_init__(self):
         self.source = np.asarray(self.source, dtype=float).reshape(3)
+        if not np.all(np.isfinite(self.source)):
+            raise ScenarioError("source: contains non-finite entries")
         if self.source[2] != 0.0:
             raise ScenarioError("source: height must be zero")
         n = int(self.n_sensors)
@@ -112,9 +114,13 @@ class Scenario:
             raise ScenarioError(f"noise_std[{bad}]: must be > 0")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ScenarioError("gamma: must be positive and finite")
-        if int(self.samples_per_position) < 1:
-            raise ScenarioError("samples_per_position: must be positive")
-        self.samples_per_position = int(self.samples_per_position)
+        m = float(self.samples_per_position)
+        if not (m.is_integer() and m >= 1):
+            raise ScenarioError(
+                "samples_per_position: must be a positive integer, "
+                f"got {self.samples_per_position!r}"
+            )
+        self.samples_per_position = int(m)
         if not (0.0 < self.beta_max <= TWO_PI + 1e-12):
             raise ScenarioError("beta_max: must lie in (0, 2*pi]")
         self.beta_max = min(float(self.beta_max), TWO_PI)
@@ -288,11 +294,18 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _as_number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: missing or malformed ({exc})") from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse the dict form, reporting the offending field on failure."""
     try:
-        source = list(data["source"])
-    except (KeyError, TypeError) as exc:
+        source = [float(c) for c in data["source"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"source: missing or malformed ({exc})") from exc
     if len(source) == 2:
         source = [source[0], source[1], 0.0]
@@ -307,12 +320,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             r.append(float(row["r"]))
             h.append(float(row["h"]))
             sigma.append(float(row["sigma"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"sensors[{idx}]: expected numeric r, h, sigma ({exc})") from exc
-    try:
-        beta_max_deg = float(data["beta_max_deg"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"beta_max_deg: missing or malformed ({exc})") from exc
+    beta_max_deg = _as_number("beta_max_deg", data.get("beta_max_deg"))
     if not 0.0 < beta_max_deg <= 360.0:
         raise ScenarioError(f"beta_max_deg: must lie in (0, 360], got {beta_max_deg}")
     variant = str(data.get("variant", "rssd")).lower()
@@ -321,19 +331,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(
         source=source,
         n_sensors=len(sensors),
-        gamma=float(data.get("gamma", 2.0)),
+        gamma=_as_number("gamma", data.get("gamma", 2.0)),
         horiz_dist=r,
         vert_dist=h,
         noise_std=sigma,
-        samples_per_position=int(data.get("samples_per_position", 10)),
+        samples_per_position=_as_number(
+            "samples_per_position", data.get("samples_per_position", 10)
+        ),
         beta_max=math.radians(beta_max_deg),
         variant=Variant(variant),
     )
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a JSON file."""
-    text = Path(path).read_text()
+    """Load a scenario from a UTF-8 JSON file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read scenario file ({exc})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,6 +1,7 @@
 """Optimizer tests: subproblem solvers, full runs, and the distance rule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,9 @@ from rssdgeom.admm import (
     x_update,
 )
 from rssdgeom.fim import (
-    coupling_matrix,
     fim_full,
     g0_bound,
     is_feasible,
-    noise_weights,
-    sensitivity_diag,
     solver_arc_offset,
 )
 from rssdgeom.model import (
@@ -500,12 +498,15 @@ class TestOptimize:
 
     def test_prior_centered_geometry_same_angles(self):
         # the optimal angles depend only on distances/noise, not on where the
-        # assumed source sits
-        sc = case_a(beta_max=math.radians(150.0))
-        p0, _ = optimize(sc)
-        guess = SourceParams(0.0, [400.0, -250.0])
-        p1, _ = optimize(sc.with_source(guess.position), source_guess=guess)
-        np.testing.assert_allclose(p0.angles, p1.angles, atol=1e-12)
+        # assumed source sits; 250 degrees runs in the rotated solver frame
+        for sc in (
+            case_a(beta_max=math.radians(150.0)),
+            case_a(beta_max=math.radians(250.0)),
+            replace(case_a(beta_max=math.radians(150.0)), variant=Variant.RSS),
+        ):
+            p0, _ = optimize(sc)
+            p1, _ = optimize(sc.with_source([400.0, -250.0]))
+            np.testing.assert_allclose(p0.angles, p1.angles, atol=1e-12)
 
 
 def tiny_swarm(n, variant):

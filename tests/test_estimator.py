@@ -10,7 +10,6 @@ from rssdgeom.admm import optimize
 from rssdgeom.estimator import MleResult, mle_estimate
 from rssdgeom.fim import fim_full
 from rssdgeom.model import (
-    Placement,
     SourceParams,
     case_a,
     sensor_positions,

@@ -1,5 +1,6 @@
 """Experiment harness and CLI tests: CSV formats, audits, exit codes."""
 
+import json
 import math
 import pathlib
 import subprocess
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rssdgeom.admm import AdmmOptions
+from rssdgeom import experiments
 from rssdgeom.cli import main
 from rssdgeom.experiments import (
     placement_from_field,
@@ -23,7 +24,7 @@ from rssdgeom.experiments import (
     write_csv,
 )
 from rssdgeom.fim import fim_full
-from rssdgeom.model import SourceParams, case_a, case_b, load_scenario, save_scenario
+from rssdgeom.model import SourceParams, case_a, case_b
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CASE_A = REPO / "scenarios" / "caseA.json"
@@ -147,6 +148,20 @@ class TestPractical:
         for a, b in zip(res1.rows, res2.rows):
             assert a == b
 
+    def test_designs_once_for_every_prior(self, monkeypatch):
+        optimize = experiments.optimize
+        calls = []
+
+        def counting_optimize(*args, **kwargs):
+            calls.append(args)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "optimize", counting_optimize)
+        result = run_practical(case_a(), prior_std=50.0, trials=5)
+        assert len(calls) == 1
+        aggregate = result.rows[-1]["placement_deg"]
+        assert [row["placement_deg"] for row in result.rows[:-1]] == [aggregate] * 5
+
     def test_practical_lb_close_to_theoretical(self):
         result = run_practical(
             case_a(), prior_std=math.sqrt(12500.0), trials=20, seed=1, refine=False
@@ -187,7 +202,53 @@ class TestValidate:
         assert "beta_max_deg" in report.message
 
 
+def case_a_with(**fields) -> bytes:
+    data = json.loads(CASE_A.read_text())
+    data.update(fields)
+    return json.dumps(data).encode()
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "raw, mode, extra, named",
+        [
+            pytest.param(b'{"gamma": "\xff"}', "validate", [], "cannot read", id="non-utf8"),
+            pytest.param(case_a_with(gamma="abc"), "validate", [], "gamma", id="gamma-text"),
+            pytest.param(case_a_with(gamma=None), "validate", [], "gamma", id="gamma-null"),
+            pytest.param(
+                case_a_with(gamma=None), "optimize", [], "gamma", id="gamma-null-optimize",
+            ),
+            pytest.param(
+                case_a_with(samples_per_position="x"), "validate", [], "samples_per_position",
+                id="samples-text",
+            ),
+            pytest.param(
+                case_a_with(samples_per_position=2.5), "validate", [], "samples_per_position",
+                id="samples-fraction",
+            ),
+            pytest.param(
+                case_a_with(source=[math.inf, 0.0]), "validate", [], "source", id="source-inf",
+            ),
+            pytest.param(
+                case_a_with(sensors=[{"r": 10**400, "h": 100.0, "sigma": 2.0}] * 8),
+                "validate", [], "sensors[0]", id="sensor-overflow",
+            ),
+            pytest.param(
+                case_a_with(), "sweep-n", ["--n-list", "4.7", "--beta-max-deg", "120"], "integer",
+                id="n-list-fraction",
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, raw, mode, extra, named):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        argv = [mode, "--scenario", str(path), *extra]
+        if mode != "validate":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert named in out.out + out.err
+
     def test_validate_exit_codes(self, tmp_path):
         ok = run_cli("validate", "--scenario", str(CASE_A))
         assert ok.returncode == 0

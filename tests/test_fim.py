@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rssdgeom.fim import (
-    ConstraintBound,
     CouplingMatrix,
     SensitivityDiag,
     apply_orthogonal,
