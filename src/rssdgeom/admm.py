@@ -10,6 +10,18 @@ majorize-minimize sweeps whose per-row minimizers are known in closed form on
 the feasible arc. A sweep updates all N rows in one array expression
 (_mm_rows); mm_row_update is the same kernel applied to a single row.
 
+Designs run in lockstep along a leading design axis. optimize_many groups
+its scenarios by sensor count and variant and advances each group as one
+batch of (B, N, 2) arrays: every outer step is one batched thin SVD for the
+X-update, one set of MM sweeps (each design stops sweeping on its own
+test), one dual update, one frame rotation and one scoring call for all
+running designs. Each design keeps its own penalty, bound, arc offset, LB
+budget, best record and stop test, and leaves the batch when it stops; its
+result is bit for bit what it would be alone. optimize is optimize_many on
+one scenario. x_update, g_update_mm, _mm_rows and _to_user_frame take the
+design axis or a single design, and give a single design the same bits
+either way.
+
 For spread bounds above pi the solver works in a rotation-equivalent arc
 centered on pi/2 (where the constraint is a plain elementwise vector bound)
 and rotates the result back into [0, beta_max] before returning it.
@@ -27,7 +39,7 @@ Two conventions worth knowing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +48,11 @@ from .fim import (
     coupling_matrix,
     fim_full,
     g0_bound,
+    loss_slope,
     noise_weights,
+    reduced_scores,
     sensitivity_diag,
+    sensor_offsets,
     solver_arc_offset,
 )
 from .model import Placement, Scenario, ScenarioError, SourceParams, Variant, wrap_angles
@@ -95,13 +110,19 @@ class TraceRecord:
 
 @dataclass
 class AdmmTrace:
-    """Per-iteration records of a run; best is the record of the returned placement."""
+    """Per-iteration records of a run; best is the record of the returned placement.
+
+    stop_reason is "lb_stall" (relative LB-RMSE change below admm_tol),
+    "step" (iterate step below admm_tol) or "max_outer" (iteration cap);
+    when both tolerance tests hold at the last iteration it is "lb_stall".
+    """
 
     records: list
     converged: bool
     outer_iters: int
     mean_inner: float
     best: TraceRecord
+    stop_reason: str
 
 
 def check_sensor_count(scenario: Scenario) -> None:
@@ -128,32 +149,33 @@ def uniform_init(n: int, beta_max: float) -> Placement:
     return Placement.from_angles(angles)
 
 
-def singular_value_map(sigma: float, rho: float) -> float:
-    """Positive root of rho*x^2 - sigma*x - 2 = 0, the optimal X singular value."""
-    if sigma < 0 or rho <= 0:
+def _singular_value_map(sigma, rho):
+    # sigma^2 is libm pow, as for a float: the array square sigma * sigma
+    # differs from it in the last bit for some sigma; np.float_power keeps pow
+    return (sigma + np.sqrt(np.float_power(sigma, 2) + 8.0 * rho)) / (2.0 * rho)
+
+
+def singular_value_map(sigma, rho):
+    """Positive root of rho*x^2 - sigma*x - 2 = 0, the optimal X singular value.
+
+    Elementwise on arrays of sigma and rho.
+    """
+    if np.any(np.asarray(sigma) < 0) or np.any(np.asarray(rho) <= 0):
         raise ValueError("need sigma >= 0 and rho > 0")
-    return (sigma + math.sqrt(sigma**2 + 8.0 * rho)) / (2.0 * rho)
+    return _singular_value_map(sigma, rho)
 
 
-def x_update(j_k: np.ndarray, rho: float) -> np.ndarray:
+def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     """Global minimizer of the X subproblem for the current J = V + rho*S*G.
 
     Shares singular vectors with J (the alignment that attains the trace
-    upper bound); each singular value is remapped by singular_value_map.
+    upper bound); each singular value is remapped by singular_value_map
+    (sigma >= 0 by construction, rho > 0 by AdmmOptions). J may be a
+    (B, N, 2) stack of designs with one rho each.
     """
     svd = thin_svd(j_k)
-    lam = np.array([singular_value_map(s, rho) for s in svd.sigma])
-    return (svd.u * lam) @ svd.v.T
-
-
-def _arc_candidates(bound: ConstraintBound) -> np.ndarray:
-    """(2, 2) endpoint directions of the feasible arc, by increasing angle."""
-    beta_max = bound.beta_max
-    if beta_max <= math.pi:
-        angles = (0.0, beta_max)
-    else:
-        angles = ((math.pi + beta_max) / 2.0, (5.0 * math.pi - beta_max) / 2.0)
-    return np.array([[math.cos(a), math.sin(a)] for a in angles])
+    lam = _singular_value_map(svd.sigma, np.asarray(rho)[..., None])
+    return (svd.u * lam[..., None, :]) @ svd.v.swapaxes(-1, -2)
 
 
 def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
@@ -162,17 +184,18 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndar
     The unconstrained minimizer -q_i/|q_i| wins where it satisfies the vector
     bound; elsewhere the minimum sits at an arc endpoint (the objective is
     unimodal along the circle), ties going to the smaller angle. Rows with
-    q_i = 0 keep prev_i: every feasible point is optimal there.
+    q_i = 0 keep prev_i: every feasible point is optimal there. q and prev
+    are (N, 2), or (B, N, 2) with a bound carrying one row per design.
     """
     nq = np.sqrt(row_dots(q, q))
     zero = nq == 0.0
-    interior = -q / np.where(zero, 1.0, nq)[:, None]
-    ends = _arc_candidates(bound)
-    lower_first = row_dots(q, ends[1]) < row_dots(q, ends[0])
-    endpoint = np.where(lower_first[:, None], ends[1], ends[0])
-    feasible = np.all(interior >= bound.g0, axis=1)
-    g = np.where(feasible[:, None], interior, endpoint)
-    return np.where(zero[:, None], prev, g)
+    interior = -q / np.where(zero, 1.0, nq)[..., None]
+    lo, hi = bound.ends[..., None, 0, :], bound.ends[..., None, 1, :]
+    lower_first = row_dots(q, hi) < row_dots(q, lo)
+    endpoint = np.where(lower_first[..., None], hi, lo)
+    feasible = np.all(interior >= bound.g0[..., None, :], axis=-1)
+    g = np.where(feasible[..., None], interior, endpoint)
+    return np.where(zero[..., None], prev, g)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray = None) -> np.ndarray:
@@ -188,10 +211,21 @@ def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray = None
     return _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2))[0]
 
 
-def _g_objective(g: np.ndarray, half_bd: np.ndarray, c: np.ndarray, rho: float) -> float:
-    """G-subproblem objective rho/2 * ||S G||^2 + <C, S G> up to constants."""
+def _design_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of every entry of each design's (N, 2) block, as np.sum of the block."""
+    return a.reshape(len(a), -1).sum(axis=1)
+
+
+def _design_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each design's block, as np.linalg.norm of the block."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(row_dots(flat, flat))
+
+
+def _g_objective(g: np.ndarray, half_bd: np.ndarray, c: np.ndarray, half_rho: np.ndarray) -> list:
+    """G-subproblem objective rho/2 * ||S G||^2 + <C, S G> up to constants, per design."""
     sg = half_bd @ g
-    return 0.5 * rho * float(np.sum(sg * sg)) + float(np.sum(c * sg))
+    return (half_rho * _design_sums(sg * sg) + _design_sums(c * sg)).tolist()
 
 
 def g_update_mm(
@@ -200,7 +234,7 @@ def g_update_mm(
     g_start: np.ndarray,
     half_bd: np.ndarray,
     m_tilde: np.ndarray,
-    rho: float,
+    rho,
     bound: ConstraintBound,
     mm_tol: float = 1e-3,
     max_inner: int = 50,
@@ -214,66 +248,142 @@ def g_update_mm(
     by _mm_rows. Sweeps stop when the subproblem objective change falls
     below mm_tol (relative) or the iterate moves less than mm_tol in
     Frobenius norm. Returns (G, sweeps performed).
+
+    Every array may carry a leading design axis (B, ...), with one rho and
+    one bound row per design; each design then stops on its own test, keeps
+    its G from then on, and the sweep counts come back as a list of B.
     """
-    g = np.array(g_start, dtype=float)
-    c = v - rho * x_next
-    base = half_bd.T @ c
-    prev_obj = _g_objective(g, half_bd, c, rho)
-    inner = 0
-    for _ in range(max_inner):
-        q_all = base + rho * (m_tilde @ g)
+    one = np.ndim(g_start) == 2
+    if one:
+        x_next, v, g_start, half_bd, m_tilde = (
+            np.asarray(a, dtype=float)[None] for a in (x_next, v, g_start, half_bd, m_tilde)
+        )
+    rho = np.reshape(rho, -1)
+    rho_3d = rho[:, None, None]
+    half_rho = 0.5 * rho
+    g = g_start
+    c = v - rho_3d * x_next
+    base = half_bd.swapaxes(-1, -2) @ c
+    prev_obj = _g_objective(g, half_bd, c, half_rho)
+    inner = [max_inner] * len(g)
+    running = [True] * len(g)
+    for sweep in range(1, max_inner + 1):
+        q_all = base + rho_3d * (m_tilde @ g)
         g_next = _mm_rows(q_all, bound, g)
-        inner += 1
-        obj = _g_objective(g_next, half_bd, c, rho)
-        delta = float(np.linalg.norm(g_next - g))
-        g = g_next
-        if abs(prev_obj - obj) < mm_tol * max(1.0, abs(obj)) or delta < mm_tol:
+        obj = _g_objective(g_next, half_bd, c, half_rho)
+        delta = _design_norms(g_next - g).tolist()
+        # a design that stopped in an earlier sweep keeps its G
+        g = g_next if all(running) else np.where(np.array(running)[:, None, None], g_next, g)
+        for b, (p, o, d) in enumerate(zip(prev_obj, obj, delta)):
+            if running[b] and (abs(p - o) < mm_tol * max(1.0, abs(o)) or d < mm_tol):
+                running[b] = False
+                inner[b] = sweep
+        if not any(running):
             break
         prev_obj = obj
-    return g, inner
+    return (g[0], inner[0]) if one else (g, inner)
 
 
-def _log_det_inv_gram(x: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(x.T @ x)
-    return -logdet if sign > 0 else math.inf
+def _log_det_inv_gram(x: np.ndarray):
+    """-log det(X^T X), +inf where X^T X is not positive definite; per design."""
+    sign, logdet = np.linalg.slogdet(x.swapaxes(-1, -2) @ x)
+    return np.where(sign > 0, -logdet, math.inf).tolist()
 
 
-def _to_user_frame(g_solver: np.ndarray, beta_max: float, offset: float) -> Placement:
+def _to_user_frame(g_solver: np.ndarray, beta_max, offset) -> np.ndarray:
     """Rotate solver-frame directions back into [0, beta_max] user angles.
 
-    Angles within 1e-9 above beta_max snap to beta_max, and those within
-    1e-9 below 2*pi to 0. The row angles use math.atan2, which can differ
-    from np.arctan2 in the last bit.
+    g_solver is (..., N, 2), beta_max and offset scalars or one per leading
+    entry; returns the (..., N) angles. Angles within 1e-9 above beta_max
+    snap to beta_max, and those within 1e-9 below 2*pi to 0. The row angles
+    use math.atan2, which can differ from np.arctan2 in the last bit.
     """
     snap = 1e-9
-    raw = np.array([math.atan2(y, x) for x, y in g_solver.tolist()])
-    a = wrap_angles(wrap_angles(raw) - offset)
+    raw = np.array([math.atan2(y, x) for x, y in g_solver.reshape(-1, 2).tolist()])
+    beta_max = np.asarray(beta_max)[..., None]
+    a = wrap_angles(wrap_angles(raw.reshape(g_solver.shape[:-1])) - np.asarray(offset)[..., None])
     over = a > beta_max
-    a = np.where(
+    return np.where(
         over & (TWO_PI - a <= snap),
         0.0,
         np.where(over & (a - beta_max <= snap), beta_max, a),
     )
-    return Placement.from_angles(a)
 
 
-def optimize(scenario: Scenario, options: AdmmOptions = None):
-    """Run the full optimizer and return (placement, trace).
+@dataclass
+class _Batch:
+    """Solver arrays of the designs still running in a lockstep group, one row each."""
 
-    The placement is the feasible iterate with the largest reduced-information
-    determinant seen during the run, restricted to iterates that do not score
-    worse than the uniform baseline (the baseline itself is a candidate, so
-    the result never loses to it). The trace carries one record per outer
-    iteration, record 0 being the uniform initialization, and keeps the
-    record of the returned placement as trace.best.
+    index: np.ndarray  # position of each design in its group
+    half_bd: np.ndarray
+    m_tilde: np.ndarray
+    rho: np.ndarray
+    g0: np.ndarray
+    ends: np.ndarray
+    beta_max: np.ndarray
+    offset: np.ndarray
+    center: np.ndarray
+    horiz: np.ndarray
+    vert: np.ndarray
+    w: np.ndarray
+    lb_scale: np.ndarray
+    g: np.ndarray
+    v: np.ndarray
+    hg: np.ndarray  # half_bd @ g
 
-    Every iterate is scored at the scenario's own source. The design depends
-    only on the distances, noise, arc and variant: moving the source moves
-    the sensors with it, and the information matrix sees only their offsets.
+    def take(self, keep: np.ndarray) -> "_Batch":
+        return _Batch(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
+
+
+@dataclass
+class _Run:
+    """Trace bookkeeping of one design: its records, best record and stop test."""
+
+    records: list
+    best: TraceRecord
+    lb_budget: float
+    stall: int = 0
+
+    def advance(self, rec: TraceRecord, step: float, options: AdmmOptions):
+        """Add one outer iteration; returns the stop reason once the run stops."""
+        self.records.append(rec)
+        if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
+            self.best = rec
+        # Relative LB-RMSE change against the previous iterate and the one
+        # two steps back: the splitting admits alternating (period-2) limit
+        # cycles whose even/odd subsequences are stationary, and either
+        # situation means the iteration has stopped making progress.
+        rel_lb = math.inf
+        if math.isfinite(rec.lb_rmse) and rec.lb_rmse > 0:
+            for lag in (1, 2):
+                if len(self.records) > lag:
+                    prev = self.records[-1 - lag].lb_rmse
+                    rel_lb = min(rel_lb, abs(rec.lb_rmse - prev) / rec.lb_rmse)
+        lb_stall = rel_lb < options.admm_tol
+        self.stall = self.stall + 1 if (lb_stall or step < options.admm_tol) else 0
+        if self.stall >= _STALL_ITERATIONS:
+            return "lb_stall" if lb_stall else "step"
+        return None
+
+    def result(self, stop_reason: str):
+        inner = [rec.inner_iters for rec in self.records[1:]]
+        trace = AdmmTrace(
+            records=self.records,
+            converged=stop_reason != "max_outer",
+            outer_iters=self.records[-1].k,
+            mean_inner=float(np.mean(inner)) if inner else 0.0,
+            best=self.best,
+            stop_reason=stop_reason,
+        )
+        return Placement.from_angles(self.best.angles), trace
+
+
+def _start(scenario: Scenario, options: AdmmOptions):
+    """Set up one design: its solver arrays (a dict of _Batch rows) and its _Run.
+
+    The run starts from the uniform placement, which is record 0 and the
+    first best record.
     """
-    check_sensor_count(scenario)
-    options = options if options is not None else AdmmOptions()
-    source = SourceParams(p0=0.0, position=scenario.source[:2])
     n = scenario.n_sensors
     beta_max = scenario.beta_max
     bound = g0_bound(beta_max)
@@ -286,96 +396,137 @@ def optimize(scenario: Scenario, options: AdmmOptions = None):
     m_mat = half_bd.T @ half_bd
     m_mat = 0.5 * (m_mat + m_mat.T)
     lam_max = sym_eig_max(m_mat)
-    m_tilde = m_mat - lam_max * np.eye(n)
 
     op_norm = float(np.linalg.norm(half_bd, 2))
     if op_norm <= 0:
         raise ValueError("degenerate scenario: constraint operator is zero")
-    rho = options.rho * _PENALTY_SCALE / op_norm**2
 
     uniform = uniform_init(n, beta_max)
-    uniform_summary = fim_full(scenario, uniform, source)
-    uniform_det_t = float(np.linalg.det(uniform_summary.t))
-
-    g = np.column_stack(
-        [np.cos(uniform.angles + offset), np.sin(uniform.angles + offset)]
+    summary = fim_full(scenario, uniform, SourceParams(p0=0.0, position=scenario.source[:2]))
+    g = np.column_stack([np.cos(uniform.angles + offset), np.sin(uniform.angles + offset)])
+    hg = half_bd @ g
+    first = TraceRecord(
+        k=0,
+        objective=_log_det_inv_gram(hg),
+        det_t=float(np.linalg.det(summary.t)),
+        lb_rmse=summary.lb_rmse,
+        inner_iters=0,
+        primal_residual=0.0,
+        angles=uniform.angles.copy(),
     )
-    v = np.zeros((n, 2))
-    x = half_bd @ g
+    inv_var_sum = (1.0 / scenario.effective_var).sum()
+    rows = dict(
+        half_bd=half_bd,
+        m_tilde=m_mat - lam_max * np.eye(n),
+        rho=options.rho * _PENALTY_SCALE / op_norm**2,
+        g0=bound.g0,
+        ends=bound.ends,
+        beta_max=beta_max,
+        offset=offset,
+        center=scenario.source[:2],
+        horiz=scenario.horiz_dist,
+        vert=scenario.vert_dist,
+        w=weights.w,
+        lb_scale=loss_slope(scenario.gamma) ** 2 * inv_var_sum,
+        g=g,
+        v=np.zeros((n, 2)),
+        hg=hg,
+    )
+    return rows, _Run(records=[first], best=first, lb_budget=summary.lb_rmse + 1e-9)
 
-    records = [
-        TraceRecord(
-            k=0,
-            objective=_log_det_inv_gram(x),
-            det_t=uniform_det_t,
-            lb_rmse=uniform_summary.lb_rmse,
-            inner_iters=0,
-            primal_residual=0.0,
-            angles=uniform.angles.copy(),
-        )
-    ]
-    best_placement = uniform
-    best = records[0]
-    lb_budget = uniform_summary.lb_rmse + 1e-9
 
-    converged = False
-    k = 0
-    stall = 0
-    inner_counts = []
+def _lockstep(scenarios: list, options: AdmmOptions) -> list:
+    """Run designs of one size and variant as one batch; (placement, trace) each.
+
+    Every outer step updates all running designs with one call per kernel.
+    A design that meets its stop test leaves the batch; the others run on.
+    """
+    variant = scenarios[0].variant
+    rows, runs = zip(*(_start(sc, options) for sc in scenarios))
+    batch = _Batch(
+        index=np.arange(len(scenarios)),
+        **{key: np.stack([r[key] for r in rows]) for key in rows[0]},
+    )
+    reasons = ["max_outer"] * len(scenarios)
     for k in range(1, options.max_outer + 1):
-        j_k = v + rho * (half_bd @ g)
-        x = x_update(j_k, rho)
-        g_next, inner = g_update_mm(
-            x, v, g, half_bd, m_tilde, rho, bound,
+        rho_3d = batch.rho[:, None, None]
+        x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
+        bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max, ends=batch.ends)
+        g, inner = g_update_mm(
+            x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound,
             mm_tol=options.mm_tol, max_inner=options.max_inner,
         )
-        v = v + rho * (half_bd @ g_next - x)
-        step = float(np.linalg.norm(g_next - g))
-        g = g_next
-        primal = float(np.linalg.norm(half_bd @ g - x))
-        inner_counts.append(inner)
+        hg = batch.half_bd @ g
+        residual = hg - x
+        steps = _design_norms(g - batch.g).tolist()
+        batch.g, batch.hg, batch.v = g, hg, batch.v + rho_3d * residual
 
-        placement_k = _to_user_frame(g, beta_max, offset)
-        summary_k = fim_full(scenario, placement_k, source)
-        det_t_k = float(np.linalg.det(summary_k.t))
-        records.append(
-            TraceRecord(
-                k=k,
-                objective=_log_det_inv_gram(x),
-                det_t=det_t_k,
-                lb_rmse=summary_k.lb_rmse,
-                inner_iters=inner,
-                primal_residual=primal,
-                angles=placement_k.angles.copy(),
-            )
+        angles = _to_user_frame(g, batch.beta_max, batch.offset)
+        dx, dy, d_sq = sensor_offsets(batch.center, batch.horiz, batch.vert, angles, batch.center)
+        t, lbs, _ = reduced_scores(dx, dy, d_sq, batch.w, batch.lb_scale, variant)
+        columns = zip(
+            batch.index.tolist(),
+            _log_det_inv_gram(x),
+            np.linalg.det(t).tolist(),
+            lbs,
+            inner,
+            _design_norms(residual).tolist(),
+            angles,
+            steps,
         )
-        if det_t_k > best.det_t and summary_k.lb_rmse <= lb_budget:
-            best = records[-1]
-            best_placement = placement_k
+        running = []
+        for i, objective, det_t, lb, sweeps, primal, rec_angles, step in columns:
+            rec = TraceRecord(k, objective, det_t, lb, sweeps, primal, rec_angles)
+            reason = runs[i].advance(rec, step, options)
+            if reason is not None:
+                reasons[i] = reason
+            running.append(reason is None)
+        if not all(running):
+            if not any(running):
+                break
+            batch = batch.take(np.array(running))
+    return [run.result(reason) for run, reason in zip(runs, reasons)]
 
-        # Relative LB-RMSE change against the previous iterate and the one
-        # two steps back: the splitting admits alternating (period-2) limit
-        # cycles whose even/odd subsequences are stationary, and either
-        # situation means the iteration has stopped making progress.
-        cur_lb = records[-1].lb_rmse
-        rel_lb = math.inf
-        if math.isfinite(cur_lb) and cur_lb > 0:
-            for lag in (1, 2):
-                if len(records) > lag:
-                    rel_lb = min(rel_lb, abs(cur_lb - records[-1 - lag].lb_rmse) / cur_lb)
-        stall = stall + 1 if (rel_lb < options.admm_tol or step < options.admm_tol) else 0
-        if stall >= _STALL_ITERATIONS:
-            converged = True
-            break
 
-    trace = AdmmTrace(
-        records=records,
-        converged=converged,
-        outer_iters=k,
-        mean_inner=float(np.mean(inner_counts)) if inner_counts else 0.0,
-        best=best,
-    )
-    return best_placement, trace
+def optimize_many(scenarios, options: AdmmOptions = None) -> list:
+    """Run the optimizer on every scenario; one (placement, trace) each, in input order.
+
+    Designs with the same sensor count and variant run as one lockstep
+    batch (see _lockstep). Each keeps its own penalty, bound, trajectory and
+    stop test, so its result is bit for bit that of optimize on it alone.
+    Every scenario's sensor count is checked before any work starts.
+    """
+    scenarios = list(scenarios)
+    for scenario in scenarios:
+        check_sensor_count(scenario)
+    options = options if options is not None else AdmmOptions()
+    groups = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault((scenario.n_sensors, scenario.variant), []).append(i)
+    results = [None] * len(scenarios)
+    for members in groups.values():
+        for i, result in zip(members, _lockstep([scenarios[i] for i in members], options)):
+            results[i] = result
+    return results
+
+
+def optimize(scenario: Scenario, options: AdmmOptions = None):
+    """Run the full optimizer and return (placement, trace).
+
+    The placement is the feasible iterate with the largest reduced-information
+    determinant seen during the run, restricted to iterates that do not score
+    worse than the uniform baseline (the baseline itself is a candidate, so
+    the result never loses to it). The trace carries one record per outer
+    iteration, record 0 being the uniform initialization, keeps the record
+    of the returned placement as trace.best, and says in trace.stop_reason
+    why the run stopped.
+
+    Every iterate is scored at the scenario's own source. The design depends
+    only on the distances, noise, arc and variant: moving the source moves
+    the sensors with it, and the information matrix sees only their offsets.
+    This is optimize_many on a single scenario.
+    """
+    return optimize_many([scenario], options)[0]
 
 
 def optimal_distance(r_range, h_range):

@@ -6,9 +6,12 @@ with identical seeds are byte-identical; timing is reported on the result
 object for console summaries. Placements are embedded in each row (degrees,
 six decimals, semicolon-separated) so any row can be re-scored offline.
 
-Modes run their designs one after another in the calling thread. A design is
-a sequence of short NumPy calls that hold the interpreter lock, so threads
-would only contend for it.
+The convergence, sweep-n and sweep-angle modes hand all their designs to
+admm.optimize_many in one call, which runs the designs of each swarm size as
+one lockstep batch; optimize and practical design one placement with
+admm.optimize. Everything runs in the calling thread: a design is a sequence
+of short NumPy calls that hold the interpreter lock, so threads would only
+contend for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admm import AdmmOptions, check_sensor_count, optimize, uniform_init
+from .admm import AdmmOptions, check_sensor_count, optimize, optimize_many, uniform_init
 from .estimator import mle_estimate
 from .fim import coupling_matrix, fim_full, g0_bound, noise_weights
 from .model import (
@@ -104,13 +107,12 @@ def write_csv(result: RunResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _design_row(scenario: Scenario, options: AdmmOptions):
-    """Optimize one scenario; return (trace, row) with the fields every design row shares.
+def _design_row(scenario: Scenario, placement: Placement, trace) -> dict:
+    """The fields every design row shares, for one optimized scenario.
 
     The row holds the arc, the uniform and optimized LB-RMSE, the improvement
     and the placement; callers add the scenario hash and the seed.
     """
-    placement, trace = optimize(scenario, options=options)
     lb_u = trace.records[0].lb_rmse
     lb_o = trace.best.lb_rmse
     row = {
@@ -120,7 +122,7 @@ def _design_row(scenario: Scenario, options: AdmmOptions):
         "improvement_pct": 100.0 * (1.0 - lb_o / lb_u),
         "placement_deg": placement_to_field(placement),
     }
-    return trace, row
+    return row
 
 
 # -- study modes --------------------------------------------------------------
@@ -134,12 +136,11 @@ def run_convergence(
     options = options or AdmmOptions()
     shash = scenario_hash(scenario)
 
+    designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_max_list]
     rows = []
     converged_all = True
     mean_inner = {}
-    for beta_max in beta_max_list:
-        sc = replace(scenario, beta_max=float(beta_max))
-        placement, trace = optimize(sc, options=options)
+    for sc, (_, trace) in zip(designs, optimize_many(designs, options)):
         converged_all &= trace.converged
         deg = math.degrees(sc.beta_max)
         mean_inner[_fmt(deg)] = trace.mean_inner
@@ -209,20 +210,20 @@ def run_sweep_n(
     """Uniform vs optimized LB-RMSE across swarm sizes and spread bounds."""
     t0 = time.perf_counter()
     options = options or AdmmOptions()
-    jobs = []
+    designs = []
     for n in n_list:
         if int(n) < 3:
             raise ScenarioError(f"sweep-n: need n >= 3, got {n}")
         for beta_max in beta_max_list:
-            jobs.append((int(n), float(beta_max)))
+            sc = resize_sensors(scenario_template, int(n))
+            designs.append(replace(sc, beta_max=float(beta_max)))
 
     rows = []
     converged_all = True
-    for n, beta_max in jobs:
-        sc = replace(resize_sensors(scenario_template, n), beta_max=beta_max)
-        trace, row = _design_row(sc, options)
+    for sc, (placement, trace) in zip(designs, optimize_many(designs, options)):
         converged_all &= trace.converged
-        rows.append({"n": n, **row, "scenario_hash": scenario_hash(sc), "seed": seed})
+        row = _design_row(sc, placement, trace)
+        rows.append({"n": sc.n_sensors, **row, "scenario_hash": scenario_hash(sc), "seed": seed})
     return RunResult(
         mode="sweep-n",
         header=HEADERS["sweep-n"],
@@ -243,12 +244,12 @@ def run_sweep_angle(
         raise ScenarioError("sweep-angle: grid values must lie in (0, 2*pi]")
     shash = scenario_hash(scenario)
 
+    designs = [replace(scenario, beta_max=beta_max) for beta_max in grid]
     rows = []
     converged_all = True
-    for beta_max in grid:
-        trace, row = _design_row(replace(scenario, beta_max=beta_max), options)
+    for sc, (placement, trace) in zip(designs, optimize_many(designs, options)):
         converged_all &= trace.converged
-        rows.append({**row, "scenario_hash": shash, "seed": seed})
+        rows.append({**_design_row(sc, placement, trace), "scenario_hash": shash, "seed": seed})
     return RunResult(
         mode="sweep-angle",
         header=HEADERS["sweep-angle"],
@@ -360,7 +361,8 @@ def run_practical(
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
     t0 = time.perf_counter()
-    trace, row = _design_row(scenario, options or AdmmOptions())
+    placement, trace = optimize(scenario, options=options or AdmmOptions())
+    row = _design_row(scenario, placement, trace)
     row.update(
         iterations=trace.outer_iters,
         converged=trace.converged,

@@ -10,8 +10,10 @@ sensitivity diagonal D = diag(r_i / d_i^2) and a noise-coupling matrix B.
 T and the LB-RMSE follow the scenario's variant: for RSSD, B profiles P0 out
 and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
 power) B is diagonal and the same formula gives the known-power bound.
-fim_full evaluates T in O(N) as a weighted covariance; t_matrix and
-coupling_matrix build it the N x N way for solver set-up and as a reference.
+reduced_scores evaluates T in O(N) as a weighted covariance, for a stack of
+placements at once (the solver scores every design of a batch with one
+call; fim_full calls it with one placement); t_matrix and coupling_matrix
+build T the N x N way for solver set-up and as a reference.
 
 For RSSD the determinant identity relating F and T is
 
@@ -36,7 +38,6 @@ from .model import (
     Scenario,
     SourceParams,
     Variant,
-    sensor_positions,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -138,22 +139,17 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
     Sensor positions are built around the scenario's own source; the FIM is
     evaluated against the supplied source, which may differ (that is how a
     placement designed around a prior estimate is scored against the truth).
-
-    With u_i = (dy_i, dx_i) / d_i^2 relative to that source and w the
-    normalised inverse effective variances, T = sum w_i u_i u_i^T - m m^T
-    with m = sum w_i u_i (RSS: no m m^T term), computed as the weighted
-    covariance sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
-    (slope^2 * sum 1/var_i * T)^-1, so
-    LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)); it is +inf when
-    lambda_min(T) <= 1e-12 * lambda_max(T).
+    T and the LB-RMSE come from reduced_scores, called with one placement.
     """
-    pos = sensor_positions(scenario, placement)
-    dx = pos[:, 0] - source.position[0]
-    dy = pos[:, 1] - source.position[1]
-    r = np.hypot(dx, dy)
-    if np.any(r <= 0):
-        raise ValueError("a sensor sits directly above the evaluation source")
-    d_sq = r**2 + pos[:, 2] ** 2
+    if placement.n_sensors != scenario.n_sensors:
+        raise ValueError("placement size does not match scenario")
+    dx, dy, d_sq = sensor_offsets(
+        scenario.source[:2],
+        scenario.horiz_dist,
+        scenario.vert_dist,
+        placement.angles,
+        source.position,
+    )
     slope = loss_slope(scenario.gamma)
     a_x = slope * dx / d_sq
     a_y = slope * dy / d_sq
@@ -163,25 +159,66 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
     f = 0.5 * (f + f.T)
 
     inv_var_sum = inv_var.sum()
-    w = inv_var / inv_var_sum
-    # rows (cos, sin) * r / d^2 of the angle convention tan(beta) = dx/dy
-    u = np.column_stack([dy, dx]) / d_sq[:, None]
-    if scenario.variant is Variant.RSSD:
-        u = u - w @ u
-    t = (w[:, None] * u).T @ u
-    t = 0.5 * (t + t.T)
-
-    half_trace = 0.5 * (t[0, 0] + t[1, 1])
-    half_gap = math.hypot(0.5 * (t[0, 0] - t[1, 1]), t[0, 1])
-    lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
-    degenerate = bool(lam_min <= _DEGENERACY_RCOND * max(lam_max, 0.0))
-    if degenerate:
-        lb = math.inf
-    else:
-        lb = math.sqrt((1.0 / lam_min + 1.0 / lam_max) / (slope**2 * inv_var_sum))
-    return FimSummary(
-        f=f, t=t, det_f=float(np.linalg.det(f)), lb_rmse=lb, degenerate=degenerate
+    t, lb, degenerate = reduced_scores(
+        dx[None],
+        dy[None],
+        d_sq[None],
+        (inv_var / inv_var_sum)[None],
+        [slope**2 * inv_var_sum],
+        scenario.variant,
     )
+    return FimSummary(
+        f=f, t=t[0], det_f=float(np.linalg.det(f)), lb_rmse=lb[0], degenerate=degenerate[0]
+    )
+
+
+def sensor_offsets(center, horiz, vert, angles, at):
+    """Offsets dx, dy of every sensor from the point at, and its squared slant distance.
+
+    Sensor i sits at center + horiz_i * (sin, cos)(angles_i), at height
+    vert_i (the placement convention of model.sensor_positions). Points are
+    (2,) and rows (N,), or (B, 2) and (B, N) for B designs at once.
+    """
+    center, at = np.asarray(center), np.asarray(at)
+    dx = (center[..., :1] + horiz * np.sin(angles)) - at[..., :1]
+    dy = (center[..., 1:] + horiz * np.cos(angles)) - at[..., 1:]
+    r = np.hypot(dx, dy)
+    if np.any(r <= 0):
+        raise ValueError("a sensor sits directly above the evaluation source")
+    return dx, dy, r**2 + vert**2
+
+
+def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
+    """T, LB-RMSE and the degenerate flag of B placements at once.
+
+    dx, dy: (B, N) sensor offsets from the evaluation source; d_sq: (B, N)
+    squared slant distances; w: (B, N) normalised inverse effective
+    variances; lb_scale: B values of slope^2 * sum 1/var_i. Returns T as
+    (B, 2, 2) and the LB-RMSE and degenerate flag as lists of B.
+
+    With u_i = (dy_i, dx_i) / d_i^2, T = sum w_i u_i u_i^T - m m^T with
+    m = sum w_i u_i (RSS: no m m^T term), computed as the weighted
+    covariance sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
+    (slope^2 * sum 1/var_i * T)^-1, so
+    LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)); it is +inf when
+    lambda_min(T) <= 1e-12 * lambda_max(T).
+    """
+    # rows (cos, sin) * r / d^2 of the angle convention tan(beta) = dx/dy
+    u = np.stack([dy, dx], axis=-1) / d_sq[..., None]
+    if variant is Variant.RSSD:
+        u = u - w[..., None, :] @ u
+    t = (w[..., None] * u).swapaxes(-1, -2) @ u
+    t = 0.5 * (t + t.swapaxes(-1, -2))
+
+    lbs, flags = [], []
+    for ((t00, t01), (_, t11)), scale in zip(t.tolist(), lb_scale):
+        half_trace = 0.5 * (t00 + t11)
+        half_gap = math.hypot(0.5 * (t00 - t11), t01)
+        lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
+        degenerate = lam_min <= _DEGENERACY_RCOND * max(lam_max, 0.0)
+        flags.append(degenerate)
+        lbs.append(math.inf if degenerate else math.sqrt((1.0 / lam_min + 1.0 / lam_max) / scale))
+    return t, lbs, flags
 
 
 def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:
@@ -204,11 +241,14 @@ class ConstraintBound:
     A unit vector g satisfies g >= g0 exactly when its angle lies in the
     bound's feasible arc: [0, beta_max] itself when beta_max <= pi, and for
     beta_max > pi the rotation-equivalent arc centered on pi/2 (see
-    solver_arc_offset).
+    solver_arc_offset). ends holds the arc's two endpoint directions as
+    (2, 2) rows, by increasing angle. Every field may carry a leading
+    design axis, one bound per design.
     """
 
     g0: np.ndarray
     beta_max: float
+    ends: np.ndarray
 
 
 def g0_bound(beta_max: float) -> ConstraintBound:
@@ -217,9 +257,13 @@ def g0_bound(beta_max: float) -> ConstraintBound:
     beta_max = min(float(beta_max), TWO_PI)
     if beta_max <= math.pi:
         g0 = np.array([math.cos(beta_max), 0.0])
+        ends = (0.0, beta_max)
     else:
         g0 = np.array([-1.0, math.cos(beta_max / 2.0)])
-    return ConstraintBound(g0=g0, beta_max=beta_max)
+        ends = ((math.pi + beta_max) / 2.0, (5.0 * math.pi - beta_max) / 2.0)
+    return ConstraintBound(
+        g0=g0, beta_max=beta_max, ends=np.array([[math.cos(a), math.sin(a)] for a in ends])
+    )
 
 
 def solver_arc_offset(beta_max: float) -> float:

@@ -295,6 +295,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _as_number(name: str, value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers here."""
+    if isinstance(value, (bool, str)):
+        raise ScenarioError(f"{name}: expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -304,8 +307,8 @@ def _as_number(name: str, value) -> float:
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse the dict form, reporting the offending field on failure."""
     try:
-        source = [float(c) for c in data["source"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        source = [_as_number("source", c) for c in data["source"]]
+    except (KeyError, TypeError) as exc:
         raise ScenarioError(f"source: missing or malformed ({exc})") from exc
     if len(source) == 2:
         source = [source[0], source[1], 0.0]
@@ -317,10 +320,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     r, h, sigma = [], [], []
     for idx, row in enumerate(sensors):
         try:
-            r.append(float(row["r"]))
-            h.append(float(row["h"]))
-            sigma.append(float(row["sigma"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            r.append(_as_number(f"sensors[{idx}].r", row["r"]))
+            h.append(_as_number(f"sensors[{idx}].h", row["h"]))
+            sigma.append(_as_number(f"sensors[{idx}].sigma", row["sigma"]))
+        except (KeyError, TypeError) as exc:
             raise ScenarioError(f"sensors[{idx}]: expected numeric r, h, sigma ({exc})") from exc
     beta_max_deg = _as_number("beta_max_deg", data.get("beta_max_deg"))
     if not 0.0 < beta_max_deg <= 360.0:

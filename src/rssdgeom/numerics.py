@@ -3,7 +3,9 @@
 Everything here is a thin, convention-pinning wrapper around LAPACK via
 numpy: the optimizer needs reproducible factorizations (bit-identical
 trajectories for identical inputs), which requires fixing the SVD sign
-ambiguity and the square-root branch explicitly.
+ambiguity and the square-root branch explicitly. thin_svd and row_dots
+accept leading batch axes and give every batch entry the bits of the
+unbatched call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ class ThinSvd:
     """Thin SVD A = u @ diag(sigma) @ v.T of an (N, 2) matrix.
 
     u: (N, 2) with orthonormal columns; sigma: descending, >= 0; v: (2, 2)
-    orthogonal. Signs are fixed so the factorization is deterministic: in each
+    orthogonal; a stack of matrices (..., N, 2) gives each the same leading
+    axes. Signs are fixed so the factorization is deterministic: in each
     column of u the entry of largest magnitude (lowest index on ties) is
     non-negative.
     """
@@ -63,17 +66,19 @@ def psd_sqrt(b: np.ndarray) -> np.ndarray:
 
 
 def thin_svd(a: np.ndarray) -> ThinSvd:
-    """Deterministic thin SVD of an (N, 2) matrix, N >= 2."""
+    """Deterministic thin SVD of an (N, 2) matrix, N >= 2, or of a stack (..., N, 2)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 2:
+    if a.ndim < 2 or a.shape[-1] != 2 or a.shape[-2] < 2:
         raise ValueError(f"expected an (N, 2) matrix with N >= 2, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    for j in range(2):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
-            vh[j, :] = -vh[j, :]
-    return ThinSvd(u=u, sigma=s, v=vh.T)
+    # the entry of largest magnitude of every column, picked by fancy indexing
+    # over the flattened leading axes (np.take_along_axis costs more here)
+    k = np.abs(u).argmax(axis=-2).reshape(-1, 2)
+    top = u.reshape(-1, *u.shape[-2:])[np.arange(len(k))[:, None], k, [0, 1]]
+    sign = np.where(top < 0.0, -1.0, 1.0).reshape(s.shape)
+    u *= sign[..., None, :]
+    vh *= sign[..., :, None]
+    return ThinSvd(u=u, sigma=s, v=vh.swapaxes(-1, -2))
 
 
 def sym_eig_max(m: np.ndarray) -> float:
@@ -85,8 +90,9 @@ def sym_eig_max(m: np.ndarray) -> float:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot of each row of a with b: its matching row, or one shared vector.
 
-    Goes through the same BLAS dot as the 1-D product a[i] @ b[i], so every
-    entry is bit-identical to it (a sum such as np.sum(a * b, axis=1) rounds
-    differently).
+    Leading axes broadcast, so a (B, N, K) stack takes a (B, 1, K) vector
+    per entry. Goes through the same BLAS dot as the 1-D product
+    a[i] @ b[i], so every entry is bit-identical to it (a sum such as
+    np.sum(a * b, axis=1) rounds differently).
     """
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]

@@ -7,22 +7,31 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from rssdgeom import admm
 from rssdgeom.admm import (
     AdmmOptions,
+    TraceRecord,
     _mm_rows,
     _to_user_frame,
+    check_sensor_count,
     g_update_mm,
     mm_row_update,
     optimal_distance,
     optimize,
+    optimize_many,
     singular_value_map,
     uniform_init,
     x_update,
 )
+from rssdgeom.experiments import resize_sensors
 from rssdgeom.fim import (
+    coupling_matrix,
     fim_full,
     g0_bound,
     is_feasible,
+    loss_slope,
+    noise_weights,
+    sensitivity_diag,
     solver_arc_offset,
 )
 from rssdgeom.model import (
@@ -34,9 +43,11 @@ from rssdgeom.model import (
     case_a,
     case_b,
     direction_to_angle,
+    sensor_positions,
     wrap_angle,
+    wrap_angles,
 )
-from rssdgeom.numerics import psd_sqrt, sym_eig_max
+from rssdgeom.numerics import ThinSvd, psd_sqrt, row_dots, sym_eig_max
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,6 +90,16 @@ class TestSingularValueMap:
             lam = singular_value_map(sigma, rho)
             assert lam > 0
             assert rho * lam**2 - sigma * lam - 2 == pytest.approx(0.0, abs=1e-9)
+
+    def test_array_form_equals_float_form_bitwise(self):
+        # sigma**2 of a float is libm pow, which differs from sigma * sigma in
+        # the last bit for some sigma (320449.5489817773 is one, seen in an
+        # N = 256 design); the array form must round the same way
+        rng = np.random.default_rng(20)
+        sigma = np.concatenate([[320449.5489817773], rng.uniform(0.0, 1e6, 100_000)])
+        for rho in (1e-6, 0.37):
+            want = [(s + math.sqrt(s**2 + 8.0 * rho)) / (2.0 * rho) for s in sigma.tolist()]
+            assert singular_value_map(sigma, rho).tobytes() == np.array(want).tobytes()
 
 
 def x_objective(x, j_k, rho):
@@ -281,7 +302,7 @@ class TestToUserFrame:
             user = np.concatenate([rng.uniform(0.0, TWO_PI, 200), special])
             solver = user + offset
             g = np.column_stack([np.cos(solver), np.sin(solver)])
-            got = _to_user_frame(g, beta_max, offset)
+            got = Placement.from_angles(_to_user_frame(g, beta_max, offset))
             want = reference_user_frame(g, beta_max, offset)
             assert got.angles.tobytes() == want.angles.tobytes()
             assert got.directions.tobytes() == want.directions.tobytes()
@@ -496,6 +517,30 @@ class TestOptimize:
         _, trace = optimize(sc, options=AdmmOptions(max_outer=1))
         assert not trace.converged
 
+    def test_stop_reason_at_the_iteration_cap(self):
+        sc = case_a(beta_max=math.radians(0.01))
+        _, trace = optimize(sc, options=AdmmOptions(max_outer=50))
+        assert trace.stop_reason == "max_outer"
+        assert not trace.converged and trace.outer_iters == 50
+
+    def test_stop_reason_names_a_tolerance_test(self):
+        _, trace = optimize(case_a(beta_max=math.radians(120.0)))
+        assert trace.converged
+        assert trace.stop_reason in ("lb_stall", "step")
+
+    def test_stop_reason_is_the_test_that_held_last(self):
+        # "lb_stall" exactly when the relative LB-RMSE change of the last
+        # record (against lag 1 or 2) is below admm_tol; otherwise the step
+        # test held. The studies designs stop both ways.
+        tol = AdmmOptions().admm_tol
+        seen = set()
+        for _, trace in optimize_many(studies_designs()):
+            last = trace.records[-1].lb_rmse
+            rel = min(abs(last - trace.records[-1 - lag].lb_rmse) / last for lag in (1, 2))
+            assert trace.stop_reason == ("lb_stall" if rel < tol else "step")
+            seen.add(trace.stop_reason)
+        assert seen == {"lb_stall", "step"}
+
     def test_prior_centered_geometry_same_angles(self):
         # the optimal angles depend only on distances/noise, not on where the
         # assumed source sits; 250 degrees runs in the rotated solver frame
@@ -534,6 +579,362 @@ class TestSwarmSizeChecks:
         for n, variant in ((3, Variant.RSSD), (2, Variant.RSS)):
             placement, _ = optimize(tiny_swarm(n, variant))
             assert placement.n_sensors == n
+
+
+# -- lockstep designs against the serial reference -----------------------------
+#
+# The functions below are the one-design optimize loop and the kernels it ran
+# before designs were advanced in lockstep, kept verbatim as the reference
+# (with the names prefixed ref_): optimize_many must reproduce every trace
+# record of it bit for bit.
+
+
+def ref_thin_svd(a):
+    a = np.asarray(a, dtype=float)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    for j in range(2):
+        k = int(np.argmax(np.abs(u[:, j])))
+        if u[k, j] < 0.0:
+            u[:, j] = -u[:, j]
+            vh[j, :] = -vh[j, :]
+    return ThinSvd(u=u, sigma=s, v=vh.T)
+
+
+def ref_singular_value_map(sigma, rho):
+    return (sigma + math.sqrt(sigma**2 + 8.0 * rho)) / (2.0 * rho)
+
+
+def ref_x_update(j_k, rho):
+    svd = ref_thin_svd(j_k)
+    lam = np.array([ref_singular_value_map(s, rho) for s in svd.sigma])
+    return (svd.u * lam) @ svd.v.T
+
+
+def ref_arc_candidates(bound):
+    beta_max = bound.beta_max
+    if beta_max <= math.pi:
+        angles = (0.0, beta_max)
+    else:
+        angles = ((math.pi + beta_max) / 2.0, (5.0 * math.pi - beta_max) / 2.0)
+    return np.array([[math.cos(a), math.sin(a)] for a in angles])
+
+
+def ref_mm_rows(q, bound, prev):
+    nq = np.sqrt(row_dots(q, q))
+    zero = nq == 0.0
+    interior = -q / np.where(zero, 1.0, nq)[:, None]
+    ends = ref_arc_candidates(bound)
+    lower_first = row_dots(q, ends[1]) < row_dots(q, ends[0])
+    endpoint = np.where(lower_first[:, None], ends[1], ends[0])
+    feasible = np.all(interior >= bound.g0, axis=1)
+    g = np.where(feasible[:, None], interior, endpoint)
+    return np.where(zero[:, None], prev, g)
+
+
+def ref_g_objective(g, half_bd, c, rho):
+    sg = half_bd @ g
+    return 0.5 * rho * float(np.sum(sg * sg)) + float(np.sum(c * sg))
+
+
+def ref_g_update_mm(x_next, v, g_start, half_bd, m_tilde, rho, bound, mm_tol=1e-3, max_inner=50):
+    g = np.array(g_start, dtype=float)
+    c = v - rho * x_next
+    base = half_bd.T @ c
+    prev_obj = ref_g_objective(g, half_bd, c, rho)
+    inner = 0
+    for _ in range(max_inner):
+        q_all = base + rho * (m_tilde @ g)
+        g_next = ref_mm_rows(q_all, bound, g)
+        inner += 1
+        obj = ref_g_objective(g_next, half_bd, c, rho)
+        delta = float(np.linalg.norm(g_next - g))
+        g = g_next
+        if abs(prev_obj - obj) < mm_tol * max(1.0, abs(obj)) or delta < mm_tol:
+            break
+        prev_obj = obj
+    return g, inner
+
+
+def ref_log_det_inv_gram(x):
+    sign, logdet = np.linalg.slogdet(x.T @ x)
+    return -logdet if sign > 0 else math.inf
+
+
+def ref_to_user_frame(g_solver, beta_max, offset):
+    snap = 1e-9
+    raw = np.array([math.atan2(y, x) for x, y in g_solver.tolist()])
+    a = wrap_angles(wrap_angles(raw) - offset)
+    over = a > beta_max
+    a = np.where(
+        over & (TWO_PI - a <= snap),
+        0.0,
+        np.where(over & (a - beta_max <= snap), beta_max, a),
+    )
+    return Placement.from_angles(a)
+
+
+def ref_score(scenario, placement, source):
+    """(T, LB-RMSE) of fim_full as it was: the T part of the one-placement scorer."""
+    pos = sensor_positions(scenario, placement)
+    dx = pos[:, 0] - source.position[0]
+    dy = pos[:, 1] - source.position[1]
+    r = np.hypot(dx, dy)
+    d_sq = r**2 + pos[:, 2] ** 2
+    slope = loss_slope(scenario.gamma)
+    inv_var = 1.0 / scenario.effective_var
+    inv_var_sum = inv_var.sum()
+    w = inv_var / inv_var_sum
+    u = np.column_stack([dy, dx]) / d_sq[:, None]
+    if scenario.variant is Variant.RSSD:
+        u = u - w @ u
+    t = (w[:, None] * u).T @ u
+    t = 0.5 * (t + t.T)
+    half_trace = 0.5 * (t[0, 0] + t[1, 1])
+    half_gap = math.hypot(0.5 * (t[0, 0] - t[1, 1]), t[0, 1])
+    lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
+    if lam_min <= 1e-12 * max(lam_max, 0.0):
+        return t, math.inf
+    return t, math.sqrt((1.0 / lam_min + 1.0 / lam_max) / (slope**2 * inv_var_sum))
+
+
+def reference_optimize(scenario, options=None):
+    """The serial optimize; returns (placement, records, converged, k, mean_inner, best)."""
+    check_sensor_count(scenario)
+    options = options if options is not None else AdmmOptions()
+    source = SourceParams(p0=0.0, position=scenario.source[:2])
+    n = scenario.n_sensors
+    beta_max = scenario.beta_max
+    bound = g0_bound(beta_max)
+    offset = solver_arc_offset(beta_max)
+
+    weights = noise_weights(scenario)
+    coupling = coupling_matrix(weights, scenario.variant)
+    sens = sensitivity_diag(scenario)
+    half_bd = psd_sqrt(coupling.b) * sens.d[None, :]
+    m_mat = half_bd.T @ half_bd
+    m_mat = 0.5 * (m_mat + m_mat.T)
+    lam_max = sym_eig_max(m_mat)
+    m_tilde = m_mat - lam_max * np.eye(n)
+
+    op_norm = float(np.linalg.norm(half_bd, 2))
+    rho = options.rho * 4.0 / op_norm**2
+
+    uniform = uniform_init(n, beta_max)
+    uniform_t, uniform_lb = ref_score(scenario, uniform, source)
+    uniform_det_t = float(np.linalg.det(uniform_t))
+
+    g = np.column_stack(
+        [np.cos(uniform.angles + offset), np.sin(uniform.angles + offset)]
+    )
+    v = np.zeros((n, 2))
+    x = half_bd @ g
+
+    records = [
+        TraceRecord(
+            k=0,
+            objective=ref_log_det_inv_gram(x),
+            det_t=uniform_det_t,
+            lb_rmse=uniform_lb,
+            inner_iters=0,
+            primal_residual=0.0,
+            angles=uniform.angles.copy(),
+        )
+    ]
+    best_placement = uniform
+    best = records[0]
+    lb_budget = uniform_lb + 1e-9
+
+    converged = False
+    k = 0
+    stall = 0
+    inner_counts = []
+    for k in range(1, options.max_outer + 1):
+        j_k = v + rho * (half_bd @ g)
+        x = ref_x_update(j_k, rho)
+        g_next, inner = ref_g_update_mm(
+            x, v, g, half_bd, m_tilde, rho, bound,
+            mm_tol=options.mm_tol, max_inner=options.max_inner,
+        )
+        v = v + rho * (half_bd @ g_next - x)
+        step = float(np.linalg.norm(g_next - g))
+        g = g_next
+        primal = float(np.linalg.norm(half_bd @ g - x))
+        inner_counts.append(inner)
+
+        placement_k = ref_to_user_frame(g, beta_max, offset)
+        t_k, lb_k = ref_score(scenario, placement_k, source)
+        det_t_k = float(np.linalg.det(t_k))
+        records.append(
+            TraceRecord(
+                k=k,
+                objective=ref_log_det_inv_gram(x),
+                det_t=det_t_k,
+                lb_rmse=lb_k,
+                inner_iters=inner,
+                primal_residual=primal,
+                angles=placement_k.angles.copy(),
+            )
+        )
+        if det_t_k > best.det_t and lb_k <= lb_budget:
+            best = records[-1]
+            best_placement = placement_k
+
+        cur_lb = records[-1].lb_rmse
+        rel_lb = math.inf
+        if math.isfinite(cur_lb) and cur_lb > 0:
+            for lag in (1, 2):
+                if len(records) > lag:
+                    rel_lb = min(rel_lb, abs(cur_lb - records[-1 - lag].lb_rmse) / cur_lb)
+        stall = stall + 1 if (rel_lb < options.admm_tol or step < options.admm_tol) else 0
+        if stall >= 2:
+            converged = True
+            break
+
+    mean_inner = float(np.mean(inner_counts)) if inner_counts else 0.0
+    return best_placement, records, converged, k, mean_inner, best
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def assert_same_run(got, want):
+    """A (placement, trace) of optimize_many equals reference_optimize bit for bit."""
+    placement, trace = got
+    ref_placement, records, converged, outer_iters, mean_inner, best = want
+    assert placement.angles.tobytes() == ref_placement.angles.tobytes()
+    assert placement.directions.tobytes() == ref_placement.directions.tobytes()
+    assert trace.converged == converged
+    assert trace.outer_iters == outer_iters
+    assert _bits(trace.mean_inner) == _bits(mean_inner)
+    assert trace.best.k == best.k
+    assert trace.best is trace.records[best.k]
+    assert len(trace.records) == len(records)
+    for rec, ref in zip(trace.records, records):
+        assert rec.k == ref.k
+        assert rec.inner_iters == ref.inner_iters
+        for name in ("objective", "det_t", "lb_rmse", "primal_residual"):
+            assert _bits(getattr(rec, name)) == _bits(getattr(ref, name)), (rec.k, name)
+        assert rec.angles.tobytes() == ref.angles.tobytes(), rec.k
+
+
+def studies_designs():
+    """The 35 designs of the four studies with their default flags."""
+    from_deg = [math.radians(d) for d in (120.0, 200.0, 280.0, 360.0)]
+    grid = (60, 75, 90, 97.5, 105, 120, 150, 180, 210, 240, 270, 300, 330, 360)
+    designs = [case_a()]
+    designs += [case_a(beta_max=b) for b in from_deg]
+    designs += [
+        replace(resize_sensors(case_a(), n), beta_max=b) for n in (4, 8, 12, 16) for b in from_deg
+    ]
+    designs += [case_b(beta_max=math.radians(d)) for d in grid]
+    return designs
+
+
+def random_scenario(rng):
+    n = int(rng.integers(3, 13))
+    variant = Variant.RSS if rng.uniform() < 0.3 else Variant.RSSD
+    return Scenario(
+        source=[float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)), 0.0],
+        n_sensors=n,
+        gamma=float(rng.uniform(1.5, 4.0)),
+        horiz_dist=rng.uniform(200.0, 2000.0, n),
+        vert_dist=rng.uniform(0.0, 300.0, n),
+        noise_std=rng.uniform(0.5, 4.0, n),
+        samples_per_position=int(rng.integers(1, 20)),
+        beta_max=float(rng.uniform(0.2, TWO_PI)),
+        variant=variant,
+    )
+
+
+class TestLockstepMatchesSerialReference:
+    @staticmethod
+    def check(designs, options=None):
+        results = optimize_many(designs, options)
+        assert len(results) == len(designs)
+        for sc, got in zip(designs, results):
+            assert_same_run(got, reference_optimize(sc, options))
+        return results
+
+    def test_all_studies_designs(self):
+        self.check(studies_designs())
+
+    def test_mixed_sizes_in_input_order(self):
+        designs = studies_designs()[5:21]  # sweep-n: N = 4, 8, 12, 16
+        order = np.random.default_rng(41).permutation(len(designs))
+        shuffled = [designs[i] for i in order]
+        results = self.check(shuffled)
+        assert [p.n_sensors for p, _ in results] == [sc.n_sensors for sc in shuffled]
+
+    def test_rss_variant(self):
+        arcs = (60.0, 120.0, 280.0)
+        self.check([replace(case_a(beta_max=math.radians(d)), variant=Variant.RSS) for d in arcs])
+
+    def test_arcs_above_pi(self):
+        self.check([case_a(beta_max=math.radians(d)) for d in (250.0, 360.0)])
+
+    def test_design_leaving_the_batch_early(self):
+        # case B at 360 degrees (uniform is optimal) stops at iteration 2
+        designs = [
+            case_a(beta_max=math.radians(120.0)),
+            case_b(),
+            case_a(beta_max=math.radians(200.0)),
+        ]
+        results = self.check(designs)
+        iters = [trace.outer_iters for _, trace in results]
+        assert iters[1] == 2 and min(iters[0], iters[2]) > 2
+
+    def test_design_at_the_iteration_cap(self):
+        options = AdmmOptions(max_outer=50)
+        designs = [case_a(beta_max=math.radians(0.01)), case_a(beta_max=math.radians(120.0))]
+        results = self.check(designs, options)
+        assert results[0][1].outer_iters == 50 and not results[0][1].converged
+        assert results[1][1].converged
+
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(42)
+        self.check([random_scenario(rng) for _ in range(20)])
+
+    def test_batched_kernels_equal_reference_kernels(self):
+        # every entry of a (B, N, 2) call has the bits of the one-design call
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n, size = int(rng.integers(3, 17)), int(rng.integers(1, 7))
+            j_k = rng.normal(size=(size, n, 2)) * rng.lognormal(0.0, 4.0, (size, 1, 1))
+            rho = rng.uniform(1e-4, 5.0, size)
+            x = x_update(j_k, rho)
+            instances = [
+                random_mm_instance(rng, n=n, beta_max=float(rng.uniform(0.1, TWO_PI)))
+                for _ in range(size)
+            ]
+            bounds, half_bd, m_tilde, rhos, x_next, v, g_start = (
+                list(field) for field in zip(*instances)
+            )
+            stacked = admm.ConstraintBound(
+                g0=np.stack([b.g0 for b in bounds]),
+                beta_max=np.array([b.beta_max for b in bounds]),
+                ends=np.stack([b.ends for b in bounds]),
+            )
+            g, inner = g_update_mm(
+                *(np.stack(a) for a in (x_next, v, g_start, half_bd, m_tilde)),
+                np.array(rhos), stacked, mm_tol=1e-6, max_inner=30,
+            )
+            for b in range(size):
+                want_x = ref_x_update(j_k[b], rho[b])
+                assert x[b].tobytes() == want_x.tobytes()
+                assert x_update(j_k[b], rho[b]).tobytes() == want_x.tobytes()
+                args = (x_next[b], v[b], g_start[b], half_bd[b], m_tilde[b], rhos[b], bounds[b])
+                want_g, want_inner = ref_g_update_mm(*args, mm_tol=1e-6, max_inner=30)
+                assert g[b].tobytes() == want_g.tobytes() and inner[b] == want_inner
+                one_g, one_inner = g_update_mm(*args, mm_tol=1e-6, max_inner=30)
+                assert one_g.tobytes() == want_g.tobytes() and one_inner == want_inner
+
+    def test_too_small_swarm_rejected_before_any_work(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(admm, "_start", lambda *args: started.append(args))
+        with pytest.raises(ScenarioError, match="at least 3"):
+            optimize_many([case_a(), tiny_swarm(3, Variant.RSSD), tiny_swarm(2, Variant.RSSD)])
+        assert started == []
 
 
 def grid_best_distance(r_range, h_range, n_grid=1000):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rssdgeom import experiments
+from rssdgeom.admm import AdmmTrace
 from rssdgeom.cli import main
 from rssdgeom.experiments import (
     placement_from_field,
@@ -25,6 +26,7 @@ from rssdgeom.experiments import (
 )
 from rssdgeom.fim import fim_full
 from rssdgeom.model import SourceParams, case_a, case_b
+from test_admm import reference_optimize
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CASE_A = REPO / "scenarios" / "caseA.json"
@@ -102,6 +104,32 @@ class TestReportedScores:
         for sc, field, reported in checks:
             again = fim_full(sc, placement_from_field(field), src).lb_rmse
             assert again == pytest.approx(reported, rel=1e-6), (sc.n_sensors, sc.beta_max)
+
+
+def serial_optimize_many(designs, options=None):
+    """optimize_many built from the serial reference optimize, one design at a time."""
+    results = []
+    for sc in designs:
+        placement, records, converged, outer_iters, mean_inner, best = reference_optimize(
+            sc, options
+        )
+        trace = AdmmTrace(records, converged, outer_iters, mean_inner, best, stop_reason="")
+        results.append((placement, trace))
+    return results
+
+
+class TestLockstepCsvs:
+    @pytest.mark.parametrize(
+        "mode, scenario", [("convergence", CASE_A), ("sweep-n", CASE_A), ("sweep-angle", CASE_B)]
+    )
+    def test_same_bytes_as_serial_reference(self, tmp_path, monkeypatch, mode, scenario):
+        # compared in one process: NumPy builds may differ in the last bit,
+        # so stored digests would not carry across machines
+        lockstep, serial = tmp_path / "lockstep.csv", tmp_path / "serial.csv"
+        assert main([mode, "--scenario", str(scenario), "--out", str(lockstep)]) == 0
+        monkeypatch.setattr(experiments, "optimize_many", serial_optimize_many)
+        assert main([mode, "--scenario", str(scenario), "--out", str(serial)]) == 0
+        assert lockstep.read_bytes() == serial.read_bytes()
 
 
 class TestSweepN:
@@ -236,6 +264,34 @@ class TestCli:
             pytest.param(
                 case_a_with(), "sweep-n", ["--n-list", "4.7", "--beta-max-deg", "120"], "integer",
                 id="n-list-fraction",
+            ),
+            pytest.param(case_a_with(gamma=True), "validate", [], "gamma", id="gamma-bool"),
+            pytest.param(
+                case_a_with(samples_per_position="10"), "validate", [], "samples_per_position",
+                id="samples-numeric-text",
+            ),
+            pytest.param(
+                case_a_with(samples_per_position=True), "optimize", [], "samples_per_position",
+                id="samples-bool-optimize",
+            ),
+            pytest.param(
+                case_a_with(beta_max_deg="120"), "validate", [], "beta_max_deg",
+                id="beta-numeric-text",
+            ),
+            pytest.param(
+                case_a_with(source=[True, "5"]), "validate", [], "source", id="source-bool-text",
+            ),
+            pytest.param(
+                case_a_with(sensors=[{"r": "1000", "h": 100.0, "sigma": 2.0}] * 8),
+                "validate", [], "sensors[0].r", id="sensor-r-text",
+            ),
+            pytest.param(
+                case_a_with(sensors=[{"r": 1000.0, "h": "100", "sigma": 2.0}] * 8),
+                "validate", [], "sensors[0].h", id="sensor-h-text",
+            ),
+            pytest.param(
+                case_a_with(sensors=[{"r": 1000.0, "h": 100.0, "sigma": True}] * 8),
+                "sweep-angle", [], "sensors[0].sigma", id="sensor-sigma-bool",
             ),
         ],
     )
