@@ -39,6 +39,7 @@ Two conventions worth knowing:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -78,6 +79,8 @@ class AdmmOptions:
     the trajectory only, never the fixed-point target. Tolerances: admm_tol
     stops the outer loop (relative LB-RMSE change or iterate step norm),
     mm_tol stops the inner sweeps (subproblem objective change or step norm).
+    rho and the tolerances must be finite and positive, the iteration caps
+    integers of at least 1; booleans are neither.
     """
 
     rho: float = 1.0
@@ -88,11 +91,13 @@ class AdmmOptions:
 
     def __post_init__(self):
         for name in ("rho", "admm_tol", "mm_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("max_outer", "max_inner"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -170,7 +175,9 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
 
     Shares singular vectors with J (the alignment that attains the trace
     upper bound); each singular value is remapped by singular_value_map
-    (sigma >= 0 by construction, rho > 0 by AdmmOptions). J may be a
+    (sigma >= 0 by construction, rho > 0 by AdmmOptions). Returns the
+    array X = U diag(lambda) V^T, which holds each singular pair only as
+    the product u_j v_j^T and so does not depend on its sign. J may be a
     (B, N, 2) stack of designs with one rho each.
     """
     svd = thin_svd(j_k)
@@ -390,9 +397,7 @@ def _start(scenario: Scenario, options: AdmmOptions):
     offset = solver_arc_offset(beta_max)
 
     weights = noise_weights(scenario)
-    coupling = coupling_matrix(weights, scenario.variant)
-    sens = sensitivity_diag(scenario)
-    half_bd = psd_sqrt(coupling.b) * sens.d[None, :]
+    half_bd = psd_sqrt(coupling_matrix(weights, scenario.variant)) * sensitivity_diag(scenario)
     m_mat = half_bd.T @ half_bd
     m_mat = 0.5 * (m_mat + m_mat.T)
     lam_max = sym_eig_max(m_mat)

@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-std", type=float, default=math.sqrt(12500.0),
                    help="std of the prior position error in meters (default sqrt(12500))")
     p.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
-    p.add_argument("--p0", type=float, default=0.0, help="true reference power in dB")
     p.add_argument("--no-refine", action="store_true",
                    help="skip the measurement simulation + ML refinement step")
 
@@ -157,7 +156,6 @@ def main(argv=None) -> int:
                 trials=args.trials,
                 seed=args.seed,
                 options=options,
-                truth_p0=args.p0,
                 refine=not args.no_refine,
             )
         else:  # pragma: no cover - argparse enforces the choices

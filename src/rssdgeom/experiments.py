@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -133,7 +134,6 @@ def run_convergence(
 ) -> RunResult:
     """Per-iteration LB-RMSE trace for each spread bound in the list."""
     t0 = time.perf_counter()
-    options = options or AdmmOptions()
     shash = scenario_hash(scenario)
 
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_max_list]
@@ -209,7 +209,6 @@ def run_sweep_n(
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across swarm sizes and spread bounds."""
     t0 = time.perf_counter()
-    options = options or AdmmOptions()
     designs = []
     for n in n_list:
         if int(n) < 3:
@@ -238,7 +237,6 @@ def run_sweep_angle(
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across a grid of spread bounds."""
     t0 = time.perf_counter()
-    options = options or AdmmOptions()
     grid = [float(b) for b in beta_grid]
     if any(not 0.0 < b <= 2 * math.pi + 1e-12 for b in grid):
         raise ScenarioError("sweep-angle: grid values must lie in (0, 2*pi]")
@@ -265,7 +263,6 @@ def run_practical(
     trials: int,
     seed: int = 0,
     options: AdmmOptions = None,
-    truth_p0: float = 0.0,
     refine: bool = True,
 ) -> RunResult:
     """Fly one design around noisy prior positions and score it against the truth.
@@ -277,16 +274,17 @@ def run_practical(
     perturbed prior, evaluate its LB-RMSE at the true source, and (when
     refine is set) simulate measurements and refine the prior by maximum
     likelihood. A final aggregate row (trial = -1) carries the means and the
-    empirical refinement RMSE.
+    empirical refinement RMSE. The true reference power is 0 dB: the MLE
+    profiles P0 out, so no value of it would change the refined position
+    beyond the Gauss-Newton step tolerance.
     """
     t0 = time.perf_counter()
-    if trials < 1:
-        raise ScenarioError("practical: need trials >= 1")
-    if prior_std < 0:
-        raise ScenarioError("practical: prior_std must be >= 0")
-    options = options or AdmmOptions()
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
+    if not (math.isfinite(prior_std) and prior_std >= 0):
+        raise ScenarioError(f"practical: prior_std must be finite and >= 0, got {prior_std!r}")
     shash = scenario_hash(scenario)
-    truth = SourceParams(p0=truth_p0, position=scenario.source[:2])
+    truth = SourceParams(p0=0.0, position=scenario.source[:2])
 
     placement, trace = optimize(scenario, options=options)
     lb_theory = trace.best.lb_rmse
@@ -311,7 +309,7 @@ def run_practical(
                 pos,
                 np.sqrt(scenario.effective_var),
                 scenario.gamma,
-                init=SourceParams(p0=truth_p0, position=prior_pos),
+                init=SourceParams(p0=0.0, position=prior_pos),
                 multistart_spread=2.0 * prior_std,
             )
             emp_err = float(np.linalg.norm(result.theta_hat[1:] - truth.position))
@@ -361,7 +359,7 @@ def run_practical(
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
     t0 = time.perf_counter()
-    placement, trace = optimize(scenario, options=options or AdmmOptions())
+    placement, trace = optimize(scenario, options=options)
     row = _design_row(scenario, placement, trace)
     row.update(
         iterations=trace.outer_iters,
@@ -399,7 +397,7 @@ def validate_scenario(path) -> ValidationReport:
     weights = noise_weights(scenario)
     coupling = coupling_matrix(weights, scenario.variant)
     bound = g0_bound(scenario.beta_max)
-    rank = int(np.linalg.matrix_rank(coupling.b, tol=1e-12))
+    rank = int(np.linalg.matrix_rank(coupling, tol=1e-12))
     lb_u = fim_full(
         scenario,
         uniform_init(scenario.n_sensors, scenario.beta_max),

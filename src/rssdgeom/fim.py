@@ -12,8 +12,9 @@ and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
 power) B is diagonal and the same formula gives the known-power bound.
 reduced_scores evaluates T in O(N) as a weighted covariance, for a stack of
 placements at once (the solver scores every design of a batch with one
-call; fim_full calls it with one placement); t_matrix and coupling_matrix
-build T the N x N way for solver set-up and as a reference.
+call; fim_full calls it with one placement). coupling_matrix and
+sensitivity_diag return B and the diagonal of D as plain arrays for the
+solver set-up; t_matrix builds T from them the N x N way, as a reference.
 
 For RSSD the determinant identity relating F and T is
 
@@ -65,49 +66,35 @@ def noise_weights(scenario: Scenario) -> NoiseWeights:
     return NoiseWeights(w=inv_var / inv_var.sum(), mean_inv_var=float(inv_var.mean()))
 
 
-@dataclass
-class CouplingMatrix:
-    """Noise-coupling matrix B of the reduced information form.
+def coupling_matrix(weights: NoiseWeights, variant: Variant = Variant.RSSD) -> np.ndarray:
+    """Noise-coupling matrix B of the reduced information form, as an (N, N) array.
 
-    RSSD (unknown power): B = diag(w) - w w^T, which is PSD and annihilates
-    the all-ones vector. RSS (known power): B = diag(w).
+    RSSD (unknown power): B = diag(w) - w w^T, which is PSD, annihilates the
+    all-ones vector and is exactly symmetric as computed. RSS (known power):
+    B = diag(w).
     """
-
-    b: np.ndarray
-    variant: Variant
-
-
-def coupling_matrix(weights: NoiseWeights, variant: Variant = Variant.RSSD) -> CouplingMatrix:
     w = weights.w
     if Variant(variant) is Variant.RSSD:
-        b = np.diag(w) - np.outer(w, w)
-    else:
-        b = np.diag(w)
-    return CouplingMatrix(b=0.5 * (b + b.T), variant=Variant(variant))
+        return np.diag(w) - np.outer(w, w)
+    return np.diag(w)
 
 
-@dataclass
-class SensitivityDiag:
-    """Diagonal entries r_i / d_i^2 of the range-sensitivity matrix D."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float)
-        if np.any(self.d <= 0):
-            raise ValueError("sensitivity entries must be positive")
+def sensitivity_diag(scenario: Scenario) -> np.ndarray:
+    """Diagonal entries r_i / d_i^2 of the range-sensitivity matrix D, as an (N,) array."""
+    d = scenario.horiz_dist / scenario.slant_distances() ** 2
+    if np.any(d <= 0):
+        raise ValueError("sensitivity entries must be positive")
+    return d
 
 
-def sensitivity_diag(scenario: Scenario) -> SensitivityDiag:
-    d = scenario.slant_distances()
-    return SensitivityDiag(d=scenario.horiz_dist / d**2)
+def t_matrix(g: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reduced 2x2 information matrix G.T D B D G (symmetric PSD).
 
-
-def t_matrix(g: np.ndarray, d: SensitivityDiag, b: CouplingMatrix) -> np.ndarray:
-    """Reduced 2x2 information matrix G.T D B D G (symmetric PSD)."""
-    g = np.asarray(g, dtype=float)
-    dg = d.d[:, None] * g
-    t = dg.T @ b.b @ dg
+    g: (N, 2) directions; d: the (N,) diagonal of D (sensitivity_diag);
+    b: the (N, N) coupling matrix (coupling_matrix).
+    """
+    dg = d[:, None] * np.asarray(g, dtype=float)
+    t = dg.T @ b @ dg
     return 0.5 * (t + t.T)
 
 

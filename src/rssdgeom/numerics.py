@@ -1,11 +1,10 @@
-"""Small dense linear-algebra kernels with fixed deterministic conventions.
+"""Small dense linear-algebra kernels around LAPACK via numpy.
 
-Everything here is a thin, convention-pinning wrapper around LAPACK via
-numpy: the optimizer needs reproducible factorizations (bit-identical
-trajectories for identical inputs), which requires fixing the SVD sign
-ambiguity and the square-root branch explicitly. thin_svd and row_dots
-accept leading batch axes and give every batch entry the bits of the
-unbatched call.
+psd_sqrt fixes the square-root branch (the symmetric root, with rounding-
+level eigenvalues truncated). thin_svd leaves the sign of each singular
+pair to LAPACK: the optimizer only forms products u_j v_j^T, which do not
+depend on it. thin_svd and row_dots accept leading batch axes and give
+every batch entry the bits of the unbatched call.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ class ThinSvd:
 
     u: (N, 2) with orthonormal columns; sigma: descending, >= 0; v: (2, 2)
     orthogonal; a stack of matrices (..., N, 2) gives each the same leading
-    axes. Signs are fixed so the factorization is deterministic: in each
-    column of u the entry of largest magnitude (lowest index on ties) is
-    non-negative.
+    axes. Each singular pair (u_j, v_j) carries the sign LAPACK returns;
+    negating both leaves every product u_j v_j^T, hence reconstruct(),
+    unchanged.
     """
 
     u: np.ndarray
@@ -66,18 +65,11 @@ def psd_sqrt(b: np.ndarray) -> np.ndarray:
 
 
 def thin_svd(a: np.ndarray) -> ThinSvd:
-    """Deterministic thin SVD of an (N, 2) matrix, N >= 2, or of a stack (..., N, 2)."""
+    """Thin SVD of an (N, 2) matrix, N >= 2, or of a stack (..., N, 2)."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != 2 or a.shape[-2] < 2:
         raise ValueError(f"expected an (N, 2) matrix with N >= 2, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    # the entry of largest magnitude of every column, picked by fancy indexing
-    # over the flattened leading axes (np.take_along_axis costs more here)
-    k = np.abs(u).argmax(axis=-2).reshape(-1, 2)
-    top = u.reshape(-1, *u.shape[-2:])[np.arange(len(k))[:, None], k, [0, 1]]
-    sign = np.where(top < 0.0, -1.0, 1.0).reshape(s.shape)
-    u *= sign[..., None, :]
-    vh *= sign[..., :, None]
     return ThinSvd(u=u, sigma=s, v=vh.swapaxes(-1, -2))
 
 

@@ -52,6 +52,33 @@ from rssdgeom.numerics import ThinSvd, psd_sqrt, row_dots, sym_eig_max
 TWO_PI = 2.0 * math.pi
 
 
+class TestAdmmOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho", math.nan),
+            ("rho", math.inf),
+            ("rho", True),
+            ("admm_tol", math.nan),
+            ("admm_tol", math.inf),
+            ("mm_tol", math.nan),
+            ("mm_tol", math.inf),
+            ("max_outer", 2.5),
+            ("max_outer", 3.0),
+            ("max_outer", True),
+            ("max_inner", 2.5),
+            ("max_inner", True),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integral(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdmmOptions(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        options = AdmmOptions(rho=np.float64(2.0), max_outer=np.int64(5), max_inner=np.int32(3))
+        assert options.max_outer == 5 and options.max_inner == 3
+
+
 class TestUniformInit:
     def test_full_circle_eight(self):
         p = uniform_init(8, TWO_PI)
@@ -710,7 +737,7 @@ def reference_optimize(scenario, options=None):
     weights = noise_weights(scenario)
     coupling = coupling_matrix(weights, scenario.variant)
     sens = sensitivity_diag(scenario)
-    half_bd = psd_sqrt(coupling.b) * sens.d[None, :]
+    half_bd = psd_sqrt(coupling) * sens[None, :]
     m_mat = half_bd.T @ half_bd
     m_mat = 0.5 * (m_mat + m_mat.T)
     lam_max = sym_eig_max(m_mat)

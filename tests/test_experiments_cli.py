@@ -25,7 +25,7 @@ from rssdgeom.experiments import (
     write_csv,
 )
 from rssdgeom.fim import fim_full
-from rssdgeom.model import SourceParams, case_a, case_b
+from rssdgeom.model import ScenarioError, SourceParams, case_a, case_b
 from test_admm import reference_optimize
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -190,6 +190,20 @@ class TestPractical:
         aggregate = result.rows[-1]["placement_deg"]
         assert [row["placement_deg"] for row in result.rows[:-1]] == [aggregate] * 5
 
+    @pytest.mark.parametrize(
+        "prior_std, trials, named",
+        [
+            (math.nan, 2, "prior_std"),
+            (math.inf, 2, "prior_std"),
+            (50.0, 2.5, "trials"),
+            (50.0, 2.0, "trials"),
+            (50.0, True, "trials"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, prior_std, trials, named):
+        with pytest.raises(ScenarioError, match=named):
+            run_practical(case_a(), prior_std, trials=trials, refine=False)
+
     def test_practical_lb_close_to_theoretical(self):
         result = run_practical(
             case_a(), prior_std=math.sqrt(12500.0), trials=20, seed=1, refine=False
@@ -292,6 +306,23 @@ class TestCli:
             pytest.param(
                 case_a_with(sensors=[{"r": 1000.0, "h": 100.0, "sigma": True}] * 8),
                 "sweep-angle", [], "sensors[0].sigma", id="sensor-sigma-bool",
+            ),
+            pytest.param(case_a_with(), "optimize", ["--mm-tol", "nan"], "mm_tol", id="mm-tol-nan"),
+            pytest.param(
+                case_a_with(), "optimize", ["--admm-tol", "nan"], "admm_tol", id="admm-tol-nan",
+            ),
+            pytest.param(
+                case_a_with(), "optimize", ["--admm-tol", "inf"], "admm_tol", id="admm-tol-inf",
+            ),
+            pytest.param(case_a_with(), "optimize", ["--rho", "nan"], "rho", id="rho-nan"),
+            pytest.param(case_a_with(), "optimize", ["--rho", "inf"], "rho", id="rho-inf"),
+            pytest.param(
+                case_a_with(), "practical", ["--prior-std", "nan"], "prior_std",
+                id="prior-std-nan",
+            ),
+            pytest.param(
+                case_a_with(), "practical", ["--prior-std", "inf"], "prior_std",
+                id="prior-std-inf",
             ),
         ],
     )

@@ -14,7 +14,7 @@ def case_a_coupling():
         horiz_dist=np.full(8, 1000.0), vert_dist=np.full(8, 100.0),
         noise_std=np.sqrt([8.0] * 4 + [2.0] * 4), samples_per_position=1,
     )
-    return coupling_matrix(noise_weights(sc), sc.variant).b
+    return coupling_matrix(noise_weights(sc), sc.variant)
 
 
 class TestPsdSqrt:
@@ -80,15 +80,6 @@ class TestThinSvd:
         assert np.array_equal(s1.u, s2.u)
         assert np.array_equal(s1.sigma, s2.sigma)
         assert np.array_equal(s1.v, s2.v)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.normal(size=(7, 2))
-            svd = thin_svd(a)
-            for j in range(2):
-                k = int(np.argmax(np.abs(svd.u[:, j])))
-                assert svd.u[k, j] >= 0.0
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
