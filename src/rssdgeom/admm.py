@@ -28,8 +28,8 @@ and rotates the result back into [0, beta_max] before returning it.
 
 Two conventions worth knowing:
 
-* the penalty is internally rescaled by the squared spectral norm of the
-  constraint operator, so trajectories do not depend on physical units;
+* the penalty is a calibrated constant over the squared spectral norm of
+  the constraint operator, so trajectories do not depend on physical units;
 * the outer stopping test watches the placement metric (relative LB-RMSE
   change) and the iterate step norm rather than the primal residual: the
   X singular values are bounded below by sqrt(2/rho), so the primal residual
@@ -61,10 +61,15 @@ from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 TWO_PI = 2.0 * math.pi
 
-# Effective penalty = rho * _PENALTY_SCALE / opnorm^2. The constant is
-# calibrated on the bundled benchmark scenarios (convergence inside 100 outer
-# iterations with the documented improvement envelope at 10 iterations).
+# Penalty rho = _PENALTY_SCALE / opnorm^2. The constant is calibrated on the
+# bundled benchmark scenarios (convergence inside 100 outer iterations with
+# the documented improvement envelope at 10 iterations). The problem is
+# nonconvex, so the penalty picks the fixed point the run reaches, not only
+# the path to it: it is a constant of the solver, not a setting.
 _PENALTY_SCALE = 4.0
+
+# Outer tolerance on the relative LB-RMSE change and the iterate step norm.
+_ADMM_TOL = 1e-4
 
 # Outer convergence requires the stopping test to hold this many consecutive
 # iterations, guarding against one-off stalls during transients.
@@ -73,31 +78,19 @@ _STALL_ITERATIONS = 2
 
 @dataclass
 class AdmmOptions:
-    """Optimizer knobs.
+    """Optimizer settings: max_outer caps the outer iterations.
 
-    rho is the penalty weight before the internal unit rescaling; it shapes
-    the trajectory only, never the fixed-point target. Tolerances: admm_tol
-    stops the outer loop (relative LB-RMSE change or iterate step norm),
-    mm_tol stops the inner sweeps (subproblem objective change or step norm).
-    rho and the tolerances must be finite and positive, the iteration caps
-    integers of at least 1; booleans are neither.
+    It must be an integer of at least 1; booleans are not. The penalty and
+    the tolerances are constants of the solver (_PENALTY_SCALE, _ADMM_TOL
+    and the g_update_mm defaults).
     """
 
-    rho: float = 1.0
-    admm_tol: float = 1e-4
-    mm_tol: float = 1e-3
     max_outer: int = 1000
-    max_inner: int = 50
 
     def __post_init__(self):
-        for name in ("rho", "admm_tol", "mm_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("max_outer", "max_inner"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        value = self.max_outer
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"max_outer must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -117,8 +110,8 @@ class TraceRecord:
 class AdmmTrace:
     """Per-iteration records of a run; best is the record of the returned placement.
 
-    stop_reason is "lb_stall" (relative LB-RMSE change below admm_tol),
-    "step" (iterate step below admm_tol) or "max_outer" (iteration cap);
+    stop_reason is "lb_stall" (relative LB-RMSE change below _ADMM_TOL),
+    "step" (iterate step below _ADMM_TOL) or "max_outer" (iteration cap);
     when both tolerance tests hold at the last iteration it is "lb_stall".
     """
 
@@ -175,9 +168,9 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
 
     Shares singular vectors with J (the alignment that attains the trace
     upper bound); each singular value is remapped by singular_value_map
-    (sigma >= 0 by construction, rho > 0 by AdmmOptions). Returns the
-    array X = U diag(lambda) V^T, which holds each singular pair only as
-    the product u_j v_j^T and so does not depend on its sign. J may be a
+    (sigma >= 0 by construction, rho > 0). Returns the array
+    X = U diag(lambda) V^T, which holds each singular pair only as the
+    product u_j v_j^T and so does not depend on its sign. J may be a
     (B, N, 2) stack of designs with one rho each.
     """
     svd = thin_svd(j_k)
@@ -351,7 +344,7 @@ class _Run:
     lb_budget: float
     stall: int = 0
 
-    def advance(self, rec: TraceRecord, step: float, options: AdmmOptions):
+    def advance(self, rec: TraceRecord, step: float):
         """Add one outer iteration; returns the stop reason once the run stops."""
         self.records.append(rec)
         if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
@@ -366,8 +359,8 @@ class _Run:
                 if len(self.records) > lag:
                     prev = self.records[-1 - lag].lb_rmse
                     rel_lb = min(rel_lb, abs(rec.lb_rmse - prev) / rec.lb_rmse)
-        lb_stall = rel_lb < options.admm_tol
-        self.stall = self.stall + 1 if (lb_stall or step < options.admm_tol) else 0
+        lb_stall = rel_lb < _ADMM_TOL
+        self.stall = self.stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
         if self.stall >= _STALL_ITERATIONS:
             return "lb_stall" if lb_stall else "step"
         return None
@@ -385,7 +378,7 @@ class _Run:
         return Placement.from_angles(self.best.angles), trace
 
 
-def _start(scenario: Scenario, options: AdmmOptions):
+def _start(scenario: Scenario):
     """Set up one design: its solver arrays (a dict of _Batch rows) and its _Run.
 
     The run starts from the uniform placement, which is record 0 and the
@@ -423,7 +416,7 @@ def _start(scenario: Scenario, options: AdmmOptions):
     rows = dict(
         half_bd=half_bd,
         m_tilde=m_mat - lam_max * np.eye(n),
-        rho=options.rho * _PENALTY_SCALE / op_norm**2,
+        rho=_PENALTY_SCALE / op_norm**2,
         g0=bound.g0,
         ends=bound.ends,
         beta_max=beta_max,
@@ -440,27 +433,24 @@ def _start(scenario: Scenario, options: AdmmOptions):
     return rows, _Run(records=[first], best=first, lb_budget=summary.lb_rmse + 1e-9)
 
 
-def _lockstep(scenarios: list, options: AdmmOptions) -> list:
+def _lockstep(scenarios: list, max_outer: int) -> list:
     """Run designs of one size and variant as one batch; (placement, trace) each.
 
     Every outer step updates all running designs with one call per kernel.
     A design that meets its stop test leaves the batch; the others run on.
     """
     variant = scenarios[0].variant
-    rows, runs = zip(*(_start(sc, options) for sc in scenarios))
+    rows, runs = zip(*(_start(sc) for sc in scenarios))
     batch = _Batch(
         index=np.arange(len(scenarios)),
         **{key: np.stack([r[key] for r in rows]) for key in rows[0]},
     )
     reasons = ["max_outer"] * len(scenarios)
-    for k in range(1, options.max_outer + 1):
+    for k in range(1, max_outer + 1):
         rho_3d = batch.rho[:, None, None]
         x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
         bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max, ends=batch.ends)
-        g, inner = g_update_mm(
-            x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound,
-            mm_tol=options.mm_tol, max_inner=options.max_inner,
-        )
+        g, inner = g_update_mm(x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound)
         hg = batch.half_bd @ g
         residual = hg - x
         steps = _design_norms(g - batch.g).tolist()
@@ -482,7 +472,7 @@ def _lockstep(scenarios: list, options: AdmmOptions) -> list:
         running = []
         for i, objective, det_t, lb, sweeps, primal, rec_angles, step in columns:
             rec = TraceRecord(k, objective, det_t, lb, sweeps, primal, rec_angles)
-            reason = runs[i].advance(rec, step, options)
+            reason = runs[i].advance(rec, step)
             if reason is not None:
                 reasons[i] = reason
             running.append(reason is None)
@@ -504,13 +494,13 @@ def optimize_many(scenarios, options: AdmmOptions = None) -> list:
     scenarios = list(scenarios)
     for scenario in scenarios:
         check_sensor_count(scenario)
-    options = options if options is not None else AdmmOptions()
+    max_outer = (options if options is not None else AdmmOptions()).max_outer
     groups = {}
     for i, scenario in enumerate(scenarios):
         groups.setdefault((scenario.n_sensors, scenario.variant), []).append(i)
     results = [None] * len(scenarios)
     for members in groups.values():
-        for i, result in zip(members, _lockstep([scenarios[i] for i in members], options)):
+        for i, result in zip(members, _lockstep([scenarios[i] for i in members], max_outer)):
             results[i] = result
     return results
 

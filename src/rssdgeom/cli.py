@@ -1,8 +1,9 @@
 """Command-line interface: thin wrapper over the experiment harness.
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, malformed or
-invalid scenario files), 3 when any optimization run failed to converge
-within its iteration budget (results are still written).
+invalid scenario files, an unwritable --out), 3 when any optimization run
+failed to converge within --max-outer iterations (results are still written,
+and a warning on stderr says so).
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ def _parse_int_list(text: str):
     return [int(v) for v in values]
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_out: bool = True):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    if needs_out:
-        parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--rho", type=float, default=1.0, help="penalty weight (default 1.0)")
-    parser.add_argument("--admm-tol", type=float, default=1e-4, help="outer threshold")
-    parser.add_argument("--mm-tol", type=float, default=1e-3, help="inner threshold")
     parser.add_argument("--max-outer", type=int, default=1000, help="outer iteration cap")
 
 
@@ -101,15 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _options_from(args) -> AdmmOptions:
-    return AdmmOptions(
-        rho=args.rho,
-        admm_tol=args.admm_tol,
-        mm_tol=args.mm_tol,
-        max_outer=args.max_outer,
-    )
-
-
 def _print_validation(report) -> None:
     print(report.message)
     if not report.ok:
@@ -136,7 +124,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        options = _options_from(args)
+        options = AdmmOptions(max_outer=args.max_outer)
         if args.command == "optimize":
             result = run_optimize(scenario, options=options, seed=args.seed)
         elif args.command == "convergence":
@@ -164,14 +152,25 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    write_csv(result, args.out)
+    try:
+        write_csv(result, args.out)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(
         f"{result.mode}: {len(result.rows)} rows -> {args.out} "
         f"({result.elapsed_s:.2f}s, converged={'yes' if result.converged_all else 'NO'})"
     )
     for key, value in result.summary.items():
         print(f"  {key}: {value}")
-    return EXIT_OK if result.converged_all else EXIT_NONCONVERGED
+    if result.converged_all:
+        return EXIT_OK
+    print(
+        f"warning: not every run converged within --max-outer {args.max_outer}; "
+        f"the rows were written to {args.out}",
+        file=sys.stderr,
+    )
+    return EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

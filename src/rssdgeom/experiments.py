@@ -281,6 +281,8 @@ def run_practical(
     t0 = time.perf_counter()
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ScenarioError(f"practical: seed must be an integer >= 0, got {seed!r}")
     if not (math.isfinite(prior_std) and prior_std >= 0):
         raise ScenarioError(f"practical: prior_std must be finite and >= 0, got {prior_std!r}")
     shash = scenario_hash(scenario)

@@ -66,7 +66,7 @@ def noise_weights(scenario: Scenario) -> NoiseWeights:
     return NoiseWeights(w=inv_var / inv_var.sum(), mean_inv_var=float(inv_var.mean()))
 
 
-def coupling_matrix(weights: NoiseWeights, variant: Variant = Variant.RSSD) -> np.ndarray:
+def coupling_matrix(weights: NoiseWeights, variant: Variant) -> np.ndarray:
     """Noise-coupling matrix B of the reduced information form, as an (N, N) array.
 
     RSSD (unknown power): B = diag(w) - w w^T, which is PSD, annihilates the

@@ -198,11 +198,13 @@ class TestPractical:
             (50.0, 2.5, "trials"),
             (50.0, 2.0, "trials"),
             (50.0, True, "trials"),
+            (50.0, 2, "seed"),  # with seed -1
         ],
     )
     def test_rejects_bad_arguments(self, prior_std, trials, named):
+        seed = -1 if named == "seed" else 0
         with pytest.raises(ScenarioError, match=named):
-            run_practical(case_a(), prior_std, trials=trials, refine=False)
+            run_practical(case_a(), prior_std, trials=trials, seed=seed, refine=False)
 
     def test_practical_lb_close_to_theoretical(self):
         result = run_practical(
@@ -307,15 +309,6 @@ class TestCli:
                 case_a_with(sensors=[{"r": 1000.0, "h": 100.0, "sigma": True}] * 8),
                 "sweep-angle", [], "sensors[0].sigma", id="sensor-sigma-bool",
             ),
-            pytest.param(case_a_with(), "optimize", ["--mm-tol", "nan"], "mm_tol", id="mm-tol-nan"),
-            pytest.param(
-                case_a_with(), "optimize", ["--admm-tol", "nan"], "admm_tol", id="admm-tol-nan",
-            ),
-            pytest.param(
-                case_a_with(), "optimize", ["--admm-tol", "inf"], "admm_tol", id="admm-tol-inf",
-            ),
-            pytest.param(case_a_with(), "optimize", ["--rho", "nan"], "rho", id="rho-nan"),
-            pytest.param(case_a_with(), "optimize", ["--rho", "inf"], "rho", id="rho-inf"),
             pytest.param(
                 case_a_with(), "practical", ["--prior-std", "nan"], "prior_std",
                 id="prior-std-nan",
@@ -323,6 +316,9 @@ class TestCli:
             pytest.param(
                 case_a_with(), "practical", ["--prior-std", "inf"], "prior_std",
                 id="prior-std-inf",
+            ),
+            pytest.param(
+                case_a_with(), "practical", ["--seed", "-1"], "seed", id="practical-seed-negative",
             ),
         ],
     )
@@ -360,6 +356,20 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert out.exists()  # results still written
+        assert "--max-outer 1;" in proc.stderr
+        assert f"the rows were written to {out}" in proc.stderr
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["optimize", "--scenario", str(CASE_A), "--out", str(out)]) == 2
+        assert "error: --out:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rho", "--admm-tol", "--mm-tol"])
+    def test_solver_constants_are_not_flags(self, tmp_path, flag):
+        argv = ["optimize", "--scenario", str(CASE_A), "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
 
     def test_config_error_exit_code(self, tmp_path):
         proc = run_cli(
