@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .admm import AdmmOptions
@@ -113,6 +114,16 @@ def _print_validation(report) -> None:
     print(f"  uniform LB-RMSE:  {d['lb_rmse_uniform_m']:.6g} m")
 
 
+def _out_problem(path: str):
+    """Why --out cannot be written, or None; checked before any design work."""
+    if os.path.isdir(path):
+        return f"{path} is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"no such directory: {parent}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -122,6 +133,10 @@ def main(argv=None) -> int:
         _print_validation(report)
         return EXIT_OK if report.ok else EXIT_CONFIG
 
+    problem = _out_problem(args.out)
+    if problem is not None:
+        print(f"error: --out: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         scenario = load_scenario(args.scenario)
         options = AdmmOptions(max_outer=args.max_outer)

@@ -10,10 +10,16 @@ of P_i + 10*gamma*log10(d_i)); the horizontal position is found by damped
 Gauss-Newton on the profiled residual, optionally restarted from a small grid
 of offsets around the initial guess to escape distant local minima.
 
-All starts advance in lockstep as one (starts, N) array program. Each start
-keeps its own damping and stopping rules, and every batched product and 2x2
-solve goes through the same BLAS/LAPACK call as for a single start, so the
-result is bit-identical to running the starts one after another.
+mle_estimate_many refines many problems (trials) that share the noise levels
+and path-loss exponent. Every start of every trial is one row of a
+(starts, N) array program, and all rows advance in lockstep; a row reads its
+trial's measurements and sensor positions through an owner index, so the
+inputs are held once per trial, not once per start. Rows run in blocks of whole trials of at
+most _BLOCK_ROWS rows, which bounds the working memory whatever the number
+of trials. Each start keeps its own damping and stopping rules, and every
+batched product and 2x2 solve goes through the same BLAS/LAPACK call as for a
+single start, so each result is bit-identical to running the starts of each
+trial one after another. mle_estimate is the one-trial call.
 
 Profiling P0 also makes the position estimate exactly insensitive to a
 constant shift of all measurements, matching the difference-based nature of
@@ -35,6 +41,7 @@ _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _STEP_TOL = 1e-8
 _MAX_ITERS = 200
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -47,29 +54,37 @@ class MleResult:
     iterations: int
 
 
-def _profiled_residual(xy, measurements, pos, inv_std, gamma):
-    """Weighted residuals with the optimal P0 substituted, per start.
+def _dist_sq(xy, px, py, h_sq):
+    """(S, N) squared sensor distances from the (S, 2) points xy.
 
-    xy is (S, 2); returns the (S, N) residuals, the (S,) profiled P0 and the
-    (S, N) squared sensor distances.
+    px, py and h_sq are the (S, N) sensor x, y and squared heights of each
+    row's problem.
     """
-    d_sq = (xy[:, :1] - pos[:, 0]) ** 2 + (xy[:, 1:] - pos[:, 1]) ** 2 + pos[:, 2] ** 2
+    return (xy[:, :1] - px) ** 2 + (xy[:, 1:] - py) ** 2 + h_sq
+
+
+def _profiled_residual(d_sq, measurements, inv_std, gamma):
+    """Weighted residuals with the optimal P0 substituted, per row.
+
+    d_sq and measurements are (S, N); returns the (S, N) residuals and the
+    (S,) profiled P0.
+    """
     log_term = 5.0 * gamma * np.log10(d_sq)  # 10*gamma*log10(d)
     shifted = measurements + log_term
     wsum = np.sum(inv_std**2)
     p0 = np.sum(inv_std**2 * shifted, axis=1) / wsum
     res = inv_std * (shifted - p0[:, None])
-    return res, p0, d_sq
+    return res, p0
 
 
-def _jacobian(xy, pos, inv_std, gamma, d_sq):
+def _jacobian(xy, px, py, inv_std, gamma, d_sq):
     """(S, N, 2) Jacobians of the profiled residuals w.r.t. (x, y)."""
     slope = 10.0 * gamma / math.log(10.0)
     # d(10*gamma*log10 d_i)/dx = slope * (x - x_i) / d_i^2
     raw = np.stack(
         [
-            slope * (xy[:, :1] - pos[:, 0]) / d_sq,
-            slope * (xy[:, 1:] - pos[:, 1]) / d_sq,
+            slope * (xy[:, :1] - px) / d_sq,
+            slope * (xy[:, 1:] - py) / d_sq,
         ],
         axis=-1,
     )
@@ -98,19 +113,22 @@ def _solve_each(a, b):
         return x, solved
 
 
-def _solve_lockstep(starts, measurements, pos, inv_std, gamma):
+def _solve_lockstep(starts, owner, measurements, px, py, h_sq, inv_std, gamma):
     """Damped Gauss-Newton from every start at once.
 
-    Each start keeps its own damping and its own accept/reject, convergence
-    and stop rules, as if run alone: a singular normal matrix stops it, a
-    non-finite trial or one at zero distance from a sensor raises its
-    damping, an accepted step shorter than _STEP_TOL converges it, and a
-    rejected step that lifts its damping above 1e15 stops it. Returns the
-    per-start (xy, cost, converged, iterations).
+    Start row s belongs to problem owner[s], whose measurements, sensor x, y
+    and squared heights are row owner[s] of the (T, N) arrays. Each start
+    keeps its own damping and its own accept/reject, convergence and stop
+    rules, as if run alone: a singular normal matrix stops it, a non-finite
+    trial or one at zero distance from a sensor raises its damping, an
+    accepted step shorter than _STEP_TOL converges it, and a rejected step
+    that lifts its damping above 1e15 stops it. Returns the per-start
+    (xy, cost, converged, iterations, squared distances).
     """
     xy = np.array(starts, dtype=float)
     n_starts = len(xy)
-    res, _, d_sq = _profiled_residual(xy, measurements, pos, inv_std, gamma)
+    d_sq = _dist_sq(xy, px[owner], py[owner], h_sq[owner])
+    res, _ = _profiled_residual(d_sq, measurements[owner], inv_std, gamma)
     cost = row_dots(res, res)
     damping = np.full(n_starts, _DAMPING_START)
     converged = np.zeros(n_starts, dtype=bool)
@@ -121,23 +139,27 @@ def _solve_lockstep(starts, measurements, pos, inv_std, gamma):
         if idx.size == 0:
             break
         iterations[idx] = it
-        jac = _jacobian(xy[idx], pos, inv_std, gamma, d_sq[idx])
+        own = owner[idx]
+        jac = _jacobian(xy[idx], px[own], py[own], inv_std, gamma, d_sq[idx])
         jac_t = jac.transpose(0, 2, 1)
         grad = (jac_t @ res[idx][:, :, None])[:, :, 0]
         hess = jac_t @ jac
         step, solved = _solve_each(hess + damping[idx, None, None] * np.eye(2), -grad)
         active[idx[~solved]] = False
-        idx, step = idx[solved], step[solved]
+        idx, own, step = idx[solved], own[solved], step[solved]
         trial = xy[idx] + step
         usable = np.all(np.isfinite(trial), axis=1)
         # reject steps that would land a sensor at zero distance
-        t = trial[usable]
-        t_sq = (t[:, :1] - pos[:, 0]) ** 2 + (t[:, 1:] - pos[:, 1]) ** 2 + pos[:, 2] ** 2
-        usable[usable] = ~np.any(t_sq <= 0, axis=1)
+        o = own[usable]
+        t_sq = _dist_sq(trial[usable], px[o], py[o], h_sq[o])
+        near = np.any(t_sq <= 0, axis=1)
+        usable[usable] = ~near
         damping[idx[~usable]] *= _DAMPING_UP
-        idx, step, trial = idx[usable], step[usable], trial[usable]
+        idx, own, step, trial, d_sq_t = (
+            idx[usable], own[usable], step[usable], trial[usable], t_sq[~near]
+        )
 
-        res_t, _, d_sq_t = _profiled_residual(trial, measurements, pos, inv_std, gamma)
+        res_t, _ = _profiled_residual(d_sq_t, measurements[own], inv_std, gamma)
         cost_t = row_dots(res_t, res_t)
         accept = cost_t <= cost[idx]
         acc = idx[accept]
@@ -151,7 +173,110 @@ def _solve_lockstep(starts, measurements, pos, inv_std, gamma):
         rej = idx[~accept]
         damping[rej] *= _DAMPING_UP
         active[rej[damping[rej] > 1e15]] = False
-    return xy, cost, converged, iterations
+    return xy, cost, converged, iterations, d_sq
+
+
+def _restart_offsets(multistart_spread: float) -> np.ndarray:
+    """(K, 2) offsets of the restart grid around the init, init excluded."""
+    offsets = []
+    if multistart_spread > 0:
+        grid = np.linspace(-multistart_spread, multistart_spread, 5)
+        for ox in grid:
+            for oy in grid:
+                if ox == 0.0 and oy == 0.0:
+                    continue
+                offsets.append([ox, oy])
+    return np.array(offsets, dtype=float).reshape(-1, 2)
+
+
+def mle_estimate_many(
+    measurements: np.ndarray,
+    sensor_positions: np.ndarray,
+    sigma_eff: np.ndarray,
+    gamma: float,
+    inits,
+    multistart_spread: float = 0.0,
+) -> list:
+    """Weighted nonlinear least-squares source estimates of T problems at once.
+
+    Args:
+        measurements: (T, N) averaged RSS values (dB), one row per problem.
+        sensor_positions: (T, N, 3) sensor positions (m) of each problem.
+        sigma_eff: length-N noise std of the averaged measurements (dB),
+            shared by every problem.
+        gamma: path-loss exponent.
+        inits: T initial guesses (SourceParams; each position seeds its
+            problem's iteration, each p0 is ignored since the power is
+            profiled out).
+        multistart_spread: half-width (m) of a 5x5 restart grid of horizontal
+            offsets around each init; 0 runs a single start per problem.
+
+    Returns:
+        T MleResults in input order, each equal bit for bit to
+        mle_estimate on that problem alone.
+    """
+    measurements = np.asarray(measurements, dtype=float)
+    pos = np.asarray(sensor_positions, dtype=float)
+    sigma_eff = np.asarray(sigma_eff, dtype=float)
+    inits = list(inits)
+    if measurements.ndim != 2:
+        raise ValueError("inconsistent input dimensions")
+    n_problems, n = measurements.shape
+    if pos.shape != (n_problems, n, 3) or sigma_eff.shape != (n,) or len(inits) != n_problems:
+        raise ValueError("inconsistent input dimensions")
+    if n < 3:
+        raise ValueError(f"need at least 3 sensors to fix 3 unknowns, got {n}")
+    if not np.all(np.isfinite(sigma_eff) & (sigma_eff > 0)):
+        raise ValueError("sigma_eff must be finite and positive")
+    if not np.all(np.isfinite(measurements)):
+        raise ValueError("measurements must be finite")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("sensor_positions must be finite")
+    spread = float(multistart_spread)
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"multistart_spread must be finite and >= 0, got {multistart_spread!r}")
+    inv_std = 1.0 / sigma_eff
+    init_xy = np.array([init.position for init in inits], dtype=float).reshape(-1, 2)
+    offsets = _restart_offsets(spread)
+    k = 1 + len(offsets)
+    per_block = max(1, _BLOCK_ROWS // k)
+
+    results = []
+    for t0 in range(0, n_problems, per_block):
+        block = slice(t0, t0 + per_block)
+        meas, px, py = measurements[block], pos[block, :, 0], pos[block, :, 1]
+        h_sq = pos[block, :, 2] ** 2
+        n_block = len(meas)
+        # rows are trial-major: the init of each trial, then its restart grid
+        starts = np.empty((n_block, k, 2))
+        starts[:, 0] = init_xy[block]
+        starts[:, 1:] = init_xy[block, None, :] + offsets
+        owner = np.repeat(np.arange(n_block), k)
+        xy, cost, conv, iters, d_sq = _solve_lockstep(
+            starts.reshape(-1, 2), owner, meas, px, py, h_sq, inv_std, gamma
+        )
+        # per trial, the first start with the lowest cost; a later one must
+        # beat it strictly, so a NaN cost never takes over
+        cost = cost.reshape(n_block, k)
+        trial = np.arange(n_block)
+        best = np.zeros(n_block, dtype=int)
+        for s in range(1, k):
+            best[cost[:, s] < cost[trial, best]] = s
+        rows = trial * k + best
+        _, p0 = _profiled_residual(d_sq[rows], meas, inv_std, gamma)
+        conv = conv.reshape(n_block, k)
+        iters = iters.reshape(n_block, k)
+        for j in range(n_block):
+            theta = np.array([p0[j], xy[rows[j], 0], xy[rows[j], 1]])
+            results.append(
+                MleResult(
+                    theta_hat=theta,
+                    residual_norm=math.sqrt(cost[j, best[j]]),
+                    converged=bool(np.any(conv[j])) and bool(np.all(np.isfinite(theta))),
+                    iterations=int(np.sum(iters[j])),
+                )
+            )
+    return results
 
 
 def mle_estimate(
@@ -178,38 +303,11 @@ def mle_estimate(
         MleResult with theta_hat = (P0_hat, x_hat, y_hat). The residual at
         the estimate never exceeds the residual at the init.
     """
-    measurements = np.asarray(measurements, dtype=float)
-    pos = np.asarray(sensor_positions, dtype=float)
-    sigma_eff = np.asarray(sigma_eff, dtype=float)
-    n = len(measurements)
-    if pos.shape != (n, 3) or sigma_eff.shape != (n,):
-        raise ValueError("inconsistent input dimensions")
-    if n < 3:
-        raise ValueError(f"need at least 3 sensors to fix 3 unknowns, got {n}")
-    if np.any(sigma_eff <= 0):
-        raise ValueError("sigma_eff must be positive")
-    inv_std = 1.0 / sigma_eff
-
-    starts = [np.asarray(init.position, dtype=float)]
-    if multistart_spread > 0:
-        offsets = np.linspace(-multistart_spread, multistart_spread, 5)
-        for ox in offsets:
-            for oy in offsets:
-                if ox == 0.0 and oy == 0.0:
-                    continue
-                starts.append(init.position + np.array([ox, oy]))
-
-    xy, cost, conv, iters = _solve_lockstep(starts, measurements, pos, inv_std, gamma)
-    # the first start with the lowest cost; a later one must beat it strictly
-    best = 0
-    for i in range(1, len(cost)):
-        if cost[i] < cost[best]:
-            best = i
-    res, p0, _ = _profiled_residual(xy[best : best + 1], measurements, pos, inv_std, gamma)
-    theta = np.array([p0[0], xy[best, 0], xy[best, 1]])
-    return MleResult(
-        theta_hat=theta,
-        residual_norm=math.sqrt(cost[best]),
-        converged=bool(np.any(conv)) and bool(np.all(np.isfinite(theta))),
-        iterations=int(np.sum(iters)),
-    )
+    return mle_estimate_many(
+        np.asarray(measurements, dtype=float)[None],
+        np.asarray(sensor_positions, dtype=float)[None],
+        sigma_eff,
+        gamma,
+        [init],
+        multistart_spread,
+    )[0]

@@ -9,9 +9,10 @@ six decimals, semicolon-separated) so any row can be re-scored offline.
 The convergence, sweep-n and sweep-angle modes hand all their designs to
 admm.optimize_many in one call, which runs the designs of each swarm size as
 one lockstep batch; optimize and practical design one placement with
-admm.optimize. Everything runs in the calling thread: a design is a sequence
-of short NumPy calls that hold the interpreter lock, so threads would only
-contend for it.
+admm.optimize, and practical refines all its trials with one
+estimator.mle_estimate_many call. Everything runs in the calling thread: a
+design is a sequence of short NumPy calls that hold the interpreter lock, so
+threads would only contend for it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .admm import AdmmOptions, check_sensor_count, optimize, optimize_many, uniform_init
-from .estimator import mle_estimate
+# mle_estimate is not called here, but it stays importable as
+# experiments.mle_estimate: perfbench/spans.py wraps it under that name
+from .estimator import mle_estimate, mle_estimate_many  # noqa: F401
 from .fim import coupling_matrix, fim_full, g0_bound, noise_weights
 from .model import (
     Placement,
@@ -272,18 +275,22 @@ def run_practical(
     any prior are the angles around the true source. Per trial: draw a
     Gaussian prior error, place the swarm at those angles around the
     perturbed prior, evaluate its LB-RMSE at the true source, and (when
-    refine is set) simulate measurements and refine the prior by maximum
-    likelihood. A final aggregate row (trial = -1) carries the means and the
-    empirical refinement RMSE. The true reference power is 0 dB: the MLE
-    profiles P0 out, so no value of it would change the refined position
-    beyond the Gauss-Newton step tolerance.
+    refine is set) simulate measurements. The priors of all trials are then
+    refined by maximum likelihood in one lockstep call. A final aggregate row
+    (trial = -1) carries the means and the empirical refinement RMSE. The
+    true reference power is 0 dB: the MLE profiles P0 out, so no value of it
+    would change the refined position beyond the Gauss-Newton step tolerance.
     """
     t0 = time.perf_counter()
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ScenarioError(f"practical: seed must be an integer >= 0, got {seed!r}")
-    if not (math.isfinite(prior_std) and prior_std >= 0):
+    if (
+        isinstance(prior_std, bool)
+        or not isinstance(prior_std, numbers.Real)
+        or not (math.isfinite(prior_std) and prior_std >= 0)
+    ):
         raise ScenarioError(f"practical: prior_std must be finite and >= 0, got {prior_std!r}")
     shash = scenario_hash(scenario)
     truth = SourceParams(p0=0.0, position=scenario.source[:2])
@@ -293,28 +300,20 @@ def run_practical(
     placement_deg = placement_to_field(placement)
 
     rows = []
+    measurements, positions, inits = [], [], []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
         err = rng.normal(0.0, prior_std, size=2)
         prior_pos = truth.position + err
         sc_prior = scenario.with_source(prior_pos)
         lb_practical = fim_full(sc_prior, placement, truth).lb_rmse
-        emp_err = math.nan
         if refine:
             meas_seed = int(
                 np.random.SeedSequence(seed, spawn_key=(t, 1)).generate_state(1)[0]
             )
-            measurements = simulate_measurements(sc_prior, placement, truth, meas_seed)
-            pos = sensor_positions(sc_prior, placement)
-            result = mle_estimate(
-                measurements,
-                pos,
-                np.sqrt(scenario.effective_var),
-                scenario.gamma,
-                init=SourceParams(p0=0.0, position=prior_pos),
-                multistart_spread=2.0 * prior_std,
-            )
-            emp_err = float(np.linalg.norm(result.theta_hat[1:] - truth.position))
+            measurements.append(simulate_measurements(sc_prior, placement, truth, meas_seed))
+            positions.append(sensor_positions(sc_prior, placement))
+            inits.append(SourceParams(p0=0.0, position=prior_pos))
         rows.append(
             {
                 "trial": t,
@@ -323,12 +322,25 @@ def run_practical(
                 "prior_y_m": float(prior_pos[1]),
                 "lb_rmse_theoretical_m": lb_theory,
                 "lb_rmse_practical_m": lb_practical,
-                "empirical_rmse_m": emp_err,
+                "empirical_rmse_m": math.nan,
                 "placement_deg": placement_deg,
                 "scenario_hash": shash,
                 "seed": seed,
             }
         )
+    if refine:
+        results = mle_estimate_many(
+            np.array(measurements),
+            np.array(positions),
+            np.sqrt(scenario.effective_var),
+            scenario.gamma,
+            inits,
+            multistart_spread=2.0 * prior_std,
+        )
+        for row, result in zip(rows, results):
+            row["empirical_rmse_m"] = float(
+                np.linalg.norm(result.theta_hat[1:] - truth.position)
+            )
     lb_vals = [r["lb_rmse_practical_m"] for r in rows]
     emp_sq = [r["empirical_rmse_m"] ** 2 for r in rows if math.isfinite(r["empirical_rmse_m"])]
     rows.append(

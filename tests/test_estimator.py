@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rssdgeom.admm import optimize
-from rssdgeom.estimator import MleResult, mle_estimate
+from rssdgeom.estimator import MleResult, mle_estimate, mle_estimate_many
 from rssdgeom.fim import fim_full
 from rssdgeom.model import (
     SourceParams,
@@ -111,6 +112,52 @@ class TestInputValidation:
                 np.zeros(4), np.zeros((3, 3)), np.ones(4), 2.0,
                 SourceParams(0.0, [0.0, 0.0]),
             )
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("spread", math.inf, "multistart_spread"),
+            ("spread", math.nan, "multistart_spread"),
+            ("spread", -5.0, "multistart_spread"),
+            ("sigma", math.nan, "sigma_eff"),
+            ("sigma", math.inf, "sigma_eff"),
+            ("meas", math.nan, "measurements"),
+            ("meas", -math.inf, "measurements"),
+            ("pos", math.nan, "sensor_positions"),
+            ("pos", math.inf, "sensor_positions"),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, field, value, named):
+        meas, pos, sigma = random_problem(np.random.default_rng(3), 6)
+        spread = 100.0
+        if field == "spread":
+            spread = value
+        elif field == "sigma":
+            sigma[2] = value
+        elif field == "meas":
+            meas[4] = value
+        else:
+            pos[1, 2] = value
+        init = SourceParams(0.0, [10.0, -20.0])
+        with pytest.raises(ValueError, match=named):
+            mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=spread)
+        with pytest.raises(ValueError, match=named):
+            mle_estimate_many(
+                np.stack([meas, meas]), np.stack([pos, pos]), sigma, 2.0, [init, init],
+                multistart_spread=spread,
+            )
+
+    def test_many_dimension_mismatch(self):
+        meas, pos, sigma = random_problem(np.random.default_rng(4), 5)
+        init = SourceParams(0.0, [0.0, 0.0])
+        for args in [
+            (meas, pos[None], sigma, [init]),  # 1-D measurements
+            (meas[None], pos, sigma, [init]),  # 2-D positions
+            (meas[None], pos[None], sigma, [init, init]),  # one init too many
+            (meas[None], pos[None], sigma[:4], [init]),
+        ]:
+            with pytest.raises(ValueError, match="dimensions"):
+                mle_estimate_many(args[0], args[1], args[2], 2.0, args[3])
 
 
 class TestCrlbConsistency:
@@ -341,3 +388,114 @@ class TestLockstepMatchesPerStartReference:
         assert (False, 1) in per_start and any(iters > 1 for _, iters in per_start)
         got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=50.0)
         assert_same_result(got, want)
+
+
+# -- many problems in one lockstep against one problem at a time ---------------
+
+
+def random_batch(rng, n_problems, n, sigma, init_scale=300.0):
+    """n_problems problems with n sensors sharing the noise levels sigma."""
+    meas, pos, inits = [], [], []
+    for _ in range(n_problems):
+        m, p, _ = random_problem(rng, n)
+        meas.append(m)
+        pos.append(p)
+        inits.append(SourceParams(0.0, rng.normal(0.0, init_scale, 2)))
+    return np.array(meas), np.array(pos), sigma, inits
+
+
+def assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread):
+    got = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=spread)
+    assert len(got) == len(inits)
+    for t, result in enumerate(got):
+        want = mle_estimate(meas[t], pos[t], sigma, 2.0, inits[t], multistart_spread=spread)
+        assert_same_result(result, want)
+
+
+class TestManyMatchesOneAtATime:
+    # 25 starts per problem run in blocks of 20 problems (500 rows), so 21
+    # and 41 problems cross block boundaries; one start per problem runs
+    # 512 problems per block
+    @pytest.mark.parametrize("n_problems", [1, 20, 21, 41])
+    @pytest.mark.parametrize("spread", [0.0, 223.6])
+    def test_problem_counts_across_blocks(self, n_problems, spread):
+        rng = np.random.default_rng(100 + n_problems)
+        sigma = rng.uniform(0.3, 3.0, 7)
+        meas, pos, _, inits = random_batch(rng, n_problems, 7, sigma)
+        assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread)
+
+    def test_one_start_per_problem_across_a_block(self):
+        rng = np.random.default_rng(513)
+        sigma = rng.uniform(0.3, 3.0, 4)
+        meas, pos, _, inits = random_batch(rng, 513, 4, sigma)
+        assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 0.0)
+
+    def test_far_off_starts_with_rejected_and_non_finite_trials(self):
+        rng = np.random.default_rng(11)
+        sigma = rng.uniform(0.3, 3.0, 5)
+        meas, pos, _, inits = random_batch(rng, 21, 5, sigma)
+        far = range(0, 21, 3)
+        for t in far:
+            inits[t] = SourceParams(0.0, rng.normal(0.0, 1e160, 2))
+        with np.errstate(all="ignore"):
+            assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 1e7)
+            assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 1e160)
+            results = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=1e160)
+        # around a far-off init every trial step overflows: each of its 25
+        # starts runs to the iteration cap, next to problems that converge
+        assert all(results[t].iterations == 25 * 200 for t in far)
+        assert not any(results[t].converged for t in far)
+        assert any(r.converged for r in results)
+
+    def test_singular_normal_matrix_in_a_batch(self):
+        # the line problem of the per-start test: its diagonal restart
+        # offsets hit an exactly singular normal matrix, the other problems'
+        # starts do not
+        n = 5
+        line = np.array([-700.0, -300.0, 100.0, 450.0, 900.0])
+        sigma = np.full(n, 1e-9)
+        rng = np.random.default_rng(5)
+        meas, pos, _, inits = random_batch(rng, 21, n, sigma)
+        pos[7] = np.column_stack([line, line, np.zeros(n)])
+        meas[7] = [-55.0, -61.0, -58.5, -63.0, -57.0]
+        inits[7] = SourceParams(0.0, [20.0, 20.0])
+        _, per_start = reference_mle(meas[7], pos[7], sigma, 2.0, inits[7], 50.0)
+        assert (False, 1) in per_start
+        assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 50.0)
+
+    def test_a_start_on_a_sensor_never_wins(self):
+        # a restart point on a sensor at zero height has a NaN cost (log of
+        # zero distance) that no step repairs; the pick takes the first start
+        # with the lowest cost, so that NaN never wins, while np.argmin would
+        # take it
+        rng = np.random.default_rng(21)
+        sigma = rng.uniform(0.3, 3.0, 6)
+        meas, pos, _, inits = random_batch(rng, 21, 6, sigma, init_scale=50.0)
+        for t in (0, 13, 20):
+            pos[t, 0] = [*(inits[t].position + [25.0, 25.0]), 0.0]
+        with np.errstate(all="ignore"):
+            got = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=50.0)
+            for t in (0, 13, 20):
+                want, _ = reference_mle(meas[t], pos[t], sigma, 2.0, inits[t], 50.0)
+                assert_same_result(got[t], want)
+                assert np.all(np.isfinite(got[t].theta_hat))
+            assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 50.0)
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_the_number_of_problems(self):
+        rng = np.random.default_rng(8)
+        sigma = rng.uniform(0.3, 3.0, 8)
+        meas, pos, _, inits = random_batch(rng, 400, 8, sigma, init_scale=50.0)
+        peaks = []
+        for n_problems in (40, 400):
+            tracemalloc.start()
+            try:
+                mle_estimate_many(
+                    meas[:n_problems], pos[:n_problems], sigma, 2.0, inits[:n_problems],
+                    multistart_spread=100.0,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks

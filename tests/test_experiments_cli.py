@@ -12,7 +12,9 @@ import pytest
 
 from rssdgeom import experiments
 from rssdgeom.admm import AdmmTrace
+from rssdgeom import cli
 from rssdgeom.cli import main
+from rssdgeom.estimator import mle_estimate
 from rssdgeom.experiments import (
     placement_from_field,
     resize_sensors,
@@ -132,6 +134,31 @@ class TestLockstepCsvs:
         assert lockstep.read_bytes() == serial.read_bytes()
 
 
+def one_at_a_time_mle_many(measurements, positions, sigma_eff, gamma, inits, multistart_spread):
+    """mle_estimate_many as one mle_estimate call per problem."""
+    return [
+        mle_estimate(m, p, sigma_eff, gamma, init, multistart_spread=multistart_spread)
+        for m, p, init in zip(measurements, positions, inits)
+    ]
+
+
+class TestPracticalLockstepCsvs:
+    # 41 trials of 25 starts span three blocks of at most 512 start rows
+    @pytest.mark.parametrize("scenario", [CASE_A, CASE_B])
+    @pytest.mark.parametrize("trials", [1, 21, 41])
+    @pytest.mark.parametrize("prior_std", ["0", "111.80339887498948"])
+    def test_same_bytes_as_one_trial_at_a_time(
+        self, tmp_path, monkeypatch, scenario, trials, prior_std
+    ):
+        argv = ["practical", "--scenario", str(scenario), "--trials", str(trials),
+                "--seed", "7", "--prior-std", prior_std]
+        lockstep, serial = tmp_path / "lockstep.csv", tmp_path / "serial.csv"
+        assert main([*argv, "--out", str(lockstep)]) == 0
+        monkeypatch.setattr(experiments, "mle_estimate_many", one_at_a_time_mle_many)
+        assert main([*argv, "--out", str(serial)]) == 0
+        assert lockstep.read_bytes() == serial.read_bytes()
+
+
 class TestSweepN:
     def test_resize_preserves_two_level_noise(self):
         bigger = resize_sensors(case_a(), 12)
@@ -198,6 +225,8 @@ class TestPractical:
             (50.0, 2.5, "trials"),
             (50.0, 2.0, "trials"),
             (50.0, True, "trials"),
+            (True, 2, "prior_std"),
+            ("50", 2, "prior_std"),
             (50.0, 2, "seed"),  # with seed -1
         ],
     )
@@ -363,6 +392,23 @@ class TestCli:
         out = tmp_path / "missing" / "x.csv"
         assert main(["optimize", "--scenario", str(CASE_A), "--out", str(out)]) == 2
         assert "error: --out:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [".", "missing/x.csv"])
+    def test_bad_out_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        calls = []
+
+        def counting_run_practical(*args, **kwargs):
+            calls.append(args)
+            return experiments.run_practical(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_practical", counting_run_practical)
+        argv = ["practical", "--scenario", str(CASE_A), "--trials", "40"]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        assert "error: --out:" in capsys.readouterr().err
+        assert calls == []
+        # the same wrapper sees the run when --out is writable
+        assert main([*argv, "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("flag", ["--rho", "--admm-tol", "--mm-tol"])
     def test_solver_constants_are_not_flags(self, tmp_path, flag):
