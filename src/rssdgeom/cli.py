@@ -112,6 +112,7 @@ def _print_validation(report) -> None:
     print(f"  g0 bound:         [{d['g0'][0]:.6g}, {d['g0'][1]:.6g}]")
     print(f"  coupling rank:    {d['coupling_rank']}")
     print(f"  uniform LB-RMSE:  {d['lb_rmse_uniform_m']:.6g} m")
+    print(f"  T condition:      {d['t_condition']:.6g} (lambda_max / lambda_min, uniform)")
 
 
 def _out_problem(path: str):

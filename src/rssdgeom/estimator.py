@@ -21,6 +21,11 @@ batched product and 2x2 solve goes through the same BLAS/LAPACK call as for a
 single start, so each result is bit-identical to running the starts of each
 trial one after another. mle_estimate is the one-trial call.
 
+A start forms its Gauss-Newton normal equations (J^T J and J^T r) only when
+its iterate has moved: at its first iteration and after an accepted step. A
+rejected step changes only the damping, so the next iteration reuses the
+stored J^T J and J^T r, which are the same bits a recomputation would give.
+
 Profiling P0 also makes the position estimate exactly insensitive to a
 constant shift of all measurements, matching the difference-based nature of
 the measurement model.
@@ -122,8 +127,11 @@ def _solve_lockstep(starts, owner, measurements, px, py, h_sq, inv_std, gamma):
     rules, as if run alone: a singular normal matrix stops it, a non-finite
     trial or one at zero distance from a sensor raises its damping, an
     accepted step shorter than _STEP_TOL converges it, and a rejected step
-    that lifts its damping above 1e15 stops it. Returns the per-start
-    (xy, cost, converged, iterations, squared distances).
+    that lifts its damping above 1e15 stops it. J^T J and J^T r are kept per
+    start as (S, 2, 2) and (S, 2) arrays and recomputed, through _jacobian,
+    only for starts whose iterate moved (the first iteration, and after an
+    accepted step); after a rejected step they are reused as they are.
+    Returns the per-start (xy, cost, converged, iterations, squared distances).
     """
     xy = np.array(starts, dtype=float)
     n_starts = len(xy)
@@ -134,17 +142,26 @@ def _solve_lockstep(starts, owner, measurements, px, py, h_sq, inv_std, gamma):
     converged = np.zeros(n_starts, dtype=bool)
     iterations = np.zeros(n_starts, dtype=int)
     active = np.ones(n_starts, dtype=bool)
+    # J^T J and J^T r of each start's current iterate; moved marks the starts
+    # whose iterate changed since they were formed (all of them at first)
+    hess = np.empty((n_starts, 2, 2))
+    grad = np.empty((n_starts, 2))
+    moved = np.ones(n_starts, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations[idx] = it
+        new = idx[moved[idx]]
+        if new.size:
+            own = owner[new]
+            jac = _jacobian(xy[new], px[own], py[own], inv_std, gamma, d_sq[new])
+            jac_t = jac.transpose(0, 2, 1)
+            grad[new] = (jac_t @ res[new][:, :, None])[:, :, 0]
+            hess[new] = jac_t @ jac
+            moved[new] = False
         own = owner[idx]
-        jac = _jacobian(xy[idx], px[own], py[own], inv_std, gamma, d_sq[idx])
-        jac_t = jac.transpose(0, 2, 1)
-        grad = (jac_t @ res[idx][:, :, None])[:, :, 0]
-        hess = jac_t @ jac
-        step, solved = _solve_each(hess + damping[idx, None, None] * np.eye(2), -grad)
+        step, solved = _solve_each(hess[idx] + damping[idx, None, None] * np.eye(2), -grad[idx])
         active[idx[~solved]] = False
         idx, own, step = idx[solved], own[solved], step[solved]
         trial = xy[idx] + step
@@ -167,6 +184,7 @@ def _solve_lockstep(starts, owner, measurements, px, py, h_sq, inv_std, gamma):
             trial[accept], res_t[accept], cost_t[accept], d_sq_t[accept]
         )
         damping[acc] = np.maximum(damping[acc] * _DAMPING_DOWN, 1e-15)
+        moved[acc] = True
         short = np.sqrt(row_dots(step[accept], step[accept])) < _STEP_TOL
         converged[acc[short]] = True
         active[acc[short]] = False

@@ -9,10 +9,11 @@ six decimals, semicolon-separated) so any row can be re-scored offline.
 The convergence, sweep-n and sweep-angle modes hand all their designs to
 admm.optimize_many in one call, which runs the designs of each swarm size as
 one lockstep batch; optimize and practical design one placement with
-admm.optimize, and practical refines all its trials with one
-estimator.mle_estimate_many call. Everything runs in the calling thread: a
-design is a sequence of short NumPy calls that hold the interpreter lock, so
-threads would only contend for it.
+admm.optimize, and practical scores, simulates and refines all its trials
+as arrays with a trial axis (one fim.reduced_scores, one
+model.simulate_measurements_many and one estimator.mle_estimate_many call).
+Everything runs in the calling thread: a design is a sequence of short NumPy
+calls that hold the interpreter lock, so threads would only contend for it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,16 @@ from .admm import AdmmOptions, check_sensor_count, optimize, optimize_many, unif
 # mle_estimate is not called here, but it stays importable as
 # experiments.mle_estimate: perfbench/spans.py wraps it under that name
 from .estimator import mle_estimate, mle_estimate_many  # noqa: F401
-from .fim import coupling_matrix, fim_full, g0_bound, noise_weights
+from .fim import (
+    coupling_matrix,
+    fim_full,
+    g0_bound,
+    loss_slope,
+    noise_weights,
+    reduced_scores,
+    sensor_offsets,
+    t_eigenvalues,
+)
 from .model import (
     Placement,
     Scenario,
@@ -38,9 +48,12 @@ from .model import (
     SourceParams,
     load_scenario,
     scenario_to_dict,
-    sensor_positions,
-    simulate_measurements,
+    simulate_measurements_many,
+    swarm_positions,
 )
+# simulate_measurements is not called here either; it stays importable as
+# experiments.simulate_measurements for the same reason
+from .model import simulate_measurements  # noqa: F401
 
 HEADERS = {
     "optimize": [
@@ -272,14 +285,19 @@ def run_practical(
 
     The placement is designed once: the information matrix depends only on
     where the sensors sit relative to the source, so the best angles around
-    any prior are the angles around the true source. Per trial: draw a
-    Gaussian prior error, place the swarm at those angles around the
-    perturbed prior, evaluate its LB-RMSE at the true source, and (when
-    refine is set) simulate measurements. The priors of all trials are then
-    refined by maximum likelihood in one lockstep call. A final aggregate row
+    any prior are the angles around the true source. Each trial draws a
+    Gaussian prior error from its own stream (seed, (t, 0)) and places the
+    swarm at those angles around the perturbed prior. All trials then go
+    through one array pass: their (T, N) sensor offsets from the true source
+    give every trial's LB-RMSE in one fim.reduced_scores call, and (when
+    refine is set) their (T, N, 3) sensor positions feed one
+    simulate_measurements_many call, trial t seeded from (seed, (t, 1)), and
+    one lockstep maximum-likelihood refinement. A final aggregate row
     (trial = -1) carries the means and the empirical refinement RMSE. The
     true reference power is 0 dB: the MLE profiles P0 out, so no value of it
     would change the refined position beyond the Gauss-Newton step tolerance.
+    A prior_std so large that the sensor distances overflow is a
+    ScenarioError.
     """
     t0 = time.perf_counter()
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
@@ -299,42 +317,61 @@ def run_practical(
     lb_theory = trace.best.lb_rmse
     placement_deg = placement_to_field(placement)
 
-    rows = []
-    measurements, positions, inits = [], [], []
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
-        err = rng.normal(0.0, prior_std, size=2)
-        prior_pos = truth.position + err
-        sc_prior = scenario.with_source(prior_pos)
-        lb_practical = fim_full(sc_prior, placement, truth).lb_rmse
-        if refine:
-            meas_seed = int(
-                np.random.SeedSequence(seed, spawn_key=(t, 1)).generate_state(1)[0]
+    errs = np.array(
+        [
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0))).normal(
+                0.0, prior_std, size=2
             )
-            measurements.append(simulate_measurements(sc_prior, placement, truth, meas_seed))
-            positions.append(sensor_positions(sc_prior, placement))
-            inits.append(SourceParams(p0=0.0, position=prior_pos))
-        rows.append(
-            {
-                "trial": t,
-                "prior_err_m": float(np.linalg.norm(err)),
-                "prior_x_m": float(prior_pos[0]),
-                "prior_y_m": float(prior_pos[1]),
-                "lb_rmse_theoretical_m": lb_theory,
-                "lb_rmse_practical_m": lb_practical,
-                "empirical_rmse_m": math.nan,
-                "placement_deg": placement_deg,
-                "scenario_hash": shash,
-                "seed": seed,
-            }
+            for t in range(trials)
+        ]
+    )
+    priors = truth.position + errs
+    with np.errstate(over="ignore"):
+        dx, dy, d_sq = sensor_offsets(
+            priors, scenario.horiz_dist, scenario.vert_dist, placement.angles, truth.position
         )
+    if not np.all(np.isfinite(d_sq)):
+        raise ScenarioError(
+            f"practical: prior_std {prior_std!r} puts the swarm so far from the source "
+            "that its distances overflow"
+        )
+    inv_var = 1.0 / scenario.effective_var
+    inv_var_sum = inv_var.sum()
+    _, lb_practical, _ = reduced_scores(
+        dx,
+        dy,
+        d_sq,
+        np.broadcast_to(inv_var / inv_var_sum, dx.shape),
+        [loss_slope(scenario.gamma) ** 2 * inv_var_sum] * trials,
+        scenario.variant,
+    )
+    rows = [
+        {
+            "trial": t,
+            "prior_err_m": float(np.linalg.norm(errs[t])),
+            "prior_x_m": float(priors[t, 0]),
+            "prior_y_m": float(priors[t, 1]),
+            "lb_rmse_theoretical_m": lb_theory,
+            "lb_rmse_practical_m": lb_practical[t],
+            "empirical_rmse_m": math.nan,
+            "placement_deg": placement_deg,
+            "scenario_hash": shash,
+            "seed": seed,
+        }
+        for t in range(trials)
+    ]
     if refine:
+        meas_seeds = [
+            int(np.random.SeedSequence(seed, spawn_key=(t, 1)).generate_state(1)[0])
+            for t in range(trials)
+        ]
+        positions = swarm_positions(scenario, placement, priors)
         results = mle_estimate_many(
-            np.array(measurements),
-            np.array(positions),
+            simulate_measurements_many(scenario, positions, truth, meas_seeds),
+            positions,
             np.sqrt(scenario.effective_var),
             scenario.gamma,
-            inits,
+            [SourceParams(p0=0.0, position=prior) for prior in priors],
             multistart_spread=2.0 * prior_std,
         )
         for row, result in zip(rows, results):
@@ -412,11 +449,12 @@ def validate_scenario(path) -> ValidationReport:
     coupling = coupling_matrix(weights, scenario.variant)
     bound = g0_bound(scenario.beta_max)
     rank = int(np.linalg.matrix_rank(coupling, tol=1e-12))
-    lb_u = fim_full(
+    uniform = fim_full(
         scenario,
         uniform_init(scenario.n_sensors, scenario.beta_max),
         SourceParams(0.0, scenario.source[:2]),
-    ).lb_rmse
+    )
+    lam_min, lam_max = t_eigenvalues(uniform.t.tolist())
     details = {
         "n_sensors": scenario.n_sensors,
         "variant": scenario.variant.value,
@@ -425,7 +463,8 @@ def validate_scenario(path) -> ValidationReport:
         "g0": [float(x) for x in bound.g0],
         "coupling_rank": rank,
         "beta_max_deg": math.degrees(scenario.beta_max),
-        "lb_rmse_uniform_m": lb_u,
+        "lb_rmse_uniform_m": uniform.lb_rmse,
+        "t_condition": math.inf if uniform.degenerate else lam_max / lam_min,
         "scenario_hash": scenario_hash(scenario),
     }
     return ValidationReport(ok=True, message="scenario valid", details=details)

@@ -12,9 +12,11 @@ and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
 power) B is diagonal and the same formula gives the known-power bound.
 reduced_scores evaluates T in O(N) as a weighted covariance, for a stack of
 placements at once (the solver scores every design of a batch with one
-call; fim_full calls it with one placement). coupling_matrix and
-sensitivity_diag return B and the diagonal of D as plain arrays for the
-solver set-up; t_matrix builds T from them the N x N way, as a reference.
+call; fim_full calls it with one placement); t_eigenvalues gives the
+closed-form eigenvalues of T that its LB-RMSE and degeneracy test use.
+coupling_matrix and sensitivity_diag return B and the diagonal of D as plain
+arrays for the solver set-up; t_matrix builds T from them the N x N way, as
+a reference.
 
 For RSSD the determinant identity relating F and T is
 
@@ -198,14 +200,20 @@ def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
     t = 0.5 * (t + t.swapaxes(-1, -2))
 
     lbs, flags = [], []
-    for ((t00, t01), (_, t11)), scale in zip(t.tolist(), lb_scale):
-        half_trace = 0.5 * (t00 + t11)
-        half_gap = math.hypot(0.5 * (t00 - t11), t01)
-        lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
+    for t_rows, scale in zip(t.tolist(), lb_scale):
+        lam_min, lam_max = t_eigenvalues(t_rows)
         degenerate = lam_min <= _DEGENERACY_RCOND * max(lam_max, 0.0)
         flags.append(degenerate)
         lbs.append(math.inf if degenerate else math.sqrt((1.0 / lam_min + 1.0 / lam_max) / scale))
     return t, lbs, flags
+
+
+def t_eigenvalues(t) -> tuple:
+    """(lambda_min, lambda_max) of a symmetric 2x2 T, in closed form."""
+    (t00, t01), (_, t11) = t
+    half_trace = 0.5 * (t00 + t11)
+    half_gap = math.hypot(0.5 * (t00 - t11), t01)
+    return half_trace - half_gap, half_trace + half_gap
 
 
 def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:

@@ -232,16 +232,24 @@ def sensor_position(scenario: Scenario, i: int, beta: float) -> np.ndarray:
 
 def sensor_positions(scenario: Scenario, placement: Placement) -> np.ndarray:
     """(N, 3) positions of the whole swarm for a placement."""
+    return swarm_positions(scenario, placement, scenario.source[None, :2])[0]
+
+
+def swarm_positions(scenario: Scenario, placement: Placement, centers) -> np.ndarray:
+    """(T, N, 3) positions of the swarm placed around each of T horizontal centers.
+
+    Row t equals bit for bit sensor_positions of the scenario recentered on
+    centers[t].
+    """
     if placement.n_sensors != scenario.n_sensors:
         raise ValueError("placement size does not match scenario")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     r = scenario.horiz_dist
-    return np.column_stack(
-        [
-            scenario.source[0] + r * np.sin(placement.angles),
-            scenario.source[1] + r * np.cos(placement.angles),
-            scenario.vert_dist,
-        ]
-    )
+    pos = np.empty((len(centers), scenario.n_sensors, 3))
+    pos[:, :, 0] = centers[:, :1] + r * np.sin(placement.angles)
+    pos[:, :, 1] = centers[:, 1:] + r * np.cos(placement.angles)
+    pos[:, :, 2] = scenario.vert_dist
+    return pos
 
 
 def mean_rss(p0: float, gamma: float, d: float) -> float:
@@ -258,22 +266,45 @@ def simulate_measurements(
 
     Each sensor draws samples_per_position independent Gaussian samples around
     its noiseless value (distance taken to the true source) and reports their
-    mean. Sensor i consumes its own RNG substream derived from (seed, i), so
-    results are reproducible and per-sensor independent.
+    mean. Sensor i consumes its own RNG substream (seed, i), spawned as
+    SeedSequence(seed).spawn(N)[i], so results are reproducible and
+    per-sensor independent. This is the one-trial call of
+    simulate_measurements_many, which adds a leading trial axis.
     """
     pos = sensor_positions(scenario, placement)
-    dx = pos[:, 0] - truth.position[0]
-    dy = pos[:, 1] - truth.position[1]
-    d = np.sqrt(dx**2 + dy**2 + pos[:, 2] ** 2)
+    return simulate_measurements_many(scenario, pos[None], truth, [seed])[0]
+
+
+def simulate_measurements_many(
+    scenario: Scenario, positions: np.ndarray, truth: SourceParams, seeds
+) -> np.ndarray:
+    """(T, N) averaged noisy RSS measurements of T trials at once.
+
+    positions holds the (T, N, 3) sensor positions of each trial and seeds
+    its T seeds. Sensor i of trial t draws its samples_per_position samples
+    from SeedSequence(seeds[t]).spawn(N)[i], the substream (seeds[t], i) of
+    simulate_measurements; all samples land in one (T, N, m) array, averaged
+    along its last axis. Row t equals bit for bit simulate_measurements of
+    that trial alone.
+    """
+    pos = np.asarray(positions, dtype=float)
+    seeds = list(seeds)
+    n = scenario.n_sensors
+    if pos.shape != (len(seeds), n, 3):
+        raise ValueError("positions must be (T, N, 3) with one seed per trial")
+    dx = pos[:, :, 0] - truth.position[0]
+    dy = pos[:, :, 1] - truth.position[1]
+    d = np.sqrt(dx**2 + dy**2 + pos[:, :, 2] ** 2)
     if np.any(d <= 0):
         raise ValueError("a sensor coincides with the true source")
     clean = truth.p0 - 10.0 * scenario.gamma * np.log10(d)
     m = scenario.samples_per_position
-    out = np.empty(scenario.n_sensors)
-    for i in range(scenario.n_sensors):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        out[i] = clean[i] + rng.normal(0.0, scenario.noise_std[i], size=m).mean()
-    return out
+    samples = np.empty((len(seeds), n, m))
+    for t, seed in enumerate(seeds):
+        for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
+            rng = np.random.default_rng(stream)
+            samples[t, i] = rng.normal(0.0, scenario.noise_std[i], size=m)
+    return clean + np.add.reduce(samples, axis=2) / m
 
 
 # -- serialization -----------------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rssdgeom import estimator
 from rssdgeom.admm import optimize
 from rssdgeom.estimator import MleResult, mle_estimate, mle_estimate_many
 from rssdgeom.fim import fim_full
@@ -388,6 +389,57 @@ class TestLockstepMatchesPerStartReference:
         assert (False, 1) in per_start and any(iters > 1 for _, iters in per_start)
         got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=50.0)
         assert_same_result(got, want)
+
+
+class TestNormalEquationsReuse:
+    def test_jacobian_rows_are_the_starts_and_the_accepted_steps(self, monkeypatch):
+        # the reference forms J at every iteration, and a rejected step leaves
+        # the iterate as it was; with each run of a repeated iterate counted
+        # once, its J points are the starts and the accepted steps a start
+        # went on from, the points where the lockstep must form J, and only them
+        sc, placement, pos, sigma_eff = setup_problem(120.0)
+        truth = SourceParams(p0=0.0, position=[0.0, 0.0])
+        meas = np.array(
+            [simulate_measurements(sc, placement, truth, seed=900 + t) for t in range(4)]
+        )
+        inits = [SourceParams(0.0, [80.0 - 20.0 * t, 15.0 * t]) for t in range(4)]
+
+        evaluated = []
+        jacobian = estimator._jacobian
+
+        def recording_jacobian(xy, *args):
+            evaluated.extend(map(tuple, xy.tolist()))
+            return jacobian(xy, *args)
+
+        monkeypatch.setattr(estimator, "_jacobian", recording_jacobian)
+        got = mle_estimate_many(
+            meas, np.repeat(pos[None], 4, axis=0), sigma_eff, sc.gamma, inits,
+            multistart_spread=223.6,
+        )
+
+        per_start = []
+        reference_jacobian, reference_solve = _jacobian, _solve_from
+
+        def tracking_jacobian(xy, *args):
+            if not per_start[-1] or per_start[-1][-1] != tuple(xy.tolist()):
+                per_start[-1].append(tuple(xy.tolist()))
+            return reference_jacobian(xy, *args)
+
+        def tracking_solve(*args):
+            per_start.append([])
+            return reference_solve(*args)
+
+        monkeypatch.setitem(globals(), "_jacobian", tracking_jacobian)
+        monkeypatch.setitem(globals(), "_solve_from", tracking_solve)
+        for t in range(4):
+            want, _ = reference_mle(meas[t], pos, sigma_eff, sc.gamma, inits[t], 223.6)
+            assert_same_result(got[t], want)
+        monkeypatch.undo()
+
+        assert len(per_start) == 4 * 25
+        assert sorted(evaluated) == sorted(row for start in per_start for row in start)
+        # rejected steps happen here, so reuse saves Jacobians
+        assert len(evaluated) < sum(result.iterations for result in got)
 
 
 # -- many problems in one lockstep against one problem at a time ---------------

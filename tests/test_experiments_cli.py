@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rssdgeom import experiments
-from rssdgeom.admm import AdmmTrace
+from rssdgeom.admm import AdmmTrace, optimize, uniform_init
 from rssdgeom import cli
 from rssdgeom.cli import main
 from rssdgeom.estimator import mle_estimate
@@ -235,6 +235,18 @@ class TestPractical:
         with pytest.raises(ScenarioError, match=named):
             run_practical(case_a(), prior_std, trials=trials, seed=seed, refine=False)
 
+    @pytest.mark.parametrize("make_scenario", [case_a, case_b])
+    @pytest.mark.parametrize("trials", [1, 21, 45])
+    @pytest.mark.parametrize("prior_std", [0.0, 111.8, 20000.0])
+    def test_one_scoring_pass_equals_fim_full_per_trial(self, make_scenario, trials, prior_std):
+        sc = make_scenario()
+        result = run_practical(sc, prior_std, trials=trials, seed=5, refine=False)
+        placement, _ = optimize(sc)  # the design run_practical flies
+        truth = SourceParams(0.0, sc.source[:2])
+        for row in result.rows[:-1]:
+            moved = sc.with_source([row["prior_x_m"], row["prior_y_m"]])
+            assert row["lb_rmse_practical_m"] == fim_full(moved, placement, truth).lb_rmse
+
     def test_practical_lb_close_to_theoretical(self):
         result = run_practical(
             case_a(), prior_std=math.sqrt(12500.0), trials=20, seed=1, refine=False
@@ -253,6 +265,30 @@ class TestValidate:
         assert report.details["mean_inv_var"] == pytest.approx(3.125, rel=1e-12)
         assert report.details["coupling_rank"] == 7
         np.testing.assert_allclose(report.details["g0"], [-1.0, -1.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "beta_max_deg, degenerate", [(360.0, False), (1.0, False), (1e-5, True)]
+    )
+    def test_t_condition_at_the_uniform_placement(self, tmp_path, beta_max_deg, degenerate):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(case_a_with(beta_max_deg=beta_max_deg))
+        report = validate_scenario(path)
+        sc = replace(case_a(), beta_max=math.radians(beta_max_deg))
+        summary = fim_full(sc, uniform_init(8, sc.beta_max), SourceParams(0.0, sc.source[:2]))
+        assert summary.degenerate == degenerate
+        if degenerate:
+            assert report.details["t_condition"] == math.inf
+        else:
+            lam = np.linalg.eigvalsh(summary.t)
+            assert report.details["t_condition"] == pytest.approx(lam[1] / lam[0], rel=1e-6)
+            assert report.details["t_condition"] >= 1.0
+
+    def test_t_condition_is_printed(self, capsys):
+        assert main(["validate", "--scenario", str(CASE_A)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "T condition" in l)
+        assert float(line.split()[2]) == pytest.approx(
+            validate_scenario(CASE_A).details["t_condition"], rel=1e-5
+        )
 
     def test_rejects_zero_sigma(self, tmp_path):
         import json
@@ -349,8 +385,13 @@ class TestCli:
             pytest.param(
                 case_a_with(), "practical", ["--seed", "-1"], "seed", id="practical-seed-negative",
             ),
+            pytest.param(
+                case_a_with(), "practical", ["--prior-std", "1e200", "--trials", "3"],
+                "prior_std 1e+200", id="prior-std-overflow",
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_input_exits_2(self, tmp_path, capsys, raw, mode, extra, named):
         path = tmp_path / "scenario.json"
         path.write_bytes(raw)

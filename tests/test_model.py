@@ -24,7 +24,9 @@ from rssdgeom.model import (
     sensor_position,
     sensor_positions,
     simulate_measurements,
+    simulate_measurements_many,
     slant_distance,
+    swarm_positions,
     wrap_angle,
     wrap_angles,
 )
@@ -119,6 +121,17 @@ class TestSensorPosition:
         placement = Placement.from_angles(rng.uniform(0.0, TWO_PI, n))
         want = np.stack([sensor_position(sc, i, b) for i, b in enumerate(placement.angles)])
         assert sensor_positions(sc, placement).tobytes() == want.tobytes()
+
+    def test_positions_around_many_centers_equal_recentered_swarms_bitwise(self):
+        rng = np.random.default_rng(4)
+        sc = case_b()
+        placement = Placement.from_angles(rng.uniform(0.0, TWO_PI, sc.n_sensors))
+        centers = rng.normal(0.0, 500.0, (7, 2))
+        got = swarm_positions(sc, placement, centers)
+        assert got.shape == (7, sc.n_sensors, 3)
+        for t, center in enumerate(centers):
+            want = sensor_positions(sc.with_source(center), placement)
+            assert got[t].tobytes() == want.tobytes()
 
     def test_index_out_of_range(self):
         sc = small_scenario()
@@ -224,6 +237,50 @@ class TestSimulateMeasurements:
             acc[rep] = simulate_measurements(sc, pl, truth, seed=rep)
         var = np.var(acc - clean, axis=0)
         np.testing.assert_allclose(var, 0.4, rtol=0.05)
+
+
+def per_sensor_measurements(scenario, placement, truth, seed):
+    """simulate_measurements as one generator and one mean per sensor, the reference."""
+    pos = sensor_positions(scenario, placement)
+    dx = pos[:, 0] - truth.position[0]
+    dy = pos[:, 1] - truth.position[1]
+    d = np.sqrt(dx**2 + dy**2 + pos[:, 2] ** 2)
+    clean = truth.p0 - 10.0 * scenario.gamma * np.log10(d)
+    m = scenario.samples_per_position
+    out = np.empty(scenario.n_sensors)
+    for i in range(scenario.n_sensors):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        out[i] = clean[i] + rng.normal(0.0, scenario.noise_std[i], size=m).mean()
+    return out
+
+
+class TestSimulateMeasurementsMany:
+    @pytest.mark.parametrize("make_scenario", [case_a, case_b])
+    @pytest.mark.parametrize("trials", [1, 21])
+    def test_rows_equal_one_trial_calls_bitwise(self, make_scenario, trials):
+        rng = np.random.default_rng(trials)
+        sc = make_scenario()
+        placement = Placement.from_angles(rng.uniform(0.0, TWO_PI, sc.n_sensors))
+        truth = SourceParams(p0=3.0, position=sc.source[:2])
+        centers = truth.position + rng.normal(0.0, 120.0, (trials, 2))
+        seeds = [int(s) for s in rng.integers(0, 2**32, trials)]
+        got = simulate_measurements_many(
+            sc, swarm_positions(sc, placement, centers), truth, seeds
+        )
+        assert got.shape == (trials, sc.n_sensors)
+        for t, (center, seed) in enumerate(zip(centers, seeds)):
+            moved = sc.with_source(center)
+            one = simulate_measurements(moved, placement, truth, seed)
+            assert got[t].tobytes() == one.tobytes()
+            want = per_sensor_measurements(moved, placement, truth, seed)
+            assert one.tobytes() == want.tobytes()
+
+    def test_rejects_mismatched_seeds(self):
+        sc = small_scenario()
+        pos = swarm_positions(sc, Placement.from_angles([0.1, 0.9, 2.0, 4.0]), [[0.0, 5.0]] * 3)
+        truth = SourceParams(p0=0.0, position=[0.0, 0.0])
+        with pytest.raises(ValueError, match="one seed per trial"):
+            simulate_measurements_many(sc, pos, truth, [1, 2])
 
 
 class TestScenarioValidation:
