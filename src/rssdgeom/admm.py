@@ -56,10 +56,10 @@ from .fim import (
     sensor_offsets,
     solver_arc_offset,
 )
-from .model import Placement, Scenario, ScenarioError, SourceParams, Variant, wrap_angles
+from .model import (
+    TWO_PI, Placement, Scenario, ScenarioError, SourceParams, Variant, direction_angles, wrap_angles
+)
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
-
-TWO_PI = 2.0 * math.pi
 
 # Penalty rho = _PENALTY_SCALE / opnorm^2. The constant is calibrated on the
 # bundled benchmark scenarios (convergence inside 100 outer iterations with
@@ -147,20 +147,14 @@ def uniform_init(n: int, beta_max: float) -> Placement:
     return Placement.from_angles(angles)
 
 
-def _singular_value_map(sigma, rho):
-    # sigma^2 is libm pow, as for a float: the array square sigma * sigma
-    # differs from it in the last bit for some sigma; np.float_power keeps pow
-    return (sigma + np.sqrt(np.float_power(sigma, 2) + 8.0 * rho)) / (2.0 * rho)
-
-
 def singular_value_map(sigma, rho):
     """Positive root of rho*x^2 - sigma*x - 2 = 0, the optimal X singular value.
 
-    Elementwise on arrays of sigma and rho.
+    Elementwise on arrays of sigma >= 0 and rho > 0.
     """
-    if np.any(np.asarray(sigma) < 0) or np.any(np.asarray(rho) <= 0):
-        raise ValueError("need sigma >= 0 and rho > 0")
-    return _singular_value_map(sigma, rho)
+    # sigma^2 is libm pow, as for a float: the array square sigma * sigma
+    # differs from it in the last bit for some sigma; np.float_power keeps pow
+    return (sigma + np.sqrt(np.float_power(sigma, 2) + 8.0 * rho)) / (2.0 * rho)
 
 
 def x_update(j_k: np.ndarray, rho) -> np.ndarray:
@@ -174,7 +168,7 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     (B, N, 2) stack of designs with one rho each.
     """
     svd = thin_svd(j_k)
-    lam = _singular_value_map(svd.sigma, np.asarray(rho)[..., None])
+    lam = singular_value_map(svd.sigma, np.asarray(rho)[..., None])
     return (svd.u * lam[..., None, :]) @ svd.v.swapaxes(-1, -2)
 
 
@@ -296,12 +290,11 @@ def _to_user_frame(g_solver: np.ndarray, beta_max, offset) -> np.ndarray:
     g_solver is (..., N, 2), beta_max and offset scalars or one per leading
     entry; returns the (..., N) angles. Angles within 1e-9 above beta_max
     snap to beta_max, and those within 1e-9 below 2*pi to 0. The row angles
-    use math.atan2, which can differ from np.arctan2 in the last bit.
+    come from model.direction_angles.
     """
     snap = 1e-9
-    raw = np.array([math.atan2(y, x) for x, y in g_solver.reshape(-1, 2).tolist()])
     beta_max = np.asarray(beta_max)[..., None]
-    a = wrap_angles(wrap_angles(raw.reshape(g_solver.shape[:-1])) - np.asarray(offset)[..., None])
+    a = wrap_angles(direction_angles(g_solver) - np.asarray(offset)[..., None])
     over = a > beta_max
     return np.where(
         over & (TWO_PI - a <= snap),

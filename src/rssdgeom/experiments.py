@@ -112,10 +112,6 @@ def placement_to_field(placement: Placement) -> str:
     return ";".join(f"{math.degrees(a):.6f}" for a in placement.angles)
 
 
-def placement_from_field(text: str) -> Placement:
-    return Placement.from_angles([math.radians(float(s)) for s in text.split(";")])
-
-
 def write_csv(result: RunResult, path) -> None:
     lines = [",".join(result.header)]
     for row in result.rows:
@@ -190,8 +186,8 @@ def resize_sensors(template: Scenario, n: int) -> Scenario:
     keep their fifty-fifty split; fully constant vectors broadcast; anything
     else is tiled cyclically. Distances follow the same rule.
     """
-    if n < 2:
-        raise ScenarioError("resize_sensors: need n >= 2")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ScenarioError(f"resize_sensors: n must be an integer >= 2, got {n!r}")
 
     def stretch(vec: np.ndarray) -> np.ndarray:
         m = len(vec)
@@ -227,11 +223,8 @@ def run_sweep_n(
     t0 = time.perf_counter()
     designs = []
     for n in n_list:
-        if int(n) < 3:
-            raise ScenarioError(f"sweep-n: need n >= 3, got {n}")
-        for beta_max in beta_max_list:
-            sc = resize_sensors(scenario_template, int(n))
-            designs.append(replace(sc, beta_max=float(beta_max)))
+        sc = resize_sensors(scenario_template, n)
+        designs.extend(replace(sc, beta_max=float(beta_max)) for beta_max in beta_max_list)
 
     rows = []
     converged_all = True
@@ -253,12 +246,9 @@ def run_sweep_angle(
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across a grid of spread bounds."""
     t0 = time.perf_counter()
-    grid = [float(b) for b in beta_grid]
-    if any(not 0.0 < b <= 2 * math.pi + 1e-12 for b in grid):
-        raise ScenarioError("sweep-angle: grid values must lie in (0, 2*pi]")
     shash = scenario_hash(scenario)
 
-    designs = [replace(scenario, beta_max=beta_max) for beta_max in grid]
+    designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_grid]
     rows = []
     converged_all = True
     for sc, (placement, trace) in zip(designs, optimize_many(designs, options)):
@@ -296,7 +286,8 @@ def run_practical(
     (trial = -1) carries the means and the empirical refinement RMSE. The
     true reference power is 0 dB: the MLE profiles P0 out, so no value of it
     would change the refined position beyond the Gauss-Newton step tolerance.
-    A prior_std so large that the sensor distances overflow is a
+    A prior_std so large that the sensor distances overflow, or with refine
+    set the distances from the restart grid's extreme starts, is a
     ScenarioError.
     """
     t0 = time.perf_counter()
@@ -366,6 +357,16 @@ def run_practical(
             for t in range(trials)
         ]
         positions = swarm_positions(scenario, placement, priors)
+        # the MLE restart grid reaches 2 * prior_std off each prior in x and y
+        corners = 2.0 * prior_std * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        with np.errstate(over="ignore"):
+            off = (priors[:, None, :] + corners)[:, :, None, :] - positions[:, None, :, :2]
+            grid_sq = off[..., 0] ** 2 + off[..., 1] ** 2 + positions[:, None, :, 2] ** 2
+        if not np.all(np.isfinite(grid_sq)):
+            raise ScenarioError(
+                f"practical: prior_std {prior_std!r} spreads the MLE restart grid so far "
+                "from the swarm that its distances overflow"
+            )
         results = mle_estimate_many(
             simulate_measurements_many(scenario, positions, truth, meas_seeds),
             positions,

@@ -36,14 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    Placement,
-    Scenario,
-    SourceParams,
-    Variant,
-)
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, Placement, Scenario, SourceParams, Variant, direction_angles
 
 
 def loss_slope(gamma: float) -> float:
@@ -225,8 +218,7 @@ def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:
     u = np.asarray(u, dtype=float)
     if u.shape != (2, 2) or np.max(np.abs(u.T @ u - np.eye(2))) > 1e-10:
         raise ValueError("expected an orthogonal 2x2 matrix")
-    rotated = placement.directions @ u.T
-    return Placement.from_directions(rotated)
+    return Placement.from_angles(direction_angles(placement.directions @ u.T))
 
 
 @dataclass

@@ -159,18 +159,15 @@ def wrap_angles(beta) -> np.ndarray:
     return np.where(wrapped < TWO_PI, wrapped, 0.0)
 
 
-def angle_to_direction(beta: float) -> np.ndarray:
-    """Unit direction [cos(beta), sin(beta)] for a horizontal angle."""
-    return np.array([math.cos(beta), math.sin(beta)])
+def direction_angles(g) -> np.ndarray:
+    """Wrapped angles of (..., 2) unit direction rows, the inverse of Placement.directions.
 
-
-def direction_to_angle(g) -> float:
-    """Inverse of angle_to_direction; the input must be unit-norm within 1e-9."""
-    g = np.asarray(g, dtype=float).reshape(2)
-    norm = math.hypot(g[0], g[1])
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be unit-norm, got |g| = {norm!r}")
-    return wrap_angle(math.atan2(g[1], g[0]))
+    Each row goes through math.atan2, which can differ from np.arctan2 in
+    the last bit.
+    """
+    g = np.asarray(g, dtype=float)
+    raw = np.array([math.atan2(y, x) for x, y in g.reshape(-1, 2).tolist()])
+    return wrap_angles(raw.reshape(g.shape[:-1]))
 
 
 @dataclass
@@ -192,46 +189,17 @@ class Placement:
     def from_angles(cls, angles) -> "Placement":
         return cls(angles=np.asarray(angles, dtype=float))
 
-    @classmethod
-    def from_directions(cls, directions) -> "Placement":
-        directions = np.asarray(directions, dtype=float)
-        angles = np.array([direction_to_angle(row) for row in directions])
-        return cls(angles=angles)
-
     @property
     def n_sensors(self) -> int:
         return len(self.angles)
 
 
-def slant_distance(r: float, h: float) -> float:
-    """Straight-line distance for horizontal range r > 0 and height h >= 0."""
-    if r <= 0:
-        raise ValueError(f"horizontal distance must be > 0, got {r!r}")
-    if h < 0:
-        raise ValueError(f"height must be >= 0, got {h!r}")
-    return math.hypot(r, h)
-
-
-def sensor_position(scenario: Scenario, i: int, beta: float) -> np.ndarray:
-    """3-D position of sensor i at horizontal angle beta around the source.
-
-    The (x, y) offset is r_i * (sin(beta), cos(beta)) so that
-    tan(beta) = dx / dy; z equals the sensor height.
-    """
-    if not 0 <= i < scenario.n_sensors:
-        raise IndexError(f"sensor index {i} out of range [0, {scenario.n_sensors})")
-    r = scenario.horiz_dist[i]
-    return np.array(
-        [
-            scenario.source[0] + r * math.sin(beta),
-            scenario.source[1] + r * math.cos(beta),
-            scenario.vert_dist[i],
-        ]
-    )
-
-
 def sensor_positions(scenario: Scenario, placement: Placement) -> np.ndarray:
-    """(N, 3) positions of the whole swarm for a placement."""
+    """(N, 3) positions of the whole swarm for a placement.
+
+    Sensor i sits at source + r_i * (sin, cos)(beta_i), so that
+    tan(beta_i) = dx / dy, at height h_i.
+    """
     return swarm_positions(scenario, placement, scenario.source[None, :2])[0]
 
 
@@ -250,13 +218,6 @@ def swarm_positions(scenario: Scenario, placement: Placement, centers) -> np.nda
     pos[:, :, 1] = centers[:, 1:] + r * np.cos(placement.angles)
     pos[:, :, 2] = scenario.vert_dist
     return pos
-
-
-def mean_rss(p0: float, gamma: float, d: float) -> float:
-    """Noiseless received power p0 - 10*gamma*log10(d) in dB."""
-    if d <= 0:
-        raise ValueError(f"distance must be > 0, got {d!r}")
-    return p0 - 10.0 * gamma * math.log10(d)
 
 
 def simulate_measurements(
@@ -388,10 +349,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(data)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
 # -- bundled benchmark scenarios ---------------------------------------------

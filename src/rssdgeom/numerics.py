@@ -21,16 +21,12 @@ class ThinSvd:
     u: (N, 2) with orthonormal columns; sigma: descending, >= 0; v: (2, 2)
     orthogonal; a stack of matrices (..., N, 2) gives each the same leading
     axes. Each singular pair (u_j, v_j) carries the sign LAPACK returns;
-    negating both leaves every product u_j v_j^T, hence reconstruct(),
-    unchanged.
+    negating both leaves every product u_j v_j^T unchanged.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ np.diag(self.sigma) @ self.v.T
 
 
 def _check_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -42,7 +42,6 @@ from rssdgeom.model import (
     Variant,
     case_a,
     case_b,
-    direction_to_angle,
     sensor_positions,
     wrap_angle,
     wrap_angles,
@@ -305,7 +304,7 @@ def reference_user_frame(g_solver, beta_max, offset):
     snap = 1e-9
     angles = []
     for row in g_solver:
-        a = wrap_angle(direction_to_angle(row) - offset)
+        a = wrap_angle(wrap_angle(math.atan2(row[1], row[0])) - offset)
         if a > beta_max:
             if TWO_PI - a <= snap:
                 a = 0.0

@@ -16,7 +16,6 @@ from rssdgeom import cli
 from rssdgeom.cli import main
 from rssdgeom.estimator import mle_estimate
 from rssdgeom.experiments import (
-    placement_from_field,
     resize_sensors,
     run_convergence,
     run_optimize,
@@ -27,12 +26,17 @@ from rssdgeom.experiments import (
     write_csv,
 )
 from rssdgeom.fim import fim_full
-from rssdgeom.model import ScenarioError, SourceParams, case_a, case_b
+from rssdgeom.model import Placement, ScenarioError, SourceParams, Variant, case_a, case_b
 from test_admm import reference_optimize
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CASE_A = REPO / "scenarios" / "caseA.json"
 CASE_B = REPO / "scenarios" / "caseB.json"
+
+
+def placement_from_field(text):
+    """The placement written in a placement_deg field."""
+    return Placement.from_angles([math.radians(float(s)) for s in text.split(";")])
 
 
 def run_cli(*args):
@@ -175,8 +179,24 @@ class TestSweepN:
             assert cur["lb_rmse_opt_m"] < prev["lb_rmse_opt_m"]
 
     def test_rejects_tiny_n(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ScenarioError, match="at least 3"):
             run_sweep_n(case_a(), [2], [math.radians(120.0)])
+
+    def test_rejects_non_integral_n(self):
+        # int(4.7) would silently run N = 4
+        with pytest.raises(ScenarioError, match="integer"):
+            run_sweep_n(case_a(), [4.7], [math.radians(120.0)])
+
+    def test_rss_two_sensors_equal_optimize(self):
+        template = replace(case_a(), variant=Variant.RSS)
+        arcs = [math.radians(120.0), math.radians(360.0)]
+        rows = run_sweep_n(template, [2], arcs).rows
+        assert [row["n"] for row in rows] == [2, 2]
+        for row, arc in zip(rows, arcs):
+            placement, trace = optimize(replace(resize_sensors(template, 2), beta_max=arc))
+            assert row["lb_rmse_opt_m"] == trace.best.lb_rmse
+            assert row["lb_rmse_uniform_m"] == trace.records[0].lb_rmse
+            assert row["placement_deg"] == experiments.placement_to_field(placement)
 
 
 class TestSweepAngle:
@@ -388,6 +408,22 @@ class TestCli:
             pytest.param(
                 case_a_with(), "practical", ["--prior-std", "1e200", "--trials", "3"],
                 "prior_std 1e+200", id="prior-std-overflow",
+            ),
+            pytest.param(
+                case_a_with(), "practical", ["--prior-std", "1e154", "--trials", "3"],
+                "prior_std 1e+154", id="prior-std-1e154",
+            ),
+            pytest.param(
+                case_a_with(), "sweep-n", ["--n-list", "2", "--beta-max-deg", "120"],
+                "at least 3", id="sweep-n-rssd-two",
+            ),
+            pytest.param(
+                case_a_with(), "sweep-angle", ["--beta-grid-deg", "0"], "beta_max",
+                id="sweep-angle-zero",
+            ),
+            pytest.param(
+                case_a_with(), "sweep-angle", ["--beta-grid-deg", "120,400"], "beta_max",
+                id="sweep-angle-400",
             ),
         ],
     )

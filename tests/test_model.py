@@ -12,20 +12,15 @@ from rssdgeom.model import (
     ScenarioError,
     SourceParams,
     Variant,
-    angle_to_direction,
     case_a,
     case_b,
-    direction_to_angle,
+    direction_angles,
     load_scenario,
-    mean_rss,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    sensor_position,
     sensor_positions,
     simulate_measurements,
     simulate_measurements_many,
-    slant_distance,
     swarm_positions,
     wrap_angle,
     wrap_angles,
@@ -48,41 +43,57 @@ def small_scenario(n=4, sigma=None, m=1, beta_max=TWO_PI):
     )
 
 
+def one_sensor(r, h, sigma=1.0, source=(0.0, 0.0)):
+    return Scenario(
+        source=[source[0], source[1], 0.0],
+        n_sensors=1,
+        gamma=2.0,
+        horiz_dist=[r],
+        vert_dist=[h],
+        noise_std=[sigma],
+    )
+
+
 class TestSlantDistance:
     def test_flat_equals_horizontal(self):
-        assert slant_distance(100.0, 0.0) == 100.0
+        assert one_sensor(100.0, 0.0).slant_distances()[0] == 100.0
 
     def test_pythagorean_triple(self):
-        assert slant_distance(3.0, 4.0) == pytest.approx(5.0, abs=1e-12)
+        assert one_sensor(3.0, 4.0).slant_distances()[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_benchmark_defaults(self):
-        assert slant_distance(1000.0, 100.0) == pytest.approx(1004.987562112089, abs=1e-9)
+        d = one_sensor(1000.0, 100.0).slant_distances()[0]
+        assert d == pytest.approx(1004.987562112089, abs=1e-9)
 
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
-            slant_distance(0.0, 10.0)
+            one_sensor(0.0, 10.0)
         with pytest.raises(ValueError):
-            slant_distance(-3.0, 4.0)
+            one_sensor(-3.0, 4.0)
 
     def test_dominates_both_legs(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            r = rng.uniform(1e-3, 1e4)
-            h = rng.uniform(0, 1e4)
-            d = slant_distance(r, h)
-            assert d >= max(r, h)
+        r = rng.uniform(1e-3, 1e4, 200)
+        h = rng.uniform(0, 1e4, 200)
+        sc = Scenario(
+            source=[0.0, 0.0, 0.0],
+            n_sensors=200,
+            gamma=2.0,
+            horiz_dist=r,
+            vert_dist=h,
+            noise_std=np.ones(200),
+        )
+        assert np.all(sc.slant_distances() >= np.maximum(r, h))
 
 
 class TestSensorPosition:
     def test_zero_angle_points_north(self):
-        sc = small_scenario()
-        pos = sensor_position(sc, 0, 0.0)
-        np.testing.assert_allclose(pos, [0.0, 1000.0, 100.0], atol=1e-12)
+        pos = sensor_positions(small_scenario(), Placement.from_angles([0.0] * 4))
+        np.testing.assert_allclose(pos[0], [0.0, 1000.0, 100.0], atol=1e-12)
 
     def test_quarter_turn_points_east(self):
-        sc = small_scenario()
-        pos = sensor_position(sc, 0, math.pi / 2)
-        np.testing.assert_allclose(pos, [1000.0, 0.0, 100.0], atol=1e-9)
+        pos = sensor_positions(small_scenario(), Placement.from_angles([math.pi / 2] * 4))
+        np.testing.assert_allclose(pos[0], [1000.0, 0.0, 100.0], atol=1e-9)
 
     def test_round_trip_recovers_angle(self):
         # position -> angle must invert angle -> position, including with an
@@ -96,16 +107,15 @@ class TestSensorPosition:
             noise_std=[1.0, 1.0],
         )
         rng = np.random.default_rng(1)
-        for _ in range(500):
-            beta = rng.uniform(0, TWO_PI)
-            i = int(rng.integers(0, 2))
-            pos = sensor_position(sc, i, beta)
-            # tan(beta) = dx / dy relative to the source
-            back = wrap_angle(math.atan2(pos[0] - sc.source[0], pos[1] - sc.source[1]))
-            assert back == pytest.approx(wrap_angle(beta), abs=1e-12)
-            d = np.linalg.norm(pos - sc.source)
-            expected = math.hypot(sc.horiz_dist[i], sc.vert_dist[i])
-            assert d == pytest.approx(expected, rel=1e-12)
+        expected = np.hypot(sc.horiz_dist, sc.vert_dist)
+        for _ in range(250):
+            placement = Placement.from_angles(rng.uniform(0, TWO_PI, 2))
+            for i, pos in enumerate(sensor_positions(sc, placement)):
+                # tan(beta) = dx / dy relative to the source
+                back = wrap_angle(math.atan2(pos[0] - sc.source[0], pos[1] - sc.source[1]))
+                assert back == pytest.approx(placement.angles[i], abs=1e-12)
+                d = np.linalg.norm(pos - sc.source)
+                assert d == pytest.approx(expected[i], rel=1e-12)
 
     def test_swarm_positions_equal_per_sensor_positions_bitwise(self):
         rng = np.random.default_rng(3)
@@ -119,7 +129,13 @@ class TestSensorPosition:
             noise_std=np.ones(n),
         )
         placement = Placement.from_angles(rng.uniform(0.0, TWO_PI, n))
-        want = np.stack([sensor_position(sc, i, b) for i, b in enumerate(placement.angles)])
+        r, h = sc.horiz_dist, sc.vert_dist
+        want = np.array(
+            [
+                [sc.source[0] + r[i] * math.sin(b), sc.source[1] + r[i] * math.cos(b), h[i]]
+                for i, b in enumerate(placement.angles.tolist())
+            ]
+        )
         assert sensor_positions(sc, placement).tobytes() == want.tobytes()
 
     def test_positions_around_many_centers_equal_recentered_swarms_bitwise(self):
@@ -133,50 +149,55 @@ class TestSensorPosition:
             want = sensor_positions(sc.with_source(center), placement)
             assert got[t].tobytes() == want.tobytes()
 
-    def test_index_out_of_range(self):
-        sc = small_scenario()
-        with pytest.raises(IndexError):
-            sensor_position(sc, 4, 0.0)
-        with pytest.raises(IndexError):
-            sensor_position(sc, -1, 0.0)
+
+
+def noiseless_rss(r, h, p0=0.0, at=(0.0, 0.0)):
+    """simulate_measurements of one sensor at vanishing noise, truth at `at`."""
+    sc = one_sensor(r, h, sigma=1e-12)
+    truth = SourceParams(p0=p0, position=list(at))
+    return simulate_measurements(sc, Placement.from_angles([0.0]), truth, seed=3)[0]
 
 
 class TestMeanRss:
     def test_unit_distance_returns_reference(self):
-        assert mean_rss(30.0, 2.0, 1.0) == 30.0
+        assert noiseless_rss(1.0, 0.0, p0=30.0) == pytest.approx(30.0, abs=1e-9)
 
     def test_one_decade_loss(self):
-        assert mean_rss(30.0, 2.0, 10.0) == pytest.approx(10.0, abs=1e-12)
+        assert noiseless_rss(10.0, 0.0, p0=30.0) == pytest.approx(10.0, abs=1e-9)
 
     def test_benchmark_distance(self):
         # frozen: -20*log10(1004.987562112089)
-        assert mean_rss(0.0, 2.0, 1004.987562112089) == pytest.approx(
-            -60.043213737826434, abs=1e-9
-        )
+        assert noiseless_rss(1000.0, 100.0) == pytest.approx(-60.043213737826434, abs=1e-9)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            mean_rss(0.0, 2.0, 0.0)
+            noiseless_rss(10.0, 0.0, at=(0.0, 10.0))
 
 
 class TestAngleDirection:
     def test_cardinal_directions(self):
-        np.testing.assert_allclose(angle_to_direction(0.0), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(angle_to_direction(math.pi / 2), [0.0, 1.0], atol=1e-15)
+        g = Placement.from_angles([0.0, math.pi / 2]).directions
+        np.testing.assert_allclose(g, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_third_quadrant_wrap(self):
         g = np.array([-math.sqrt(2) / 2, -math.sqrt(2) / 2])
-        assert direction_to_angle(g) == pytest.approx(5 * math.pi / 4, abs=1e-12)
+        assert direction_angles(g) == pytest.approx(5 * math.pi / 4, abs=1e-12)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(2)
-        for beta in rng.uniform(0, TWO_PI, 1000):
-            back = direction_to_angle(angle_to_direction(beta))
-            assert back == pytest.approx(beta, abs=1e-12)
+        beta = rng.uniform(0, TWO_PI, 1000)
+        back = direction_angles(Placement.from_angles(beta).directions)
+        np.testing.assert_allclose(back, beta, rtol=0, atol=1e-12)
 
-    def test_rejects_non_unit_input(self):
-        with pytest.raises(ValueError):
-            direction_to_angle([0.5, 0.5])
+    def test_rows_equal_scalar_atan2_bitwise(self):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(3, 40, 2))
+        g /= np.linalg.norm(g, axis=-1, keepdims=True)
+        g[0, :4] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -0.0]]
+        got = direction_angles(g)
+        assert got.shape == (3, 40)
+        want = [wrap_angle(math.atan2(y, x)) for x, y in g.reshape(-1, 2).tolist()]
+        assert got.tobytes() == np.array(want).reshape(3, 40).tobytes()
 
 
 class TestPlacement:
@@ -203,8 +224,7 @@ class TestSimulateMeasurements:
         pl = Placement.from_angles([0.1, 0.9, 2.0, 4.0])
         truth = SourceParams(p0=25.0, position=[0.0, 0.0])
         got = simulate_measurements(sc, pl, truth, seed=7)
-        d = math.hypot(1000.0, 100.0)
-        expect = mean_rss(25.0, 2.0, d)
+        expect = 25.0 - 20.0 * math.log10(math.hypot(1000.0, 100.0))
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
     def test_same_seed_bit_reproducible(self):
@@ -315,7 +335,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         sc = case_a(beta_max=math.radians(200.0))
         path = tmp_path / "sc.json"
-        save_scenario(sc, path)
+        path.write_text(json.dumps(scenario_to_dict(sc), indent=2) + "\n")
         back = load_scenario(path)
         assert back.n_sensors == sc.n_sensors
         assert back.variant is Variant.RSSD
