@@ -12,14 +12,16 @@ of offsets around the initial guess to escape distant local minima.
 
 mle_estimate_many refines many problems (trials) that share the noise levels
 and path-loss exponent. Every start of every trial is one row of a
-(starts, N) array program, and all rows advance in lockstep; a row reads its
-trial's measurements and sensor positions through an owner index, so the
-inputs are held once per trial, not once per start. Rows run in blocks of whole trials of at
-most _BLOCK_ROWS rows, which bounds the working memory whatever the number
-of trials. Each start keeps its own damping and stopping rules, and every
-batched product and 2x2 solve goes through the same BLAS/LAPACK call as for a
-single start, so each result is bit-identical to running the starts of each
-trial one after another. mle_estimate is the one-trial call.
+(starts, N) array program, and all rows advance in lockstep. Rows run in
+blocks of whole trials of at most _BLOCK_ROWS rows, which bounds the working
+memory whatever the number of trials. At the start of a block each row gets
+its own copy of its trial's measurements and sensor positions; the loop then
+holds its state only for the starts still running, and drops the starts that
+stop from every array at once. Each start keeps its own damping and stopping
+rules, and every batched product and 2x2 solve goes through the same
+BLAS/LAPACK call as for a single start, so each result is bit-identical to
+running the starts of each trial one after another. mle_estimate is the
+one-trial call.
 
 A start forms its Gauss-Newton normal equations (J^T J and J^T r) only when
 its iterate has moved: at its first iteration and after an accepted step. A
@@ -46,7 +48,7 @@ _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _STEP_TOL = 1e-8
 _MAX_ITERS = 200
-_BLOCK_ROWS = 512
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -118,80 +120,97 @@ def _solve_each(a, b):
         return x, solved
 
 
-def _solve_lockstep(starts, owner, measurements, px, py, h_sq, inv_std, gamma):
+def _rows(mask):
+    """The rows where mask holds: a slice when that is every row, so that the
+    common case reads its arrays without a copy, else their indices."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     """Damped Gauss-Newton from every start at once.
 
-    Start row s belongs to problem owner[s], whose measurements, sensor x, y
-    and squared heights are row owner[s] of the (T, N) arrays. Each start
-    keeps its own damping and its own accept/reject, convergence and stop
-    rules, as if run alone: a singular normal matrix stops it, a non-finite
-    trial or one at zero distance from a sensor raises its damping, an
-    accepted step shorter than _STEP_TOL converges it, and a rejected step
-    that lifts its damping above 1e15 stops it. J^T J and J^T r are kept per
-    start as (S, 2, 2) and (S, 2) arrays and recomputed, through _jacobian,
+    Row s of the (S, N) measurements, sensor x, y and squared heights is the
+    problem of start s. Each start keeps its own damping and its own
+    accept/reject, convergence and stop rules, as if run alone: a singular
+    normal matrix stops it, a non-finite trial or one at zero distance from
+    a sensor raises its damping, an accepted step shorter than _STEP_TOL
+    converges it, and a rejected step that lifts its damping above 1e15 stops
+    it. J^T J and J^T r are kept per start and recomputed, through _jacobian,
     only for starts whose iterate moved (the first iteration, and after an
     accepted step); after a rejected step they are reused as they are.
-    Returns the per-start (xy, cost, converged, iterations, squared distances).
+
+    The loop state covers only the starts still running. On an iteration
+    where starts stop, their results are written out and every state array
+    shrinks by one row index. Returns the per-start (xy, cost, converged,
+    iterations).
     """
     xy = np.array(starts, dtype=float)
     n_starts = len(xy)
-    d_sq = _dist_sq(xy, px[owner], py[owner], h_sq[owner])
-    res, _ = _profiled_residual(d_sq, measurements[owner], inv_std, gamma)
+    out_xy = np.empty_like(xy)
+    out_cost = np.empty(n_starts)
+    converged = np.zeros(n_starts, dtype=bool)
+    iterations = np.full(n_starts, _MAX_ITERS)
+    rows = np.arange(n_starts)  # the start that each state row belongs to
+    d_sq = _dist_sq(xy, px, py, h_sq)
+    res, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
     cost = row_dots(res, res)
     damping = np.full(n_starts, _DAMPING_START)
-    converged = np.zeros(n_starts, dtype=bool)
-    iterations = np.zeros(n_starts, dtype=int)
-    active = np.ones(n_starts, dtype=bool)
     # J^T J and J^T r of each start's current iterate; moved marks the starts
     # whose iterate changed since they were formed (all of them at first)
     hess = np.empty((n_starts, 2, 2))
     grad = np.empty((n_starts, 2))
     moved = np.ones(n_starts, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        iterations[idx] = it
-        new = idx[moved[idx]]
-        if new.size:
-            own = owner[new]
-            jac = _jacobian(xy[new], px[own], py[own], inv_std, gamma, d_sq[new])
+        if moved.any():
+            new = _rows(moved)
+            jac = _jacobian(xy[new], px[new], py[new], inv_std, gamma, d_sq[new])
             jac_t = jac.transpose(0, 2, 1)
             grad[new] = (jac_t @ res[new][:, :, None])[:, :, 0]
             hess[new] = jac_t @ jac
-            moved[new] = False
-        own = owner[idx]
-        step, solved = _solve_each(hess[idx] + damping[idx, None, None] * np.eye(2), -grad[idx])
-        active[idx[~solved]] = False
-        idx, own, step = idx[solved], own[solved], step[solved]
-        trial = xy[idx] + step
-        usable = np.all(np.isfinite(trial), axis=1)
-        # reject steps that would land a sensor at zero distance
-        o = own[usable]
-        t_sq = _dist_sq(trial[usable], px[o], py[o], h_sq[o])
+        step, solved = _solve_each(hess + damping[:, None, None] * np.eye(2), -grad)
+        trial = xy + step
+        # a trial that is not finite or lands a sensor at zero distance is
+        # rejected and stays out of the residual arithmetic
+        ok = solved & np.all(np.isfinite(trial), axis=1)
+        at = _rows(ok)
+        t_sq = _dist_sq(trial[at], px[at], py[at], h_sq[at])
         near = np.any(t_sq <= 0, axis=1)
-        usable[usable] = ~near
-        damping[idx[~usable]] *= _DAMPING_UP
-        idx, own, step, trial, d_sq_t = (
-            idx[usable], own[usable], step[usable], trial[usable], t_sq[~near]
-        )
-
-        res_t, _ = _profiled_residual(d_sq_t, measurements[own], inv_std, gamma)
+        if near.any():
+            ok[at] = ~near
+            at, t_sq = np.flatnonzero(ok), t_sq[~near]
+        res_t, _ = _profiled_residual(t_sq, meas[at], inv_std, gamma)
         cost_t = row_dots(res_t, res_t)
-        accept = cost_t <= cost[idx]
-        acc = idx[accept]
-        xy[acc], res[acc], cost[acc], d_sq[acc] = (
-            trial[accept], res_t[accept], cost_t[accept], d_sq_t[accept]
+        if not isinstance(at, slice):
+            # the rows left out keep their current values and are not accepted
+            parts = t_sq, res_t, cost_t
+            t_sq, res_t, cost_t = d_sq.copy(), res.copy(), cost.copy()
+            for full, part in zip((t_sq, res_t, cost_t), parts):
+                full[at] = part
+        accept = ok & (cost_t <= cost)
+        xy = np.where(accept[:, None], trial, xy)
+        res = np.where(accept[:, None], res_t, res)
+        d_sq = np.where(accept[:, None], t_sq, d_sq)
+        cost = np.where(accept, cost_t, cost)
+        damping = np.where(
+            accept, np.maximum(damping * _DAMPING_DOWN, 1e-15), damping * _DAMPING_UP
         )
-        damping[acc] = np.maximum(damping[acc] * _DAMPING_DOWN, 1e-15)
-        moved[acc] = True
-        short = np.sqrt(row_dots(step[accept], step[accept])) < _STEP_TOL
-        converged[acc[short]] = True
-        active[acc[short]] = False
-        rej = idx[~accept]
-        damping[rej] *= _DAMPING_UP
-        active[rej[damping[rej] > 1e15]] = False
-    return xy, cost, converged, iterations, d_sq
+        short = np.zeros_like(accept)
+        short[accept] = np.sqrt(row_dots(step[accept], step[accept])) < _STEP_TOL
+        stop = ~solved | short | (ok & ~accept & (damping > 1e15))
+        moved = accept
+        if stop.any():
+            done = rows[stop]
+            out_xy[done], out_cost[done], iterations[done] = xy[stop], cost[stop], it
+            converged[rows[short]] = True
+            keep = np.flatnonzero(~stop)
+            rows, xy, res, cost, d_sq, damping, hess, grad, moved, meas, px, py, h_sq = (
+                a.take(keep, axis=0)
+                for a in (rows, xy, res, cost, d_sq, damping, hess, grad, moved, meas, px, py, h_sq)
+            )
+            if not keep.size:
+                break
+    out_xy[rows], out_cost[rows] = xy, cost
+    return out_xy, out_cost, converged, iterations
 
 
 def _restart_offsets(multistart_spread: float) -> np.ndarray:
@@ -265,13 +284,16 @@ def mle_estimate_many(
         meas, px, py = measurements[block], pos[block, :, 0], pos[block, :, 1]
         h_sq = pos[block, :, 2] ** 2
         n_block = len(meas)
-        # rows are trial-major: the init of each trial, then its restart grid
+        # rows are trial-major: the init of each trial, then its restart grid;
+        # each row carries its own copy of its trial's inputs
         starts = np.empty((n_block, k, 2))
         starts[:, 0] = init_xy[block]
         starts[:, 1:] = init_xy[block, None, :] + offsets
-        owner = np.repeat(np.arange(n_block), k)
-        xy, cost, conv, iters, d_sq = _solve_lockstep(
-            starts.reshape(-1, 2), owner, meas, px, py, h_sq, inv_std, gamma
+        xy, cost, conv, iters = _solve_lockstep(
+            starts.reshape(-1, 2),
+            *(np.repeat(a, k, axis=0) for a in (meas, px, py, h_sq)),
+            inv_std,
+            gamma,
         )
         # per trial, the first start with the lowest cost; a later one must
         # beat it strictly, so a NaN cost never takes over
@@ -281,7 +303,8 @@ def mle_estimate_many(
         for s in range(1, k):
             best[cost[:, s] < cost[trial, best]] = s
         rows = trial * k + best
-        _, p0 = _profiled_residual(d_sq[rows], meas, inv_std, gamma)
+        # recomputed, an iterate's squared distances are the bits the loop held
+        _, p0 = _profiled_residual(_dist_sq(xy[rows], px, py, h_sq), meas, inv_std, gamma)
         conv = conv.reshape(n_block, k)
         iters = iters.reshape(n_block, k)
         for j in range(n_block):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -465,10 +466,10 @@ def assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread):
 
 
 class TestManyMatchesOneAtATime:
-    # 25 starts per problem run in blocks of 20 problems (500 rows), so 21
-    # and 41 problems cross block boundaries; one start per problem runs
-    # 512 problems per block
-    @pytest.mark.parametrize("n_problems", [1, 20, 21, 41])
+    # 25 starts per problem run in blocks of 40 problems (1000 rows), so 41
+    # and 81 problems cross block boundaries; one start per problem runs
+    # 1024 problems per block
+    @pytest.mark.parametrize("n_problems", [1, 20, 21, 40, 41, 81])
     @pytest.mark.parametrize("spread", [0.0, 223.6])
     def test_problem_counts_across_blocks(self, n_problems, spread):
         rng = np.random.default_rng(100 + n_problems)
@@ -477,9 +478,9 @@ class TestManyMatchesOneAtATime:
         assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread)
 
     def test_one_start_per_problem_across_a_block(self):
-        rng = np.random.default_rng(513)
+        rng = np.random.default_rng(1025)
         sigma = rng.uniform(0.3, 3.0, 4)
-        meas, pos, _, inits = random_batch(rng, 513, 4, sigma)
+        meas, pos, _, inits = random_batch(rng, 1025, 4, sigma)
         assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 0.0)
 
     def test_far_off_starts_with_rejected_and_non_finite_trials(self):
@@ -532,6 +533,106 @@ class TestManyMatchesOneAtATime:
                 assert_same_result(got[t], want)
                 assert np.all(np.isfinite(got[t].theta_hat))
             assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 50.0)
+
+
+class TestLockstepBlocks:
+    def test_forty_problems_run_as_one_block_of_running_starts(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        sigma = rng.uniform(0.3, 3.0, 8)
+        meas, pos, _, inits = random_batch(rng, 40, 8, sigma, init_scale=50.0)
+        rows = []
+        solve_each = estimator._solve_each
+
+        def counting_solve_each(a, b):
+            rows.append(len(a))
+            return solve_each(a, b)
+
+        monkeypatch.setattr(estimator, "_solve_each", counting_solve_each)
+        results = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=100.0)
+        # the 40 x 25 starts fill one block, and the running set only shrinks
+        assert rows[0] == 40 * 25
+        assert rows == sorted(rows, reverse=True)
+        # a start is solved once per iteration it runs, and never after it stops
+        assert sum(rows) == sum(r.iterations for r in results)
+
+    @pytest.mark.parametrize("spread", [0.0, 100.0])
+    def test_a_trial_on_a_sensor_is_rejected_like_a_non_finite_one(self, monkeypatch, spread):
+        # the first step of problem 1's first start lands exactly on its
+        # sensor 2, at zero height; that trial must stay out of the residual
+        # arithmetic (log of a zero distance) and be rejected as a non-finite
+        # trial is: the damping rises and the start stays where it is
+        rng = np.random.default_rng(9)
+        sigma = rng.uniform(0.3, 3.0, 6)
+        meas, pos, _, inits = random_batch(rng, 3, 6, sigma, init_scale=50.0)
+        inits[1] = SourceParams(0.0, [10.0, 20.0])
+        pos[1, 2] = [30.0, 50.0, 0.0]
+        row = 1 if spread == 0 else 25
+        solve_each = estimator._solve_each
+
+        def run(first_step):
+            forced = [first_step]
+
+            def forced_solve_each(a, b):
+                step, solved = solve_each(a, b)
+                if forced:  # the first call only
+                    step[row] = forced.pop()
+                return step, solved
+
+            monkeypatch.setattr(estimator, "_solve_each", forced_solve_each)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=spread)
+
+        on_sensor = run([20.0, 30.0])
+        for got, want in zip(on_sensor, run([math.inf, 0.0])):
+            assert_same_result(got, want)
+
+
+class TestMirrorAmbiguity:
+    # Sensors on a circle of radius R about c see a source p at distance a
+    # from c and its circle-inversion mirror p* = c + R^2 (p - c) / a^2 in
+    # the fixed distance ratio |s - p*| = (R / a) |s - p| (at zero height).
+    # That ratio is a constant dB offset, which the profiled P0 absorbs, so
+    # the RSSD measurements cannot tell p from p*.
+    R = 1000.0
+    CENTER = np.array([40.0, -30.0])
+    SOURCE = CENTER + [300.0, 400.0]  # a = 500 m
+
+    def problem(self, height):
+        _, _, pos, sigma_eff = setup_problem()  # caseA's design, R = 1000 m
+        pos = pos + [*self.CENTER, 0.0]
+        pos[:, 2] = height
+        d_sq = np.sum((pos[:, :2] - self.SOURCE) ** 2, axis=1) + height**2
+        meas = 17.0 - 10.0 * 2.0 * np.log10(np.sqrt(d_sq))  # noiseless, P0 = 17 dB
+        offset = self.SOURCE - self.CENTER
+        mirror = self.CENTER + self.R**2 * offset / np.dot(offset, offset)
+        return meas, pos, sigma_eff, mirror
+
+    def cost(self, xy, meas, pos, sigma_eff):
+        res, p0, _ = _profiled_residual(xy, meas, pos, 1.0 / sigma_eff, 2.0)
+        return float(res @ res), p0
+
+    def test_mirror_fits_exactly_at_zero_height(self):
+        meas, pos, sigma_eff, mirror = self.problem(0.0)
+        np.testing.assert_allclose(np.hypot(*(pos[:, :2] - self.CENTER).T), self.R)
+        ratio = np.hypot(*(pos[:, :2] - mirror).T) / np.hypot(*(pos[:, :2] - self.SOURCE).T)
+        np.testing.assert_allclose(ratio, self.R / 500.0, rtol=1e-12)
+        cost, p0 = self.cost(mirror, meas, pos, sigma_eff)
+        assert cost < 1e-20  # zero up to rounding, 2 km from the source
+        assert p0 == pytest.approx(17.0 + 20.0 * math.log10(self.R / 500.0), abs=1e-9)
+        assert self.cost(self.CENTER, meas, pos, sigma_eff)[0] > 1.0
+        # started there, the ML estimate stays at the mirror
+        got = mle_estimate(meas, pos, sigma_eff, 2.0, SourceParams(0.0, mirror))
+        assert np.linalg.norm(got.theta_hat[1:] - mirror) < 1e-6
+
+    def test_height_breaks_the_tie_only_weakly(self):
+        # at caseA's 100 m the mirror's cost is positive, yet far below the
+        # cost that measurement noise alone gives at the source: about
+        # N - 1 = 7, the mean of a chi-square with 7 degrees of freedom
+        meas, pos, sigma_eff, mirror = self.problem(100.0)
+        cost, _ = self.cost(mirror, meas, pos, sigma_eff)
+        assert 1e-3 < cost < 0.1
+        assert self.cost(self.SOURCE, meas, pos, sigma_eff)[0] < 1e-20
 
 
 class TestBoundedMemory:

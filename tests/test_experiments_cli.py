@@ -147,7 +147,7 @@ def one_at_a_time_mle_many(measurements, positions, sigma_eff, gamma, inits, mul
 
 
 class TestPracticalLockstepCsvs:
-    # 41 trials of 25 starts span three blocks of at most 512 start rows
+    # 41 trials of 25 starts span two blocks of at most 1024 start rows
     @pytest.mark.parametrize("scenario", [CASE_A, CASE_B])
     @pytest.mark.parametrize("trials", [1, 21, 41])
     @pytest.mark.parametrize("prior_std", ["0", "111.80339887498948"])
