@@ -14,11 +14,16 @@ Designs run in lockstep along a leading design axis. optimize_many groups
 its scenarios by sensor count and variant and advances each group as one
 batch of (B, N, 2) arrays: every outer step is one batched thin SVD for the
 X-update, one set of MM sweeps (each design stops sweeping on its own
-test), one dual update, one frame rotation and one scoring call for all
-running designs. Each design keeps its own penalty, bound, arc offset, LB
-budget, best record and stop test, and leaves the batch when it stops; its
-result is bit for bit what it would be alone. optimize is optimize_many on
-one scenario. x_update, g_update_mm, _mm_rows and _to_user_frame take the
+test) and one dual update for all running designs. The iterates are scored
+(frame rotation, T, det T and LB-RMSE) once per block of up to
+_SCORE_BLOCK outer steps, with one call per kernel over every step and
+design of the block; the solver state never reads a score, so the block
+only decides how far a design runs past its stop before it leaves the
+batch. Each design keeps its own penalty, bound, arc offset, LB budget,
+best record and stop test, keeps only the records up to its stop, and
+leaves the batch at the end of the block in which it stops; its result is
+bit for bit what it would be alone. optimize is optimize_many on one
+scenario. x_update, g_update_mm, _mm_rows and _to_user_frame take the
 design axis or a single design, and give a single design the same bits
 either way.
 
@@ -74,6 +79,11 @@ _ADMM_TOL = 1e-4
 # Outer convergence requires the stopping test to hold this many consecutive
 # iterations, guarding against one-off stalls during transients.
 _STALL_ITERATIONS = 2
+
+# Outer steps a lockstep group advances between two scoring calls. A design
+# that stops inside a block has its later steps of that block computed and
+# dropped, so a group runs at most _SCORE_BLOCK - 1 steps past its last stop.
+_SCORE_BLOCK = 8
 
 
 @dataclass
@@ -429,8 +439,13 @@ def _start(scenario: Scenario):
 def _lockstep(scenarios: list, max_outer: int) -> list:
     """Run designs of one size and variant as one batch; (placement, trace) each.
 
-    Every outer step updates all running designs with one call per kernel.
-    A design that meets its stop test leaves the batch; the others run on.
+    The group advances in blocks of up to _SCORE_BLOCK outer steps, never
+    past max_outer. Every outer step updates all running designs with one
+    call per kernel and no scoring. The block's iterates are then stacked
+    step-major to (steps * designs, N, 2) and scored with one call per
+    kernel, and each design replays its records through its stop test in
+    step order. A design that stops keeps the records up to its stop, drops
+    the rest of the block and leaves the batch; the others run on.
     """
     variant = scenarios[0].variant
     rows, runs = zip(*(_start(sc) for sc in scenarios))
@@ -439,36 +454,59 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
         **{key: np.stack([r[key] for r in rows]) for key in rows[0]},
     )
     reasons = ["max_outer"] * len(scenarios)
-    for k in range(1, max_outer + 1):
+    k = 0
+    while k < max_outer:
+        steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
-        x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
         bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max, ends=batch.ends)
-        g, inner = g_update_mm(x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound)
-        hg = batch.half_bd @ g
-        residual = hg - x
-        steps = _design_norms(g - batch.g).tolist()
-        batch.g, batch.hg, batch.v = g, hg, batch.v + rho_3d * residual
+        xs, gs, residuals, moves, inner = [], [], [], [], []
+        for _ in range(steps):
+            x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
+            g, sweeps = g_update_mm(
+                x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound
+            )
+            hg = batch.half_bd @ g
+            residual = hg - x
+            xs.append(x)
+            gs.append(g)
+            residuals.append(residual)
+            moves.append(g - batch.g)
+            inner += sweeps
+            batch.g, batch.hg, batch.v = g, hg, batch.v + rho_3d * residual
 
-        angles = _to_user_frame(g, batch.beta_max, batch.offset)
-        dx, dy, d_sq = sensor_offsets(batch.center, batch.horiz, batch.vert, angles, batch.center)
-        t, lbs, _ = reduced_scores(dx, dy, d_sq, batch.w, batch.lb_scale, variant)
-        columns = zip(
-            batch.index.tolist(),
-            _log_det_inv_gram(x),
+        def per_entry(a):
+            """A per-design array repeated for every step of the block."""
+            return np.concatenate([a] * steps)
+
+        angles = _to_user_frame(
+            np.concatenate(gs), per_entry(batch.beta_max), per_entry(batch.offset)
+        )
+        center, horiz, vert = (per_entry(a) for a in (batch.center, batch.horiz, batch.vert))
+        dx, dy, d_sq = sensor_offsets(center, horiz, vert, angles, center)
+        t, lbs, _ = reduced_scores(
+            dx, dy, d_sq, per_entry(batch.w), per_entry(batch.lb_scale), variant
+        )
+        columns = list(zip(
+            _log_det_inv_gram(np.concatenate(xs)),
             np.linalg.det(t).tolist(),
             lbs,
             inner,
-            _design_norms(residual).tolist(),
+            _design_norms(np.concatenate(residuals)).tolist(),
             angles,
-            steps,
-        )
+            _design_norms(np.concatenate(moves)).tolist(),
+        ))
+        width = len(batch.index)
         running = []
-        for i, objective, det_t, lb, sweeps, primal, rec_angles, step in columns:
-            rec = TraceRecord(k, objective, det_t, lb, sweeps, primal, rec_angles)
-            reason = runs[i].advance(rec, step)
-            if reason is not None:
-                reasons[i] = reason
+        for j, i in enumerate(batch.index.tolist()):
+            for s in range(steps):
+                objective, det_t, lb, sweeps, primal, rec_angles, step = columns[s * width + j]
+                rec = TraceRecord(k + s + 1, objective, det_t, lb, sweeps, primal, rec_angles)
+                reason = runs[i].advance(rec, step)
+                if reason is not None:
+                    reasons[i] = reason
+                    break
             running.append(reason is None)
+        k += steps
         if not all(running):
             if not any(running):
                 break

@@ -46,6 +46,7 @@ from .numerics import row_dots
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
+_DAMPING_MIN = 1e-15
 _STEP_TOL = 1e-8
 _MAX_ITERS = 200
 _BLOCK_ROWS = 1024
@@ -134,10 +135,14 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     accept/reject, convergence and stop rules, as if run alone: a singular
     normal matrix stops it, a non-finite trial or one at zero distance from
     a sensor raises its damping, an accepted step shorter than _STEP_TOL
-    converges it, and a rejected step that lifts its damping above 1e15 stops
-    it. J^T J and J^T r are kept per start and recomputed, through _jacobian,
-    only for starts whose iterate moved (the first iteration, and after an
-    accepted step); after a rejected step they are reused as they are.
+    stops it, and a rejected step that lifts its damping above 1e15 stops
+    it. A short step counts as converged only where tr(J^T J) is at least
+    the damping floor _DAMPING_MIN: below it the damping swamps J^T J at
+    every value it can take, so the step is short however far the start is
+    from a minimum (a start lost far out on a flat cost). J^T J and J^T r
+    are kept per start and recomputed, through _jacobian, only for starts
+    whose iterate moved (the first iteration, and after an accepted step);
+    after a rejected step they are reused as they are.
 
     The loop state covers only the starts still running. On an iteration
     where starts stop, their results are written out and every state array
@@ -192,7 +197,7 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         d_sq = np.where(accept[:, None], t_sq, d_sq)
         cost = np.where(accept, cost_t, cost)
         damping = np.where(
-            accept, np.maximum(damping * _DAMPING_DOWN, 1e-15), damping * _DAMPING_UP
+            accept, np.maximum(damping * _DAMPING_DOWN, _DAMPING_MIN), damping * _DAMPING_UP
         )
         short = np.zeros_like(accept)
         short[accept] = np.sqrt(row_dots(step[accept], step[accept])) < _STEP_TOL
@@ -201,7 +206,8 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         if stop.any():
             done = rows[stop]
             out_xy[done], out_cost[done], iterations[done] = xy[stop], cost[stop], it
-            converged[rows[short]] = True
+            flat = hess[:, 0, 0] + hess[:, 1, 1] < _DAMPING_MIN
+            converged[rows[short & ~flat]] = True
             keep = np.flatnonzero(~stop)
             rows, xy, res, cost, d_sq, damping, hess, grad, moved, meas, px, py, h_sq = (
                 a.take(keep, axis=0)

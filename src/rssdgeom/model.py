@@ -166,7 +166,8 @@ def direction_angles(g) -> np.ndarray:
     the last bit.
     """
     g = np.asarray(g, dtype=float)
-    raw = np.array([math.atan2(y, x) for x, y in g.reshape(-1, 2).tolist()])
+    rows = g.reshape(-1, 2)
+    raw = np.fromiter(map(math.atan2, rows[:, 1].tolist(), rows[:, 0].tolist()), float, len(rows))
     return wrap_angles(raw.reshape(g.shape[:-1]))
 
 

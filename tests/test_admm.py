@@ -1,13 +1,15 @@
 """Optimizer tests: subproblem solvers, full runs, and the distance rule."""
 
 import math
+import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from rssdgeom import admm
+from rssdgeom import admm, cli
 from rssdgeom.admm import (
     AdmmOptions,
     TraceRecord,
@@ -49,6 +51,7 @@ from rssdgeom.model import (
 from rssdgeom.numerics import ThinSvd, psd_sqrt, row_dots, sym_eig_max
 
 TWO_PI = 2.0 * math.pi
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestAdmmOptions:
@@ -916,6 +919,27 @@ class TestLockstepMatchesSerialReference:
         rng = np.random.default_rng(42)
         self.check([random_scenario(rng) for _ in range(20)])
 
+    @pytest.mark.parametrize("max_outer", [1, 7, 8, 9, 17])
+    def test_caps_around_the_score_block(self, max_outer):
+        # caps inside, at and past the end of a scoring block of 8 steps
+        assert admm._SCORE_BLOCK == 8
+        designs = [
+            case_a(beta_max=math.radians(120.0)),
+            case_b(),
+            replace(resize_sensors(case_a(), 4), beta_max=math.radians(200.0)),
+            case_a(beta_max=math.radians(0.01)),
+        ]
+        results = self.check(designs, AdmmOptions(max_outer=max_outer))
+        assert results[3][1].outer_iters == max_outer and not results[3][1].converged
+
+    def test_design_stopping_inside_a_block(self):
+        # case B at 360 degrees stops at iteration 2 of the first block; the
+        # steps it takes after that are dropped while case A runs on
+        results = self.check([case_b(), case_a(beta_max=math.radians(120.0))])
+        (_, stopped), (_, running) = results
+        assert stopped.outer_iters == 2 and len(stopped.records) == 3
+        assert running.outer_iters > 2 * admm._SCORE_BLOCK
+
     def test_batched_kernels_equal_reference_kernels(self):
         # every entry of a (B, N, 2) call has the bits of the one-design call
         rng = np.random.default_rng(43)
@@ -956,6 +980,69 @@ class TestLockstepMatchesSerialReference:
         with pytest.raises(ScenarioError, match="at least 3"):
             optimize_many([case_a(), tiny_swarm(3, Variant.RSSD), tiny_swarm(2, Variant.RSSD)])
         assert started == []
+
+
+def counting(monkeypatch, name):
+    """Replace admm.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(admm, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(admm, name, wrapper)
+    return calls
+
+
+class TestScoreBlocks:
+    @staticmethod
+    def group_steps(monkeypatch):
+        """Record, per lockstep group, the steps of its slowest design."""
+        steps = []
+        inner = admm._lockstep
+
+        def recording(scenarios, max_outer):
+            results = inner(scenarios, max_outer)
+            steps.append(max(trace.outer_iters for _, trace in results))
+            return results
+
+        monkeypatch.setattr(admm, "_lockstep", recording)
+        return steps
+
+    def test_one_scoring_call_per_block_of_steps(self, monkeypatch):
+        scores = counting(monkeypatch, "reduced_scores")
+        x_updates = counting(monkeypatch, "x_update")
+        steps = self.group_steps(monkeypatch)
+        optimize_many(studies_designs())
+        assert len(steps) == 4  # N = 4, 8, 12 and 16
+        block = admm._SCORE_BLOCK
+        blocks = [math.ceil(s / block) for s in steps]
+        assert len(scores) == sum(blocks)
+        # the steps after a group's last stop run only to the end of its block
+        assert len(x_updates) == sum(min(b * block, 1000) for b in blocks)
+        assert len(x_updates) <= sum(steps) + (block - 1) * len(steps)
+
+    def test_cli_studies_take_at_most_block_minus_one_extra_steps(self, monkeypatch, tmp_path):
+        # one step per scoring call took 785 lockstep steps over the four
+        # studies at their default flags, where the CLI runs one batch per mode
+        x_updates = counting(monkeypatch, "x_update")
+        steps = self.group_steps(monkeypatch)
+        for mode, case in (
+            ("optimize", "caseA"), ("convergence", "caseA"),
+            ("sweep-n", "caseA"), ("sweep-angle", "caseB"),
+        ):
+            scenario = SCENARIOS / f"{case}.json"
+            argv = [mode, "--scenario", str(scenario), "--out", str(tmp_path / f"{mode}.csv")]
+            assert cli.main(argv) == cli.EXIT_OK
+        assert sum(steps) == 785
+        assert len(x_updates) <= 785 + (admm._SCORE_BLOCK - 1) * len(steps)
+
+    def test_speculative_steps_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = optimize_many(studies_designs())
+        assert all(trace.converged for _, trace in results)
 
 
 def grid_best_distance(r_range, h_range, n_grid=1000):

@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from rssdgeom import estimator
+from rssdgeom import estimator, experiments
 from rssdgeom.admm import optimize
 from rssdgeom.estimator import MleResult, mle_estimate, mle_estimate_many
 from rssdgeom.fim import fim_full
 from rssdgeom.model import (
     SourceParams,
     case_a,
+    case_b,
     sensor_positions,
     simulate_measurements,
 )
@@ -253,7 +254,8 @@ def _solve_from(xy0, measurements, pos, inv_std, gamma):
             xy, res, cost, d_sq = trial, res_t, cost_t, d_sq_t
             damping = max(damping * _DAMPING_DOWN, 1e-15)
             if float(np.linalg.norm(step)) < _STEP_TOL:
-                converged = True
+                # below the damping floor, tr(J^T J) is swamped by any damping
+                converged = hess[0, 0] + hess[1, 1] >= 1e-15
                 break
         else:
             damping *= _DAMPING_UP
@@ -586,6 +588,47 @@ class TestLockstepBlocks:
         on_sensor = run([20.0, 30.0])
         for got, want in zip(on_sensor, run([math.inf, 0.0])):
             assert_same_result(got, want)
+
+
+class TestConvergedFlag:
+    @staticmethod
+    def practical_results(monkeypatch, scenario, prior_std, trials, seed):
+        """The MleResults of one run_practical call, one per trial."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(mle_estimate_many(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(experiments, "mle_estimate_many", recording)
+        experiments.run_practical(scenario, prior_std=prior_std, trials=trials, seed=seed)
+        assert len(calls) == 1 and len(calls[0]) == trials
+        return calls[0]
+
+    def test_starts_lost_far_out_do_not_converge(self, monkeypatch):
+        # about 1e150 m out, J^T J is below the damping floor: every start
+        # stops on a short first step, which is no sign of convergence
+        results = self.practical_results(monkeypatch, case_a(), 1e150, 5, 7)
+        assert all(r.iterations == 25 for r in results)  # 25 starts, 1 iteration each
+        assert not any(r.converged for r in results)
+        for r in results:
+            assert np.linalg.norm(r.theta_hat[1:]) > 1e149
+
+    @pytest.mark.parametrize("scenario", [case_a(), case_b()], ids=["caseA", "caseB"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_trial_at_the_benchmark_prior_converges(self, monkeypatch, scenario, seed):
+        results = self.practical_results(monkeypatch, scenario, 111.8, 40, seed)
+        assert all(r.converged for r in results)
+
+    def test_a_start_ending_on_rejected_steps_at_its_minimum_converges(self):
+        # rounding noise in the cost rejects its last steps until the damping
+        # passes tr(J^T J); the short step it then takes still converges it
+        rng = np.random.default_rng(11)
+        sigma = rng.uniform(0.3, 3.0, 5)
+        meas, pos, _, inits = random_batch(rng, 2, 5, sigma)
+        want, per_start = reference_mle(meas[1], pos[1], sigma, 2.0, inits[1])
+        assert per_start == [(True, 24)]
+        assert_same_result(mle_estimate(meas[1], pos[1], sigma, 2.0, inits[1]), want)
 
 
 class TestMirrorAmbiguity:

@@ -194,10 +194,19 @@ class TestAngleDirection:
         g = rng.normal(size=(3, 40, 2))
         g /= np.linalg.norm(g, axis=-1, keepdims=True)
         g[0, :4] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -0.0]]
+        # exactly +pi and -pi, signed zeros, and a tiny negative angle that
+        # wraps to 2*pi in rounding and so to 0.0
+        g[1, :7] = [
+            [-1.0, 0.0], [-1.0, -0.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0],
+            [-0.0, 0.0], [1.0, -1e-300],
+        ]
         got = direction_angles(g)
         assert got.shape == (3, 40)
         want = [wrap_angle(math.atan2(y, x)) for x, y in g.reshape(-1, 2).tolist()]
         assert got.tobytes() == np.array(want).reshape(3, 40).tobytes()
+        assert got[1, 0] == got[1, 1] == math.pi
+        assert got[1, 6] == 0.0 and math.copysign(1.0, got[1, 6]) == 1.0
+        assert math.copysign(1.0, got[0, 3]) == -1.0  # atan2(-0.0, 1.0) stays -0.0
 
 
 class TestPlacement:
