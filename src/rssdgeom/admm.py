@@ -54,7 +54,6 @@ from .fim import (
     coupling_matrix,
     fim_full,
     g0_bound,
-    loss_slope,
     noise_weights,
     reduced_scores,
     sensitivity_diag,
@@ -415,7 +414,6 @@ def _start(scenario: Scenario):
         primal_residual=0.0,
         angles=uniform.angles.copy(),
     )
-    inv_var_sum = (1.0 / scenario.effective_var).sum()
     rows = dict(
         half_bd=half_bd,
         m_tilde=m_mat - lam_max * np.eye(n),
@@ -428,7 +426,7 @@ def _start(scenario: Scenario):
         horiz=scenario.horiz_dist,
         vert=scenario.vert_dist,
         w=weights.w,
-        lb_scale=loss_slope(scenario.gamma) ** 2 * inv_var_sum,
+        lb_scale=weights.lb_scale,
         g=g,
         v=np.zeros((n, 2)),
         hg=hg,

@@ -54,7 +54,12 @@ _BLOCK_ROWS = 1024
 
 @dataclass
 class MleResult:
-    """Estimated (P0, x, y), final weighted residual norm, and solver status."""
+    """Estimated (P0, x, y), final weighted residual norm, and solver status.
+
+    converged means that a start reached a stationary point of the profiled
+    cost, not that the estimate is near the source: a start that begins far
+    from the swarm can stop converged on a far-field stationary point.
+    """
 
     theta_hat: np.ndarray
     residual_norm: float

@@ -4,7 +4,9 @@ Every mode produces a table of rows (list of dicts sharing a fixed header)
 that serializes to CSV. Rows never contain wall-clock timing so that two runs
 with identical seeds are byte-identical; timing is reported on the result
 object for console summaries. Placements are embedded in each row (degrees,
-six decimals, semicolon-separated) so any row can be re-scored offline.
+six decimals, semicolon-separated) so any row can be re-scored offline. Every
+row is built from the design it describes (_design_rows): its scenario hash
+covers the input scenario with the row's sensor count and spread bound.
 
 The convergence, sweep-n and sweep-angle modes hand all their designs to
 admm.optimize_many in one call, which runs the designs of each swarm size as
@@ -35,14 +37,12 @@ from .fim import (
     coupling_matrix,
     fim_full,
     g0_bound,
-    loss_slope,
     noise_weights,
     reduced_scores,
     sensor_offsets,
     t_eigenvalues,
 )
 from .model import (
-    Placement,
     Scenario,
     ScenarioError,
     SourceParams,
@@ -107,9 +107,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def placement_to_field(placement: Placement) -> str:
-    """Angles in degrees, six decimals, semicolon-separated."""
-    return ";".join(f"{math.degrees(a):.6f}" for a in placement.angles)
+def placement_to_field(angles) -> str:
+    """Angles (radians) in degrees, six decimals, semicolon-separated."""
+    return ";".join(f"{math.degrees(a):.6f}" for a in angles)
 
 
 def write_csv(result: RunResult, path) -> None:
@@ -120,22 +120,45 @@ def write_csv(result: RunResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _design_row(scenario: Scenario, placement: Placement, trace) -> dict:
-    """The fields every design row shares, for one optimized scenario.
+def _design_rows(designs, results, seed: int) -> list:
+    """One row per optimized design, holding every column a design mode writes.
 
-    The row holds the arc, the uniform and optimized LB-RMSE, the improvement
-    and the placement; callers add the scenario hash and the seed.
+    results are the (placement, trace) pairs of the designs, in order. The
+    scenario hash covers the design the row describes: the input scenario
+    with the row's sensor count and spread bound. write_csv keeps only the
+    columns of the mode's header.
     """
-    lb_u = trace.records[0].lb_rmse
-    lb_o = trace.best.lb_rmse
-    row = {
-        "beta_max_deg": math.degrees(scenario.beta_max),
-        "lb_rmse_uniform_m": lb_u,
-        "lb_rmse_opt_m": lb_o,
-        "improvement_pct": 100.0 * (1.0 - lb_o / lb_u),
-        "placement_deg": placement_to_field(placement),
-    }
-    return row
+    rows = []
+    for sc, (placement, trace) in zip(designs, results):
+        lb_u, lb_o = trace.records[0].lb_rmse, trace.best.lb_rmse
+        rows.append(
+            {
+                "n": sc.n_sensors,
+                "beta_max_deg": math.degrees(sc.beta_max),
+                "lb_rmse_uniform_m": lb_u,
+                "lb_rmse_opt_m": lb_o,
+                "improvement_pct": 100.0 * (1.0 - lb_o / lb_u),
+                "iterations": trace.outer_iters,
+                "converged": trace.converged,
+                "mean_inner_iters": trace.mean_inner,
+                "placement_deg": placement_to_field(placement.angles),
+                "scenario_hash": scenario_hash(sc),
+                "seed": seed,
+            }
+        )
+    return rows
+
+
+def _result(mode: str, rows: list, results, t0: float, **summary) -> RunResult:
+    """The RunResult of a mode whose designs gave results, timed from t0."""
+    return RunResult(
+        mode=mode,
+        header=HEADERS[mode],
+        rows=rows,
+        converged_all=all(trace.converged for _, trace in results),
+        elapsed_s=time.perf_counter() - t0,
+        summary=summary,
+    )
 
 
 # -- study modes --------------------------------------------------------------
@@ -146,37 +169,23 @@ def run_convergence(
 ) -> RunResult:
     """Per-iteration LB-RMSE trace for each spread bound in the list."""
     t0 = time.perf_counter()
-    shash = scenario_hash(scenario)
-
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_max_list]
-    rows = []
-    converged_all = True
-    mean_inner = {}
-    for sc, (_, trace) in zip(designs, optimize_many(designs, options)):
-        converged_all &= trace.converged
-        deg = math.degrees(sc.beta_max)
-        mean_inner[_fmt(deg)] = trace.mean_inner
-        for rec in trace.records:
-            rows.append(
-                {
-                    "beta_max_deg": deg,
-                    "iter": rec.k,
-                    "lb_rmse_m": rec.lb_rmse,
-                    "objective": rec.objective,
-                    "inner_iters": rec.inner_iters,
-                    "placement_deg": placement_to_field(Placement.from_angles(rec.angles)),
-                    "scenario_hash": shash,
-                    "seed": seed,
-                }
-            )
-    return RunResult(
-        mode="convergence",
-        header=HEADERS["convergence"],
-        rows=rows,
-        converged_all=converged_all,
-        elapsed_s=time.perf_counter() - t0,
-        summary={"mean_inner_iters": mean_inner},
-    )
+    results = optimize_many(designs, options)
+    design_rows = _design_rows(designs, results, seed)
+    rows = [
+        {
+            **design,
+            "iter": rec.k,
+            "lb_rmse_m": rec.lb_rmse,
+            "objective": rec.objective,
+            "inner_iters": rec.inner_iters,
+            "placement_deg": placement_to_field(rec.angles),
+        }
+        for design, (_, trace) in zip(design_rows, results)
+        for rec in trace.records
+    ]
+    mean_inner = {_fmt(row["beta_max_deg"]): row["mean_inner_iters"] for row in design_rows}
+    return _result("convergence", rows, results, t0, mean_inner_iters=mean_inner)
 
 
 def resize_sensors(template: Scenario, n: int) -> Scenario:
@@ -226,19 +235,8 @@ def run_sweep_n(
         sc = resize_sensors(scenario_template, n)
         designs.extend(replace(sc, beta_max=float(beta_max)) for beta_max in beta_max_list)
 
-    rows = []
-    converged_all = True
-    for sc, (placement, trace) in zip(designs, optimize_many(designs, options)):
-        converged_all &= trace.converged
-        row = _design_row(sc, placement, trace)
-        rows.append({"n": sc.n_sensors, **row, "scenario_hash": scenario_hash(sc), "seed": seed})
-    return RunResult(
-        mode="sweep-n",
-        header=HEADERS["sweep-n"],
-        rows=rows,
-        converged_all=converged_all,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    results = optimize_many(designs, options)
+    return _result("sweep-n", _design_rows(designs, results, seed), results, t0)
 
 
 def run_sweep_angle(
@@ -246,21 +244,9 @@ def run_sweep_angle(
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across a grid of spread bounds."""
     t0 = time.perf_counter()
-    shash = scenario_hash(scenario)
-
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_grid]
-    rows = []
-    converged_all = True
-    for sc, (placement, trace) in zip(designs, optimize_many(designs, options)):
-        converged_all &= trace.converged
-        rows.append({**_design_row(sc, placement, trace), "scenario_hash": shash, "seed": seed})
-    return RunResult(
-        mode="sweep-angle",
-        header=HEADERS["sweep-angle"],
-        rows=rows,
-        converged_all=converged_all,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    results = optimize_many(designs, options)
+    return _result("sweep-angle", _design_rows(designs, results, seed), results, t0)
 
 
 def run_practical(
@@ -301,12 +287,12 @@ def run_practical(
         or not (math.isfinite(prior_std) and prior_std >= 0)
     ):
         raise ScenarioError(f"practical: prior_std must be finite and >= 0, got {prior_std!r}")
-    shash = scenario_hash(scenario)
     truth = SourceParams(p0=0.0, position=scenario.source[:2])
 
-    placement, trace = optimize(scenario, options=options)
-    lb_theory = trace.best.lb_rmse
-    placement_deg = placement_to_field(placement)
+    results = [optimize(scenario, options=options)]
+    placement, _ = results[0]
+    design = _design_rows([scenario], results, seed)[0]
+    lb_theory = design["lb_rmse_opt_m"]
 
     errs = np.array(
         [
@@ -326,18 +312,18 @@ def run_practical(
             f"practical: prior_std {prior_std!r} puts the swarm so far from the source "
             "that its distances overflow"
         )
-    inv_var = 1.0 / scenario.effective_var
-    inv_var_sum = inv_var.sum()
+    weights = noise_weights(scenario)
     _, lb_practical, _ = reduced_scores(
         dx,
         dy,
         d_sq,
-        np.broadcast_to(inv_var / inv_var_sum, dx.shape),
-        [loss_slope(scenario.gamma) ** 2 * inv_var_sum] * trials,
+        np.broadcast_to(weights.w, dx.shape),
+        [weights.lb_scale] * trials,
         scenario.variant,
     )
     rows = [
         {
+            **design,
             "trial": t,
             "prior_err_m": float(np.linalg.norm(errs[t])),
             "prior_x_m": float(priors[t, 0]),
@@ -345,9 +331,6 @@ def run_practical(
             "lb_rmse_theoretical_m": lb_theory,
             "lb_rmse_practical_m": lb_practical[t],
             "empirical_rmse_m": math.nan,
-            "placement_deg": placement_deg,
-            "scenario_hash": shash,
-            "seed": seed,
         }
         for t in range(trials)
     ]
@@ -367,7 +350,7 @@ def run_practical(
                 f"practical: prior_std {prior_std!r} spreads the MLE restart grid so far "
                 "from the swarm that its distances overflow"
             )
-        results = mle_estimate_many(
+        estimates = mle_estimate_many(
             simulate_measurements_many(scenario, positions, truth, meas_seeds),
             positions,
             np.sqrt(scenario.effective_var),
@@ -375,14 +358,15 @@ def run_practical(
             [SourceParams(p0=0.0, position=prior) for prior in priors],
             multistart_spread=2.0 * prior_std,
         )
-        for row, result in zip(rows, results):
+        for row, estimate in zip(rows, estimates):
             row["empirical_rmse_m"] = float(
-                np.linalg.norm(result.theta_hat[1:] - truth.position)
+                np.linalg.norm(estimate.theta_hat[1:] - truth.position)
             )
     lb_vals = [r["lb_rmse_practical_m"] for r in rows]
     emp_sq = [r["empirical_rmse_m"] ** 2 for r in rows if math.isfinite(r["empirical_rmse_m"])]
     rows.append(
         {
+            **design,
             "trial": -1,
             "prior_err_m": float(np.mean([r["prior_err_m"] for r in rows])),
             "prior_x_m": 0.0,
@@ -390,43 +374,23 @@ def run_practical(
             "lb_rmse_theoretical_m": lb_theory,
             "lb_rmse_practical_m": float(np.mean(lb_vals)),
             "empirical_rmse_m": math.sqrt(float(np.mean(emp_sq))) if emp_sq else math.nan,
-            "placement_deg": placement_deg,
-            "scenario_hash": shash,
-            "seed": seed,
         }
     )
-    return RunResult(
-        mode="practical",
-        header=HEADERS["practical"],
-        rows=rows,
-        converged_all=trace.converged,
-        elapsed_s=time.perf_counter() - t0,
-        summary={
-            "lb_rmse_theoretical_m": lb_theory,
-            "lb_rmse_practical_mean_m": float(np.mean(lb_vals)),
-        },
+    return _result(
+        "practical",
+        rows,
+        results,
+        t0,
+        lb_rmse_theoretical_m=lb_theory,
+        lb_rmse_practical_mean_m=float(np.mean(lb_vals)),
     )
 
 
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
     t0 = time.perf_counter()
-    placement, trace = optimize(scenario, options=options)
-    row = _design_row(scenario, placement, trace)
-    row.update(
-        iterations=trace.outer_iters,
-        converged=trace.converged,
-        mean_inner_iters=trace.mean_inner,
-        scenario_hash=scenario_hash(scenario),
-        seed=seed,
-    )
-    return RunResult(
-        mode="optimize",
-        header=HEADERS["optimize"],
-        rows=[row],
-        converged_all=trace.converged,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    results = [optimize(scenario, options=options)]
+    return _result("optimize", _design_rows([scenario], results, seed), results, t0)
 
 
 # -- validation ---------------------------------------------------------------

@@ -46,19 +46,27 @@ def loss_slope(gamma: float) -> float:
 
 @dataclass
 class NoiseWeights:
-    """Normalized inverse-variance weights and their unnormalized mean.
+    """Normalized inverse-variance weights, their unnormalized mean and the LB scale.
 
     w sums to one; mean_inv_var is the average of the inverse effective
-    variances (variance of one averaged measurement, sigma_i^2 / m).
+    variances (variance of one averaged measurement, sigma_i^2 / m);
+    lb_scale is slope^2 * sum 1/var_i, the factor that turns tr T^-1 into
+    the squared LB-RMSE (reduced_scores).
     """
 
     w: np.ndarray
     mean_inv_var: float
+    lb_scale: float
 
 
 def noise_weights(scenario: Scenario) -> NoiseWeights:
     inv_var = 1.0 / scenario.effective_var
-    return NoiseWeights(w=inv_var / inv_var.sum(), mean_inv_var=float(inv_var.mean()))
+    inv_var_sum = inv_var.sum()
+    return NoiseWeights(
+        w=inv_var / inv_var_sum,
+        mean_inv_var=float(inv_var.mean()),
+        lb_scale=loss_slope(scenario.gamma) ** 2 * inv_var_sum,
+    )
 
 
 def coupling_matrix(weights: NoiseWeights, variant: Variant) -> np.ndarray:
@@ -140,14 +148,9 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
     f = jac.T @ (inv_var[:, None] * jac)
     f = 0.5 * (f + f.T)
 
-    inv_var_sum = inv_var.sum()
+    weights = noise_weights(scenario)
     t, lb, degenerate = reduced_scores(
-        dx[None],
-        dy[None],
-        d_sq[None],
-        (inv_var / inv_var_sum)[None],
-        [slope**2 * inv_var_sum],
-        scenario.variant,
+        dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale], scenario.variant
     )
     return FimSummary(
         f=f, t=t[0], det_f=float(np.linalg.det(f)), lb_rmse=lb[0], degenerate=degenerate[0]

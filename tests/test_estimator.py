@@ -614,6 +614,33 @@ class TestConvergedFlag:
         for r in results:
             assert np.linalg.norm(r.theta_hat[1:]) > 1e149
 
+    def test_converged_starts_far_from_the_swarm_are_stationary_points(self, monkeypatch):
+        # with priors about 1e6 m off, most starts stop converged tens of km
+        # from their 1 km swarm; each is a genuine stationary point of the
+        # profiled cost: its Gauss-Newton decrement g^T (J^T J)^-1 g, with
+        # g = J^T r, is a rounding-level fraction of the cost r^T r
+        solve = estimator._solve_lockstep
+        runs = []
+
+        def recording(starts, *args):
+            runs.append((args, solve(starts, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(estimator, "_solve_lockstep", recording)
+        experiments.run_practical(case_a(), prior_std=1e6, trials=21, seed=1)
+        assert len(runs) == 1
+        (meas, px, py, h_sq, inv_std, gamma), (xy, cost, converged, _) = runs[0]
+        centre = np.column_stack([px.mean(axis=1), py.mean(axis=1)])
+        far = np.linalg.norm(xy - centre, axis=1) > 5000.0
+        assert (converged & far).sum() > len(xy) / 2
+        d_sq = estimator._dist_sq(xy, px, py, h_sq)
+        res, _ = estimator._profiled_residual(d_sq, meas, inv_std, gamma)
+        jac = estimator._jacobian(xy, px, py, inv_std, gamma, d_sq)
+        grad = (jac.transpose(0, 2, 1) @ res[:, :, None])[:, :, 0]
+        step = np.linalg.solve(jac.transpose(0, 2, 1) @ jac, grad[:, :, None])[:, :, 0]
+        ratio = np.sum(grad * step, axis=1) / cost
+        assert np.all(ratio[converged] <= 1e-12), ratio[converged].max()
+
     @pytest.mark.parametrize("scenario", [case_a(), case_b()], ids=["caseA", "caseB"])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_every_trial_at_the_benchmark_prior_converges(self, monkeypatch, scenario, seed):

@@ -112,6 +112,46 @@ class TestReportedScores:
             assert again == pytest.approx(reported, rel=1e-6), (sc.n_sensors, sc.beta_max)
 
 
+def cli_arcs(text):
+    """The spread bounds (radians) of a comma list of degrees, as the CLI parses them."""
+    return [math.radians(float(d)) for d in text.split(",")]
+
+
+class TestScenarioHash:
+    """Every row hashes the design it describes: the input scenario with its arc."""
+
+    @pytest.mark.parametrize(
+        "run, template, arcs",
+        [
+            (run_sweep_angle, case_b(), cli.DEFAULT_ANGLE_GRID_DEG),
+            (run_convergence, case_a(), cli.DEFAULT_ANGLES_DEG),
+        ],
+        ids=["sweep-angle", "convergence"],
+    )
+    def test_rows_hash_their_own_arc(self, run, template, arcs):
+        rows = run(template, cli_arcs(arcs)).rows
+        for row in rows:
+            design = replace(template, beta_max=math.radians(row["beta_max_deg"]))
+            assert row["scenario_hash"] == experiments.scenario_hash(design)
+        full = [row["scenario_hash"] for row in rows if row["beta_max_deg"] == 360.0]
+        assert full and set(full) == {experiments.scenario_hash(template)}
+        assert len({row["scenario_hash"] for row in rows}) == len(arcs.split(","))
+
+    def test_convergence_hashes_each_design_once(self, monkeypatch):
+        scenario_hash = experiments.scenario_hash
+        hashed = []
+
+        def counting_hash(scenario):
+            hashed.append(scenario.beta_max)
+            return scenario_hash(scenario)
+
+        monkeypatch.setattr(experiments, "scenario_hash", counting_hash)
+        arcs = cli_arcs(cli.DEFAULT_ANGLES_DEG)
+        result = run_convergence(case_a(), arcs)
+        assert hashed == arcs
+        assert len(result.rows) > 4 * len(arcs)
+
+
 def serial_optimize_many(designs, options=None):
     """optimize_many built from the serial reference optimize, one design at a time."""
     results = []
@@ -196,7 +236,7 @@ class TestSweepN:
             placement, trace = optimize(replace(resize_sensors(template, 2), beta_max=arc))
             assert row["lb_rmse_opt_m"] == trace.best.lb_rmse
             assert row["lb_rmse_uniform_m"] == trace.records[0].lb_rmse
-            assert row["placement_deg"] == experiments.placement_to_field(placement)
+            assert row["placement_deg"] == experiments.placement_to_field(placement.angles)
 
 
 class TestSweepAngle:

@@ -81,6 +81,12 @@ class TestNoiseWeights:
         np.testing.assert_allclose(w1.w, w10.w, atol=1e-14)
         assert w10.mean_inv_var == pytest.approx(10 * w1.mean_inv_var, rel=1e-12)
 
+    def test_lb_scale_hand_arithmetic(self):
+        # slope^2 * sum 1/var_i: (20 / ln 10)^2 * 10 * (4 * 1/8 + 4 * 1/2)
+        sc = make_scenario(sigma_sq=[8.0] * 4 + [2.0] * 4, m=10, gamma=2.0)
+        w = noise_weights(sc)
+        assert w.lb_scale == pytest.approx((20.0 / math.log(10.0)) ** 2 * 25.0, rel=1e-14)
+
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
@@ -154,7 +160,7 @@ class TestTMatrix:
         # all weight on one sensor: B = e1 e1' - e1 e1' = 0, so T = 0
         from rssdgeom.fim import NoiseWeights
 
-        w = NoiseWeights(w=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), mean_inv_var=1.0)
+        w = NoiseWeights(w=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), mean_inv_var=1.0, lb_scale=1.0)
         b = coupling_matrix(w, Variant.RSSD)
         np.testing.assert_allclose(b, 0.0, atol=1e-15)
         g = Placement.from_angles([0.3, 1.1, 2.2, 3.3, 4.4]).directions

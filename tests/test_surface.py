@@ -1,4 +1,4 @@
-"""The library's surface stays the size its callers need.
+"""The library's surface stays the size its callers need, and no smaller.
 
 Two AST checks over the sources:
 
@@ -7,11 +7,17 @@ Two AST checks over the sources:
   or an import) somewhere in src/, perfbench/*.py or tests/test_acceptance.py,
   or is named in README.md: a name only the other tests call is dead code;
 * no module in src/ or tests/ imports a name it never uses.
+
+A third check keeps every name the benchmark's span recorder wraps
+(perfbench/spans.py) present in the module it wraps it in.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
+import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "rssdgeom"
@@ -110,3 +116,20 @@ def test_no_module_imports_a_name_it_never_uses():
         if (rel, name) not in UNUSED_IMPORTS_ALLOWED
     ]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_span_target_exists(monkeypatch):
+    # a missing target fails only inside the traced benchmark run otherwise
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", REPO / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in spans._TARGETS
+        if not hasattr(importlib.import_module(f"rssdgeom.{module}"), attr)
+    ]
+    assert spans._TARGETS and not missing, f"span targets missing: {missing}"
