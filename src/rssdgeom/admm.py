@@ -176,9 +176,9 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     product u_j v_j^T and so does not depend on its sign. J may be a
     (B, N, 2) stack of designs with one rho each.
     """
-    svd = thin_svd(j_k)
-    lam = singular_value_map(svd.sigma, np.asarray(rho)[..., None])
-    return (svd.u * lam[..., None, :]) @ svd.v.swapaxes(-1, -2)
+    u, sigma, vh = thin_svd(j_k)
+    lam = singular_value_map(sigma, np.asarray(rho)[..., None])
+    return (u * lam[..., None, :]) @ vh
 
 
 def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ blocks of whole trials of at most _BLOCK_ROWS rows, which bounds the working
 memory whatever the number of trials. At the start of a block each row gets
 its own copy of its trial's measurements and sensor positions; the loop then
 holds its state only for the starts still running, and drops the starts that
-stop from every array at once. Each start keeps its own damping and stopping
-rules, and every batched product and 2x2 solve goes through the same
-BLAS/LAPACK call as for a single start, so each result is bit-identical to
-running the starts of each trial one after another. mle_estimate is the
-one-trial call.
+stop from every array at once. An unusable trial step (singular, non-finite,
+at a sensor, or overflowing to a NaN cost) is rejected by a mask. Each start
+keeps its own damping and stopping rules, and every batched product and 2x2
+solve goes through the same BLAS/LAPACK call as for a single start, so each
+result is bit-identical to running the starts of each trial one after
+another. mle_estimate is the one-trial call.
 
 A start forms its Gauss-Newton normal equations (J^T J and J^T r) only when
 its iterate has moved: at its first iteration and after an accepted step. A
@@ -126,28 +127,27 @@ def _solve_each(a, b):
         return x, solved
 
 
-def _rows(mask):
-    """The rows where mask holds: a slice when that is every row, so that the
-    common case reads its arrays without a copy, else their indices."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     """Damped Gauss-Newton from every start at once.
 
     Row s of the (S, N) measurements, sensor x, y and squared heights is the
     problem of start s. Each start keeps its own damping and its own
-    accept/reject, convergence and stop rules, as if run alone: a singular
-    normal matrix stops it, a non-finite trial or one at zero distance from
-    a sensor raises its damping, an accepted step shorter than _STEP_TOL
-    stops it, and a rejected step that lifts its damping above 1e15 stops
-    it. A short step counts as converged only where tr(J^T J) is at least
-    the damping floor _DAMPING_MIN: below it the damping swamps J^T J at
-    every value it can take, so the step is short however far the start is
-    from a minimum (a start lost far out on a flat cost). J^T J and J^T r
-    are kept per start and recomputed, through _jacobian, only for starts
-    whose iterate moved (the first iteration, and after an accepted step);
-    after a rejected step they are reused as they are.
+    accept/reject, convergence and stop rules, as if run alone. Each
+    iteration scores every row's trial, with floating-point warnings
+    silenced, and rejects by mask: a trial is ok where the solve succeeded,
+    it is finite and no sensor is at zero distance from it, and accepted
+    where it is ok and does not raise the cost (a finite trial whose squared
+    distances overflow costs NaN, so it is rejected). A rejection raises the
+    damping. A singular normal matrix stops a start, an accepted step shorter
+    than _STEP_TOL stops it, and a rejected ok trial that lifts its damping
+    above 1e15 stops it. A short step counts as converged only where
+    tr(J^T J) is at least the damping floor _DAMPING_MIN: below it the
+    damping swamps J^T J at every value it can take, so the step is short
+    however far the start is from a minimum (a start lost far out on a flat
+    cost). J^T J and J^T r are kept per start and recomputed, through
+    _jacobian, only for starts whose iterate moved (the first iteration, and
+    after an accepted step); after a rejected step they are reused as they
+    are.
 
     The loop state covers only the starts still running. On an iteration
     where starts stop, their results are written out and every state array
@@ -172,30 +172,20 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     moved = np.ones(n_starts, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
         if moved.any():
-            new = _rows(moved)
+            new = np.flatnonzero(moved)
             jac = _jacobian(xy[new], px[new], py[new], inv_std, gamma, d_sq[new])
             jac_t = jac.transpose(0, 2, 1)
             grad[new] = (jac_t @ res[new][:, :, None])[:, :, 0]
             hess[new] = jac_t @ jac
         step, solved = _solve_each(hess + damping[:, None, None] * np.eye(2), -grad)
         trial = xy + step
-        # a trial that is not finite or lands a sensor at zero distance is
-        # rejected and stays out of the residual arithmetic
-        ok = solved & np.all(np.isfinite(trial), axis=1)
-        at = _rows(ok)
-        t_sq = _dist_sq(trial[at], px[at], py[at], h_sq[at])
-        near = np.any(t_sq <= 0, axis=1)
-        if near.any():
-            ok[at] = ~near
-            at, t_sq = np.flatnonzero(ok), t_sq[~near]
-        res_t, _ = _profiled_residual(t_sq, meas[at], inv_std, gamma)
-        cost_t = row_dots(res_t, res_t)
-        if not isinstance(at, slice):
-            # the rows left out keep their current values and are not accepted
-            parts = t_sq, res_t, cost_t
-            t_sq, res_t, cost_t = d_sq.copy(), res.copy(), cost.copy()
-            for full, part in zip((t_sq, res_t, cost_t), parts):
-                full[at] = part
+        # a bad trial's NaN or overflow is thrown away by the masks below
+        with np.errstate(all="ignore"):
+            t_sq = _dist_sq(trial, px, py, h_sq)
+            res_t, _ = _profiled_residual(t_sq, meas, inv_std, gamma)
+            cost_t = row_dots(res_t, res_t)
+            step_norm = np.sqrt(row_dots(step, step))
+        ok = solved & np.all(np.isfinite(trial), axis=1) & ~np.any(t_sq <= 0, axis=1)
         accept = ok & (cost_t <= cost)
         xy = np.where(accept[:, None], trial, xy)
         res = np.where(accept[:, None], res_t, res)
@@ -204,8 +194,7 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         damping = np.where(
             accept, np.maximum(damping * _DAMPING_DOWN, _DAMPING_MIN), damping * _DAMPING_UP
         )
-        short = np.zeros_like(accept)
-        short[accept] = np.sqrt(row_dots(step[accept], step[accept])) < _STEP_TOL
+        short = accept & (step_norm < _STEP_TOL)
         stop = ~solved | short | (ok & ~accept & (damping > 1e15))
         moved = accept
         if stop.any():

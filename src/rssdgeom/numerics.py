@@ -9,24 +9,7 @@ every batch entry the bits of the unbatched call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ThinSvd:
-    """Thin SVD A = u @ diag(sigma) @ v.T of an (N, 2) matrix.
-
-    u: (N, 2) with orthonormal columns; sigma: descending, >= 0; v: (2, 2)
-    orthogonal; a stack of matrices (..., N, 2) gives each the same leading
-    axes. Each singular pair (u_j, v_j) carries the sign LAPACK returns;
-    negating both leaves every product u_j v_j^T unchanged.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
 
 
 def _check_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -60,13 +43,13 @@ def psd_sqrt(b: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def thin_svd(a: np.ndarray) -> ThinSvd:
-    """Thin SVD of an (N, 2) matrix, N >= 2, or of a stack (..., N, 2)."""
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """NumPy's thin SVD (u, sigma, vh) of an (N, 2) matrix, N >= 2, or of a
+    stack (..., N, 2); each singular pair carries the sign LAPACK returns."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != 2 or a.shape[-2] < 2:
         raise ValueError(f"expected an (N, 2) matrix with N >= 2, got shape {a.shape}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return ThinSvd(u=u, sigma=s, v=vh.swapaxes(-1, -2))
+    return np.linalg.svd(a, full_matrices=False)
 
 
 def sym_eig_max(m: np.ndarray) -> float:

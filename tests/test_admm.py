@@ -48,7 +48,7 @@ from rssdgeom.model import (
     wrap_angle,
     wrap_angles,
 )
-from rssdgeom.numerics import ThinSvd, psd_sqrt, row_dots, sym_eig_max
+from rssdgeom.numerics import psd_sqrt, row_dots, sym_eig_max
 
 TWO_PI = 2.0 * math.pi
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -621,7 +621,7 @@ def ref_thin_svd(a):
         if u[k, j] < 0.0:
             u[:, j] = -u[:, j]
             vh[j, :] = -vh[j, :]
-    return ThinSvd(u=u, sigma=s, v=vh.T)
+    return u, s, vh
 
 
 def ref_singular_value_map(sigma, rho):
@@ -629,9 +629,9 @@ def ref_singular_value_map(sigma, rho):
 
 
 def ref_x_update(j_k, rho):
-    svd = ref_thin_svd(j_k)
-    lam = np.array([ref_singular_value_map(s, rho) for s in svd.sigma])
-    return (svd.u * lam) @ svd.v.T
+    u, sigma, vh = ref_thin_svd(j_k)
+    lam = np.array([ref_singular_value_map(s, rho) for s in sigma])
+    return (u * lam) @ vh
 
 
 def ref_arc_candidates(bound):

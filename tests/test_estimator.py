@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rssdgeom import estimator, experiments
-from rssdgeom.admm import optimize
+from rssdgeom.admm import optimize, uniform_init
 from rssdgeom.estimator import MleResult, mle_estimate, mle_estimate_many
 from rssdgeom.fim import fim_full
 from rssdgeom.model import (
@@ -588,6 +588,33 @@ class TestLockstepBlocks:
         on_sensor = run([20.0, 30.0])
         for got, want in zip(on_sensor, run([math.inf, 0.0])):
             assert_same_result(got, want)
+
+    def test_a_finite_trial_whose_distances_overflow_is_rejected(self, monkeypatch):
+        # a step of 1e200 m is finite, but its squared sensor distances
+        # overflow to inf and its cost to NaN; the trial must be rejected
+        # without a warning and the start must still reach the minimum
+        sc = case_a()
+        placement = uniform_init(sc.n_sensors, sc.beta_max)
+        pos = sensor_positions(sc, placement)[None]
+        meas = simulate_measurements(sc, placement, SourceParams(0.0, [0.0, 0.0]), seed=5)[None]
+        sigma_eff = np.sqrt(sc.effective_var)
+        inits = [SourceParams(0.0, [10.0, 5.0])]
+        (plain,) = mle_estimate_many(meas, pos, sigma_eff, sc.gamma, inits)
+        solve_each = estimator._solve_each
+        forced = [np.array([1e200, 0.0])]
+
+        def overflowing_solve_each(a, b):
+            step, solved = solve_each(a, b)
+            if forced:  # the first call only
+                step[0] = forced.pop()
+            return step, solved
+
+        monkeypatch.setattr(estimator, "_solve_each", overflowing_solve_each)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got,) = mle_estimate_many(meas, pos, sigma_eff, sc.gamma, inits)
+        assert got.converged
+        assert np.linalg.norm(got.theta_hat[1:] - plain.theta_hat[1:]) < 1e-6
 
 
 class TestConvergedFlag:

@@ -12,7 +12,7 @@ from rssdgeom import admm
 from rssdgeom.admm import x_update
 from rssdgeom.fim import fim_full
 from rssdgeom.model import Placement, Scenario, SourceParams, Variant
-from rssdgeom.numerics import ThinSvd, thin_svd
+from rssdgeom.numerics import thin_svd
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,8 +75,8 @@ def test_x_update_ignores_singular_pair_signs(case):
     sign = np.where(flip, -1.0, 1.0)
 
     def flipped_svd(a):
-        svd = thin_svd(a)
-        return ThinSvd(u=svd.u * sign[:, None, :], sigma=svd.sigma, v=svd.v * sign[:, None, :])
+        u, sigma, vh = thin_svd(a)
+        return u * sign[:, None, :], sigma, vh * sign[:, :, None]
 
     plain = x_update(j, rho)
     with mock.patch.object(admm, "thin_svd", flipped_svd):
