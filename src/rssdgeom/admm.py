@@ -11,21 +11,29 @@ the feasible arc. A sweep updates all N rows in one array expression
 (_mm_rows); mm_row_update is the same kernel applied to a single row.
 
 Designs run in lockstep along a leading design axis. optimize_many groups
-its scenarios by sensor count and variant and advances each group as one
-batch of (B, N, 2) arrays: every outer step is one batched thin SVD for the
-X-update, one set of MM sweeps (each design stops sweeping on its own
-test) and one dual update for all running designs. The iterates are scored
-(frame rotation, T, det T and LB-RMSE) once per block of up to
-_SCORE_BLOCK outer steps, with one call per kernel over every step and
-design of the block; the solver state never reads a score, so the block
-only decides how far a design runs past its stop before it leaves the
-batch. Each design keeps its own penalty, bound, arc offset, LB budget,
-best record and stop test, keeps only the records up to its stop, and
-leaves the batch at the end of the block in which it stops; its result is
-bit for bit what it would be alone. optimize is optimize_many on one
-scenario. x_update, g_update_mm, _mm_rows and _to_user_frame take the
-design axis or a single design, and give a single design the same bits
-either way.
+its scenarios by variant, all swarms of at most _PAD_LIMIT sensors in one
+group and larger swarms by exact size, and advances each group as one
+batch of (B, N, 2) arrays, N being the group's largest sensor count: every
+outer step is one batched thin SVD for the X-update, one set of MM sweeps
+(each design stops sweeping on its own test) and one dual update for all
+running designs. A smaller swarm is padded with zero rows and columns in
+its coupling factor and m_tilde and zero rows in G and V; its padded rows
+see q = 0 in every sweep, so they keep their zeros, and they never feed
+back into the real rows. The set-up makes one call per kernel for all
+designs of one sensor count. The iterates are scored (frame rotation, T,
+det T and LB-RMSE) once per block of up to _SCORE_BLOCK outer steps, with
+one frame rotation over every step and design of the block and one
+scoring call per sensor count on the real rows only; the solver state
+never reads a score, so the block only decides how far a design runs past
+its stop before it leaves the batch. Each design keeps its own penalty,
+bound, arc offset, LB budget, best record and stop test, keeps only the
+records up to its stop, and leaves the batch at the end of the block in
+which it stops. Its result is bit for bit the serial loop run on its
+zero-padded arrays: what it would be alone when its group holds one size,
+and within rounding of that otherwise (the padded sums round differently).
+optimize is optimize_many on one scenario. x_update, g_update_mm, _mm_rows
+and _to_user_frame take the design axis or a single design, and give a
+single design the same bits either way.
 
 For spread bounds above pi the solver works in a rotation-equivalent arc
 centered on pi/2 (where the constraint is a plain elementwise vector bound)
@@ -52,7 +60,6 @@ import numpy as np
 from .fim import (
     ConstraintBound,
     coupling_matrix,
-    fim_full,
     g0_bound,
     noise_weights,
     reduced_scores,
@@ -61,9 +68,13 @@ from .fim import (
     solver_arc_offset,
 )
 from .model import (
-    TWO_PI, Placement, Scenario, ScenarioError, SourceParams, Variant, direction_angles, wrap_angles
+    TWO_PI, Placement, Scenario, ScenarioError, Variant, direction_angles, wrap_angles
 )
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
+
+# fim_full is not called here, but it stays importable as admm.fim_full:
+# perfbench/spans.py wraps it under that name
+from .fim import fim_full  # noqa: F401
 
 # Penalty rho = _PENALTY_SCALE / opnorm^2. The constant is calibrated on the
 # bundled benchmark scenarios (convergence inside 100 outer iterations with
@@ -83,6 +94,14 @@ _STALL_ITERATIONS = 2
 # that stops inside a block has its later steps of that block computed and
 # dropped, so a group runs at most _SCORE_BLOCK - 1 steps past its last stop.
 _SCORE_BLOCK = 8
+
+# Designs with at most this many sensors share one lockstep group, padded to
+# its largest sensor count; larger swarms keep one group per exact size. A
+# lockstep step costs about the same up to this size and grows past it
+# (measured at 8 designs: 238, 314 and 352 us per step at N = 4, 16 and 32,
+# 747 us at 64), so padding a small swarm to a large one would cost more
+# than the steps it saves.
+_PAD_LIMIT = 32
 
 
 @dataclass
@@ -196,7 +215,7 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndar
     lo, hi = bound.ends[..., None, 0, :], bound.ends[..., None, 1, :]
     lower_first = row_dots(q, hi) < row_dots(q, lo)
     endpoint = np.where(lower_first[..., None], hi, lo)
-    feasible = np.all(interior >= bound.g0[..., None, :], axis=-1)
+    feasible = (interior >= bound.g0[..., None, :]).all(axis=-1)
     g = np.where(feasible[..., None], interior, endpoint)
     return np.where(zero[..., None], prev, g)
 
@@ -314,9 +333,14 @@ def _to_user_frame(g_solver: np.ndarray, beta_max, offset) -> np.ndarray:
 
 @dataclass
 class _Batch:
-    """Solver arrays of the designs still running in a lockstep group, one row each."""
+    """Solver arrays of the designs still running in a lockstep group, one row each.
+
+    Sensor axes are padded with zeros to the group's largest sensor count;
+    n holds each design's own count.
+    """
 
     index: np.ndarray  # position of each design in its group
+    n: np.ndarray
     half_bd: np.ndarray
     m_tilde: np.ndarray
     rho: np.ndarray
@@ -335,6 +359,31 @@ class _Batch:
 
     def take(self, keep: np.ndarray) -> "_Batch":
         return _Batch(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
+
+    def score(self, angles: np.ndarray, design: np.ndarray, variant: Variant):
+        """det T, LB-RMSE and real angles of entries (angles[e], design[e]), as lists.
+
+        angles are padded (entries, N) user-frame rows. Each entry is scored
+        on its design's own sensors only, with one sensor_offsets and one
+        reduced_scores call per sensor count, as it would be alone.
+        """
+        det_t = np.empty(len(design))
+        lbs = np.empty(len(design))
+        real = [None] * len(design)
+        sizes = self.n[design]
+        for n in sorted(set(sizes.tolist())):
+            sel = np.flatnonzero(sizes == n)
+            rows = design[sel]
+            a = angles[sel, :n]
+            center = self.center[rows]
+            horiz, vert = self.horiz[rows, :n], self.vert[rows, :n]
+            dx, dy, d_sq = sensor_offsets(center, horiz, vert, a, center)
+            t, lb, _ = reduced_scores(dx, dy, d_sq, self.w[rows, :n], self.lb_scale[rows], variant)
+            det_t[sel] = np.linalg.det(t)
+            lbs[sel] = lb
+            for e, row in zip(sel.tolist(), a):
+                real[e] = row
+        return det_t.tolist(), lbs.tolist(), real
 
 
 @dataclass
@@ -380,77 +429,94 @@ class _Run:
         return Placement.from_angles(self.best.angles), trace
 
 
-def _start(scenario: Scenario):
-    """Set up one design: its solver arrays (a dict of _Batch rows) and its _Run.
+def _start(scenarios: list):
+    """Set up a lockstep group: its _Batch and one _Run per design.
 
-    The run starts from the uniform placement, which is record 0 and the
-    first best record.
+    Each design's coupling factor, m_tilde, penalty and uniform start are
+    computed at its own sensor count, with one call per kernel for all
+    designs of that count, and embedded in zeros up to the group's largest
+    count. The zero rows and columns keep the padded sensors inert (see
+    the module docstring). Every run starts from the uniform placement,
+    which is record 0 and the first best record.
     """
-    n = scenario.n_sensors
-    beta_max = scenario.beta_max
-    bound = g0_bound(beta_max)
-    offset = solver_arc_offset(beta_max)
+    variant = scenarios[0].variant
+    count = len(scenarios)
+    sizes = np.array([sc.n_sensors for sc in scenarios])
+    n_pad = int(sizes.max())
+    weights = [noise_weights(sc) for sc in scenarios]
+    bounds = [g0_bound(sc.beta_max) for sc in scenarios]
+    offset = np.array([solver_arc_offset(sc.beta_max) for sc in scenarios])
 
-    weights = noise_weights(scenario)
-    half_bd = psd_sqrt(coupling_matrix(weights, scenario.variant)) * sensitivity_diag(scenario)
-    m_mat = half_bd.T @ half_bd
-    m_mat = 0.5 * (m_mat + m_mat.T)
-    lam_max = sym_eig_max(m_mat)
+    half_bd = np.zeros((count, n_pad, n_pad))
+    m_tilde = np.zeros((count, n_pad, n_pad))
+    rho = np.empty(count)
+    angles, horiz, vert, w = (np.zeros((count, n_pad)) for _ in range(4))
+    g = np.zeros((count, n_pad, 2))
+    for n in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == n)
+        members = [scenarios[i] for i in at]
+        coupling = np.stack([coupling_matrix(weights[i], variant) for i in at])
+        sens = np.stack([sensitivity_diag(sc) for sc in members])
+        factor = psd_sqrt(coupling) * sens[:, None, :]
+        m_mat = factor.swapaxes(-1, -2) @ factor
+        m_mat = 0.5 * (m_mat + m_mat.swapaxes(-1, -2))
+        op_norms = np.linalg.norm(factor, 2, axis=(-2, -1)).tolist()
+        if min(op_norms) <= 0:
+            raise ValueError("degenerate scenario: constraint operator is zero")
+        half_bd[at, :n, :n] = factor
+        m_tilde[at, :n, :n] = m_mat - sym_eig_max(m_mat)[:, None, None] * np.eye(n)
+        rho[at] = [_PENALTY_SCALE / op**2 for op in op_norms]
+        uniform = np.stack([uniform_init(n, sc.beta_max).angles for sc in members])
+        turned = uniform + offset[at, None]
+        angles[at, :n] = uniform
+        g[at, :n] = np.stack([np.cos(turned), np.sin(turned)], axis=-1)
+        horiz[at, :n] = [sc.horiz_dist for sc in members]
+        vert[at, :n] = [sc.vert_dist for sc in members]
+        w[at, :n] = [weights[i].w for i in at]
 
-    op_norm = float(np.linalg.norm(half_bd, 2))
-    if op_norm <= 0:
-        raise ValueError("degenerate scenario: constraint operator is zero")
-
-    uniform = uniform_init(n, beta_max)
-    summary = fim_full(scenario, uniform, SourceParams(p0=0.0, position=scenario.source[:2]))
-    g = np.column_stack([np.cos(uniform.angles + offset), np.sin(uniform.angles + offset)])
     hg = half_bd @ g
-    first = TraceRecord(
-        k=0,
-        objective=_log_det_inv_gram(hg),
-        det_t=float(np.linalg.det(summary.t)),
-        lb_rmse=summary.lb_rmse,
-        inner_iters=0,
-        primal_residual=0.0,
-        angles=uniform.angles.copy(),
-    )
-    rows = dict(
+    batch = _Batch(
+        index=np.arange(count),
+        n=sizes,
         half_bd=half_bd,
-        m_tilde=m_mat - lam_max * np.eye(n),
-        rho=_PENALTY_SCALE / op_norm**2,
-        g0=bound.g0,
-        ends=bound.ends,
-        beta_max=beta_max,
+        m_tilde=m_tilde,
+        rho=rho,
+        g0=np.stack([b.g0 for b in bounds]),
+        ends=np.stack([b.ends for b in bounds]),
+        beta_max=np.array([b.beta_max for b in bounds]),
         offset=offset,
-        center=scenario.source[:2],
-        horiz=scenario.horiz_dist,
-        vert=scenario.vert_dist,
-        w=weights.w,
-        lb_scale=weights.lb_scale,
+        center=np.stack([sc.source[:2] for sc in scenarios]),
+        horiz=horiz,
+        vert=vert,
+        w=w,
+        lb_scale=np.array([wt.lb_scale for wt in weights]),
         g=g,
-        v=np.zeros((n, 2)),
+        v=np.zeros_like(g),
         hg=hg,
     )
-    return rows, _Run(records=[first], best=first, lb_budget=summary.lb_rmse + 1e-9)
+    det_t, lbs, real = batch.score(angles, batch.index, variant)
+    runs = []
+    for objective, det, lb, rec_angles in zip(_log_det_inv_gram(hg), det_t, lbs, real):
+        first = TraceRecord(0, objective, det, lb, 0, 0.0, rec_angles)
+        runs.append(_Run(records=[first], best=first, lb_budget=lb + 1e-9))
+    return batch, runs
 
 
 def _lockstep(scenarios: list, max_outer: int) -> list:
-    """Run designs of one size and variant as one batch; (placement, trace) each.
+    """Run designs of one variant as one padded batch; (placement, trace) each.
 
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
     call per kernel and no scoring. The block's iterates are then stacked
-    step-major to (steps * designs, N, 2) and scored with one call per
-    kernel, and each design replays its records through its stop test in
-    step order. A design that stops keeps the records up to its stop, drops
-    the rest of the block and leaves the batch; the others run on.
+    step-major to (steps * designs, N, 2), rotated to the user frame with
+    one call and scored on each design's real sensors with one call per
+    kernel and sensor count (_Batch.score); each design replays its records
+    through its stop test in step order. A design that stops keeps the
+    records up to its stop, drops the rest of the block and leaves the
+    batch; the others run on.
     """
     variant = scenarios[0].variant
-    rows, runs = zip(*(_start(sc) for sc in scenarios))
-    batch = _Batch(
-        index=np.arange(len(scenarios)),
-        **{key: np.stack([r[key] for r in rows]) for key in rows[0]},
-    )
+    batch, runs = _start(scenarios)
     reasons = ["max_outer"] * len(scenarios)
     k = 0
     while k < max_outer:
@@ -472,33 +538,25 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             inner += sweeps
             batch.g, batch.hg, batch.v = g, hg, batch.v + rho_3d * residual
 
-        def per_entry(a):
-            """A per-design array repeated for every step of the block."""
-            return np.concatenate([a] * steps)
-
+        width = len(batch.index)
         angles = _to_user_frame(
-            np.concatenate(gs), per_entry(batch.beta_max), per_entry(batch.offset)
+            np.concatenate(gs), np.tile(batch.beta_max, steps), np.tile(batch.offset, steps)
         )
-        center, horiz, vert = (per_entry(a) for a in (batch.center, batch.horiz, batch.vert))
-        dx, dy, d_sq = sensor_offsets(center, horiz, vert, angles, center)
-        t, lbs, _ = reduced_scores(
-            dx, dy, d_sq, per_entry(batch.w), per_entry(batch.lb_scale), variant
-        )
+        det_t, lbs, real = batch.score(angles, np.tile(np.arange(width), steps), variant)
         columns = list(zip(
             _log_det_inv_gram(np.concatenate(xs)),
-            np.linalg.det(t).tolist(),
+            det_t,
             lbs,
             inner,
             _design_norms(np.concatenate(residuals)).tolist(),
-            angles,
+            real,
             _design_norms(np.concatenate(moves)).tolist(),
         ))
-        width = len(batch.index)
         running = []
         for j, i in enumerate(batch.index.tolist()):
             for s in range(steps):
-                objective, det_t, lb, sweeps, primal, rec_angles, step = columns[s * width + j]
-                rec = TraceRecord(k + s + 1, objective, det_t, lb, sweeps, primal, rec_angles)
+                objective, det, lb, sweeps, primal, rec_angles, step = columns[s * width + j]
+                rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, rec_angles)
                 reason = runs[i].advance(rec, step)
                 if reason is not None:
                     reasons[i] = reason
@@ -515,10 +573,15 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 def optimize_many(scenarios, options: AdmmOptions = None) -> list:
     """Run the optimizer on every scenario; one (placement, trace) each, in input order.
 
-    Designs with the same sensor count and variant run as one lockstep
-    batch (see _lockstep). Each keeps its own penalty, bound, trajectory and
-    stop test, so its result is bit for bit that of optimize on it alone.
-    Every scenario's sensor count is checked before any work starts.
+    Designs of one variant with at most _PAD_LIMIT sensors run as one
+    lockstep batch (see _lockstep), padded with inert sensors to the
+    batch's largest sensor count; larger swarms run as one batch per exact
+    size. Each design keeps its own penalty, bound, trajectory and stop
+    test. Its result is bit for bit that of the serial optimize loop run on
+    its zero-padded arrays, and so that of optimize on it alone when the
+    batch holds one size; padding changes only how the solver's padded
+    sums round. Every scenario's sensor count is checked before any work
+    starts.
     """
     scenarios = list(scenarios)
     for scenario in scenarios:
@@ -526,7 +589,8 @@ def optimize_many(scenarios, options: AdmmOptions = None) -> list:
     max_outer = (options if options is not None else AdmmOptions()).max_outer
     groups = {}
     for i, scenario in enumerate(scenarios):
-        groups.setdefault((scenario.n_sensors, scenario.variant), []).append(i)
+        n = scenario.n_sensors
+        groups.setdefault((scenario.variant, n if n > _PAD_LIMIT else 0), []).append(i)
     results = [None] * len(scenarios)
     for members in groups.values():
         for i, result in zip(members, _lockstep([scenarios[i] for i in members], max_outer)):

@@ -9,11 +9,12 @@ row is built from the design it describes (_design_rows): its scenario hash
 covers the input scenario with the row's sensor count and spread bound.
 
 The convergence, sweep-n and sweep-angle modes hand all their designs to
-admm.optimize_many in one call, which runs the designs of each swarm size as
-one lockstep batch; optimize and practical design one placement with
-admm.optimize, and practical scores, simulates and refines all its trials
-as arrays with a trial axis (one fim.reduced_scores, one
-model.simulate_measurements_many and one estimator.mle_estimate_many call).
+admm.optimize_many in one call, which runs the designs of up to 32 sensors
+as one lockstep batch padded to its largest size (see admm); optimize and
+practical design one placement with admm.optimize, and practical scores,
+simulates and refines all its trials as arrays with a trial axis (one
+fim.reduced_scores, one model.simulate_measurements_many and one
+estimator.mle_estimate_many call).
 Everything runs in the calling thread: a design is a sequence of short NumPy
 calls that hold the interpreter lock, so threads would only contend for it.
 """

@@ -3,8 +3,8 @@
 psd_sqrt fixes the square-root branch (the symmetric root, with rounding-
 level eigenvalues truncated). thin_svd leaves the sign of each singular
 pair to LAPACK: the optimizer only forms products u_j v_j^T, which do not
-depend on it. thin_svd and row_dots accept leading batch axes and give
-every batch entry the bits of the unbatched call.
+depend on it. Every kernel here accepts leading batch axes (a stack of
+matrices) and gives every batch entry the bits of the unbatched call.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ import numpy as np
 
 def _check_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > tol * scale:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if np.any(np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1)) > tol * scale):
         raise ValueError("matrix is not symmetric")
     return m
 
 
 def psd_sqrt(b: np.ndarray) -> np.ndarray:
-    """Symmetric square root S of a PSD matrix, S @ S.T == b.
+    """Symmetric square root S of a PSD matrix, S @ S.T == b, or of each of a stack.
 
     Computed through the symmetric eigendecomposition with negative
     eigenvalues in [-1e-8, 0) clamped to zero; anything more negative raises.
@@ -32,15 +32,16 @@ def psd_sqrt(b: np.ndarray) -> np.ndarray:
     """
     b = _check_symmetric(b)
     values, vectors = np.linalg.eigh(b)
-    scale = max(1.0, float(values[-1]))
-    if values[0] < -1e-8 * scale:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {values[0]:.3e}")
+    low, top = values[..., 0], values[..., -1:]
+    not_psd = low < -1e-8 * np.maximum(1.0, top[..., 0])
+    if np.any(not_psd):
+        raise ValueError(f"matrix is not PSD: min eigenvalue {low[not_psd].flat[0]:.3e}")
     # eigenvalues at rounding level are exact zeros of the rank-deficient
     # inputs this serves; truncating keeps the null space clean
-    values = np.where(values < 1e-14 * max(float(values[-1]), 0.0), 0.0, values)
+    values = np.where(values < 1e-14 * np.maximum(top, 0.0), 0.0, values)
     root = np.sqrt(values)
-    s = (vectors * root) @ vectors.T
-    return 0.5 * (s + s.T)
+    s = (vectors * root[..., None, :]) @ vectors.swapaxes(-1, -2)
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,10 +53,11 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a, full_matrices=False)
 
 
-def sym_eig_max(m: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
+def sym_eig_max(m: np.ndarray):
+    """Largest eigenvalue of a symmetric matrix (a float), or of each of a stack (an array)."""
     m = _check_symmetric(m)
-    return float(np.linalg.eigvalsh(m)[-1])
+    top = np.linalg.eigvalsh(m)[..., -1]
+    return float(top) if m.ndim == 2 else top
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

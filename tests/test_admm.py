@@ -721,8 +721,20 @@ def ref_score(scenario, placement, source):
     return t, math.sqrt((1.0 / lam_min + 1.0 / lam_max) / (slope**2 * inv_var_sum))
 
 
-def reference_optimize(scenario, options=None):
-    """The serial optimize; returns (placement, records, converged, k, mean_inner, best)."""
+def zero_padded(a, shape):
+    """The 2-D array a embedded in the top left corner of zeros of the given shape."""
+    out = np.zeros(shape)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def reference_optimize(scenario, options=None, n_pad=None):
+    """The serial optimize; returns (placement, records, converged, k, mean_inner, best).
+
+    With n_pad, half_bd, m_tilde, the start G and V are embedded in zeros up
+    to n_pad sensors after the set-up, as in a padded lockstep group, and
+    every iterate is scored on its first N rows.
+    """
     check_sensor_count(scenario)
     options = options if options is not None else AdmmOptions()
     source = SourceParams(p0=0.0, position=scenario.source[:2])
@@ -751,6 +763,9 @@ def reference_optimize(scenario, options=None):
         [np.cos(uniform.angles + offset), np.sin(uniform.angles + offset)]
     )
     v = np.zeros((n, 2))
+    if n_pad is not None:
+        half_bd, m_tilde = (zero_padded(a, (n_pad, n_pad)) for a in (half_bd, m_tilde))
+        g, v = (zero_padded(a, (n_pad, 2)) for a in (g, v))
     x = half_bd @ g
 
     records = [
@@ -785,7 +800,7 @@ def reference_optimize(scenario, options=None):
         primal = float(np.linalg.norm(half_bd @ g - x))
         inner_counts.append(inner)
 
-        placement_k = ref_to_user_frame(g, beta_max, offset)
+        placement_k = ref_to_user_frame(g[:n], beta_max, offset)
         t_k, lb_k = ref_score(scenario, placement_k, source)
         det_t_k = float(np.linalg.det(t_k))
         records.append(
@@ -871,13 +886,26 @@ def random_scenario(rng):
     )
 
 
+def group_pad(designs, scenario):
+    """The sensor count optimize_many pads scenario to among designs."""
+    n = scenario.n_sensors
+    if n > admm._PAD_LIMIT:
+        return n
+    return max(
+        sc.n_sensors for sc in designs
+        if sc.variant is scenario.variant and sc.n_sensors <= admm._PAD_LIMIT
+    )
+
+
 class TestLockstepMatchesSerialReference:
     @staticmethod
     def check(designs, options=None):
         results = optimize_many(designs, options)
         assert len(results) == len(designs)
         for sc, got in zip(designs, results):
-            assert_same_run(got, reference_optimize(sc, options))
+            n_pad = group_pad(designs, sc)
+            want = reference_optimize(sc, options, None if n_pad == sc.n_sensors else n_pad)
+            assert_same_run(got, want)
         return results
 
     def test_all_studies_designs(self):
@@ -982,6 +1010,41 @@ class TestLockstepMatchesSerialReference:
         assert started == []
 
 
+class TestInertPadding:
+    """Zero-padded sensors of a lockstep group never move and never feed back."""
+
+    def test_x_update_keeps_zero_rows_of_j_zero(self):
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            n_pad = int(rng.integers(3, 33))
+            sizes = rng.integers(2, n_pad, int(rng.integers(1, 5)))
+            j_k = np.stack([
+                zero_padded(rng.normal(size=(n, 2)) * rng.lognormal(0.0, 4.0), (n_pad, 2))
+                for n in sizes
+            ])
+            x = x_update(j_k, rng.uniform(1e-4, 5.0, len(sizes)))
+            assert np.isfinite(x).all()
+            for n, one in zip(sizes, x):
+                assert not one[n:].any()
+
+    def test_g_update_mm_leaves_padded_rows_untouched(self):
+        rng = np.random.default_rng(46)
+        for _ in range(100):
+            n = int(rng.integers(3, 13))
+            n_pad = n + int(rng.integers(1, 9))
+            beta_max = float(rng.uniform(0.1, TWO_PI))
+            bound, half_bd, m_tilde, rho, x_next, v, g_start = random_mm_instance(
+                rng, n=n, beta_max=beta_max
+            )
+            # any previous rows survive, not only the zero rows of a padded start
+            g_start = np.vstack([g_start, rng.normal(size=(n_pad - n, 2))])
+            half_bd, m_tilde = (zero_padded(a, (n_pad, n_pad)) for a in (half_bd, m_tilde))
+            x_next, v = (zero_padded(a, (n_pad, 2)) for a in (x_next, v))
+            g, _ = g_update_mm(x_next, v, g_start, half_bd, m_tilde, rho, bound)
+            assert g[n:].tobytes() == g_start[n:].tobytes()
+            assert (g[:n] >= bound.g0 - 1e-12).all()
+
+
 def counting(monkeypatch, name):
     """Replace admm.<name> by a wrapper that counts its calls."""
     calls = []
@@ -1011,21 +1074,36 @@ class TestScoreBlocks:
         return steps
 
     def test_one_scoring_call_per_block_of_steps(self, monkeypatch):
-        scores = counting(monkeypatch, "reduced_scores")
+        frames = counting(monkeypatch, "_to_user_frame")
         x_updates = counting(monkeypatch, "x_update")
+        scored = []  # the sensor count of every reduced_scores call
+        reduced_scores = admm.reduced_scores
+
+        def recording(dx, *args):
+            scored.append(dx.shape[-1])
+            return reduced_scores(dx, *args)
+
+        monkeypatch.setattr(admm, "reduced_scores", recording)
         steps = self.group_steps(monkeypatch)
-        optimize_many(studies_designs())
-        assert len(steps) == 4  # N = 4, 8, 12 and 16
+        designs = studies_designs()
+        results = optimize_many(designs)
+        assert len(steps) == 1  # every size of the 35 designs in one padded group
         block = admm._SCORE_BLOCK
-        blocks = [math.ceil(s / block) for s in steps]
-        assert len(scores) == sum(blocks)
-        # the steps after a group's last stop run only to the end of its block
-        assert len(x_updates) == sum(min(b * block, 1000) for b in blocks)
-        assert len(x_updates) <= sum(steps) + (block - 1) * len(steps)
+        blocks = math.ceil(steps[0] / block)
+        assert len(frames) == blocks
+        # a size is scored once at the start, then once per block it runs in
+        for n in {sc.n_sensors for sc in designs}:
+            last = max(t.outer_iters for sc, (_, t) in zip(designs, results) if sc.n_sensors == n)
+            assert scored.count(n) == 1 + math.ceil(last / block)
+        # the steps after the group's last stop run only to the end of its block
+        assert len(x_updates) == min(blocks * block, 1000)
+        assert len(x_updates) <= steps[0] + block - 1
 
     def test_cli_studies_take_at_most_block_minus_one_extra_steps(self, monkeypatch, tmp_path):
-        # one step per scoring call took 785 lockstep steps over the four
-        # studies at their default flags, where the CLI runs one batch per mode
+        # one step per scoring call and one group per sensor count took 785
+        # lockstep steps over the four studies at their default flags, where
+        # the CLI runs one batch per mode; one group per size took 533 on
+        # sweep-n alone, one padded group takes 190
         x_updates = counting(monkeypatch, "x_update")
         steps = self.group_steps(monkeypatch)
         for mode, case in (
@@ -1035,8 +1113,23 @@ class TestScoreBlocks:
             scenario = SCENARIOS / f"{case}.json"
             argv = [mode, "--scenario", str(scenario), "--out", str(tmp_path / f"{mode}.csv")]
             assert cli.main(argv) == cli.EXIT_OK
-        assert sum(steps) == 785
-        assert len(x_updates) <= 785 + (admm._SCORE_BLOCK - 1) * len(steps)
+        assert steps == [24, 96, 190, 132]
+        assert len(x_updates) <= sum(steps) + (admm._SCORE_BLOCK - 1) * len(steps)
+
+    def test_swarms_above_the_pad_limit_keep_their_own_group(self, monkeypatch):
+        groups = []
+        lockstep = admm._lockstep
+
+        def recording(scenarios, max_outer):
+            groups.append(sorted(sc.n_sensors for sc in scenarios))
+            return lockstep(scenarios, max_outer)
+
+        monkeypatch.setattr(admm, "_lockstep", recording)
+        assert admm._PAD_LIMIT == 32
+        arc = math.radians(200.0)
+        designs = [replace(resize_sensors(case_a(), n), beta_max=arc) for n in (40, 4, 32, 8)]
+        TestLockstepMatchesSerialReference.check(designs)
+        assert sorted(groups) == [[4, 8, 32], [40]]
 
     def test_speculative_steps_raise_no_warning(self):
         with warnings.catch_warnings():

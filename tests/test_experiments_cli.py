@@ -178,6 +178,28 @@ class TestLockstepCsvs:
         assert lockstep.read_bytes() == serial.read_bytes()
 
 
+class TestSweepNOneBatch:
+    # one sweep-n call pads every size to one lockstep group; a call per
+    # size runs each unpadded, and the written rows agree byte for byte
+    @pytest.mark.parametrize(
+        "n_list, arcs", [(cli.DEFAULT_N_LIST, cli.DEFAULT_ANGLES_DEG), ("3,5,16", "90,250")]
+    )
+    def test_same_rows_as_one_call_per_size(self, tmp_path, n_list, arcs):
+        def rows(sizes, out):
+            argv = ["sweep-n", "--scenario", str(CASE_A), "--n-list", sizes,
+                    "--beta-max-deg", arcs, "--out", str(out)]
+            assert main(argv) == 0
+            return out.read_text().splitlines()
+
+        together = rows(n_list, tmp_path / "together.csv")
+        header, per_size = together[0], []
+        for n in n_list.split(","):
+            alone = rows(n, tmp_path / f"n{n}.csv")
+            assert alone[0] == header
+            per_size += alone[1:]
+        assert together[1:] == per_size
+
+
 def one_at_a_time_mle_many(measurements, positions, sigma_eff, gamma, inits, multistart_spread):
     """mle_estimate_many as one mle_estimate call per problem."""
     return [

@@ -47,6 +47,23 @@ class TestPsdSqrt:
         with pytest.raises(ValueError, match="symmetric"):
             psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_stack_equals_one_call_per_matrix_bitwise(self):
+        # rank-deficient inputs, like the coupling matrices the solver factors
+        rng = np.random.default_rng(4)
+        for n in (3, 4, 8, 16, 33):
+            w = rng.uniform(0.1, 2.0, (6, n))
+            w /= w.sum(axis=1, keepdims=True)
+            b = np.stack([np.diag(row) - np.outer(row, row) for row in w])
+            stacked = psd_sqrt(b)
+            for one, want in zip(b, stacked):
+                assert psd_sqrt(one).tobytes() == want.tobytes()
+
+    def test_stack_rejects_one_indefinite_matrix(self):
+        with pytest.raises(ValueError, match="PSD"):
+            psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+        with pytest.raises(ValueError, match="symmetric"):
+            psd_sqrt(np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]))
+
 
 class TestThinSvd:
     def test_orthogonal_columns_give_their_norms(self):
@@ -130,6 +147,16 @@ class TestSymEigMax:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eig_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_equals_one_call_per_matrix_bitwise(self):
+        rng = np.random.default_rng(9)
+        for n in (3, 8, 16, 40):
+            a = rng.normal(size=(5, n, n))
+            m = a @ a.swapaxes(-1, -2)
+            m = 0.5 * (m + m.swapaxes(-1, -2))
+            stacked = sym_eig_max(m)
+            assert stacked.shape == (5,)
+            assert [sym_eig_max(one) for one in m] == stacked.tolist()
 
 
 class TestRowDots:
