@@ -220,15 +220,12 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndar
     return np.where(zero[..., None], prev, g)
 
 
-def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray = None) -> np.ndarray:
+def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
     """Minimize g.T q over unit vectors in the feasible arc (one row of _mm_rows).
 
-    For q = 0 every feasible point is optimal: the previous row is kept for
-    determinism, or the arc midpoint returned when there is none.
+    For q = 0 every feasible point is optimal, and the previous row prev is
+    kept for determinism.
     """
-    if prev is None:
-        mid = bound.beta_max / 2.0 if bound.beta_max <= math.pi else math.pi / 2.0
-        prev = [math.cos(mid), math.sin(mid)]
     q = np.asarray(q, dtype=float).reshape(1, 2)
     return _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2))[0]
 
@@ -272,8 +269,9 @@ def g_update_mm(
     Frobenius norm. Returns (G, sweeps performed).
 
     Every array may carry a leading design axis (B, ...), with one rho and
-    one bound row per design; each design then stops on its own test, keeps
-    its G from then on, and the sweep counts come back as a list of B.
+    one bound row per design; each design then stops on its own test, every
+    sweep keeps the new G only for the designs still running, and the sweep
+    counts come back as a list of B.
     """
     one = np.ndim(g_start) == 2
     if one:
@@ -294,8 +292,7 @@ def g_update_mm(
         g_next = _mm_rows(q_all, bound, g)
         obj = _g_objective(g_next, half_bd, c, half_rho)
         delta = _design_norms(g_next - g).tolist()
-        # a design that stopped in an earlier sweep keeps its G
-        g = g_next if all(running) else np.where(np.array(running)[:, None, None], g_next, g)
+        g = np.where(np.array(running)[:, None, None], g_next, g)
         for b, (p, o, d) in enumerate(zip(prev_obj, obj, delta)):
             if running[b] and (abs(p - o) < mm_tol * max(1.0, abs(o)) or d < mm_tol):
                 running[b] = False
@@ -388,15 +385,16 @@ class _Batch:
 
 @dataclass
 class _Run:
-    """Trace bookkeeping of one design: its records, best record and stop test."""
+    """Trace bookkeeping of one design: its records, best record, stop test and stop reason."""
 
     records: list
     best: TraceRecord
     lb_budget: float
     stall: int = 0
+    reason: str = "max_outer"
 
-    def advance(self, rec: TraceRecord, step: float):
-        """Add one outer iteration; returns the stop reason once the run stops."""
+    def advance(self, rec: TraceRecord, step: float) -> bool:
+        """Add one outer iteration; True once the run stops, with reason set."""
         self.records.append(rec)
         if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
             self.best = rec
@@ -413,18 +411,19 @@ class _Run:
         lb_stall = rel_lb < _ADMM_TOL
         self.stall = self.stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
         if self.stall >= _STALL_ITERATIONS:
-            return "lb_stall" if lb_stall else "step"
-        return None
+            self.reason = "lb_stall" if lb_stall else "step"
+            return True
+        return False
 
-    def result(self, stop_reason: str):
+    def result(self):
         inner = [rec.inner_iters for rec in self.records[1:]]
         trace = AdmmTrace(
             records=self.records,
-            converged=stop_reason != "max_outer",
+            converged=self.reason != "max_outer",
             outer_iters=self.records[-1].k,
             mean_inner=float(np.mean(inner)) if inner else 0.0,
             best=self.best,
-            stop_reason=stop_reason,
+            stop_reason=self.reason,
         )
         return Placement.from_angles(self.best.angles), trace
 
@@ -517,7 +516,6 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     """
     variant = scenarios[0].variant
     batch, runs = _start(scenarios)
-    reasons = ["max_outer"] * len(scenarios)
     k = 0
     while k < max_outer:
         steps = min(_SCORE_BLOCK, max_outer - k)
@@ -557,17 +555,16 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             for s in range(steps):
                 objective, det, lb, sweeps, primal, rec_angles, step = columns[s * width + j]
                 rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, rec_angles)
-                reason = runs[i].advance(rec, step)
-                if reason is not None:
-                    reasons[i] = reason
+                stopped = runs[i].advance(rec, step)
+                if stopped:
                     break
-            running.append(reason is None)
+            running.append(not stopped)
         k += steps
         if not all(running):
             if not any(running):
                 break
             batch = batch.take(np.array(running))
-    return [run.result(reason) for run, reason in zip(runs, reasons)]
+    return [run.result() for run in runs]
 
 
 def optimize_many(scenarios, options: AdmmOptions = None) -> list:

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 from .admm import AdmmOptions
 from .experiments import (
@@ -55,7 +56,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--max-outer", type=int, default=1000, help="outer iteration cap")
+    parser.add_argument(
+        "--max-outer", type=int, default=AdmmOptions.max_outer, help="outer iteration cap"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,6 +144,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         options = AdmmOptions(max_outer=args.max_outer)
+        t0 = time.perf_counter()
         if args.command == "optimize":
             result = run_optimize(scenario, options=options, seed=args.seed)
         elif args.command == "convergence":
@@ -164,7 +168,8 @@ def main(argv=None) -> int:
             )
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command}")
-    except (ScenarioError, ValueError) as exc:
+        elapsed_s = time.perf_counter() - t0
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -175,7 +180,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     print(
         f"{result.mode}: {len(result.rows)} rows -> {args.out} "
-        f"({result.elapsed_s:.2f}s, converged={'yes' if result.converged_all else 'NO'})"
+        f"({elapsed_s:.2f}s, converged={'yes' if result.converged_all else 'NO'})"
     )
     for key, value in result.summary.items():
         print(f"  {key}: {value}")

@@ -1,12 +1,13 @@
 """Benchmark harness: the four study modes plus scenario validation.
 
 Every mode produces a table of rows (list of dicts sharing a fixed header)
-that serializes to CSV. Rows never contain wall-clock timing so that two runs
-with identical seeds are byte-identical; timing is reported on the result
-object for console summaries. Placements are embedded in each row (degrees,
-six decimals, semicolon-separated) so any row can be re-scored offline. Every
-row is built from the design it describes (_design_rows): its scenario hash
-covers the input scenario with the row's sensor count and spread bound.
+that serializes to CSV. Neither the rows nor the result object carry
+wall-clock timing, so two runs with identical seeds give equal results and
+byte-identical CSVs; the CLI times each run and prints it. Placements are
+embedded in each row (degrees, six decimals, semicolon-separated) so any row
+can be re-scored offline. Every row is built from the design it describes
+(_design_rows): its scenario hash covers the input scenario with the row's
+sensor count and spread bound.
 
 The convergence, sweep-n and sweep-angle modes hand all their designs to
 admm.optimize_many in one call, which runs the designs of up to 32 sensors
@@ -25,7 +26,6 @@ import hashlib
 import json
 import math
 import numbers
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,13 +84,15 @@ HEADERS = {
 
 @dataclass
 class RunResult:
-    """Rows plus run metadata for one experiment mode."""
+    """Rows, convergence flag and console summary of one experiment mode.
+
+    It holds only what the run computed, so two identical runs give equal
+    results; write_csv takes the columns from HEADERS[mode].
+    """
 
     mode: str
-    header: list
     rows: list
     converged_all: bool
-    elapsed_s: float
     summary: dict = field(default_factory=dict)
 
 
@@ -114,9 +116,10 @@ def placement_to_field(angles) -> str:
 
 
 def write_csv(result: RunResult, path) -> None:
-    lines = [",".join(result.header)]
+    header = HEADERS[result.mode]
+    lines = [",".join(header)]
     for row in result.rows:
-        lines.append(",".join(_fmt(row[col]) for col in result.header))
+        lines.append(",".join(_fmt(row[col]) for col in header))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -150,14 +153,12 @@ def _design_rows(designs, results, seed: int) -> list:
     return rows
 
 
-def _result(mode: str, rows: list, results, t0: float, **summary) -> RunResult:
-    """The RunResult of a mode whose designs gave results, timed from t0."""
+def _result(mode: str, rows: list, results, **summary) -> RunResult:
+    """The RunResult of a mode whose designs gave results."""
     return RunResult(
         mode=mode,
-        header=HEADERS[mode],
         rows=rows,
         converged_all=all(trace.converged for _, trace in results),
-        elapsed_s=time.perf_counter() - t0,
         summary=summary,
     )
 
@@ -169,7 +170,6 @@ def run_convergence(
     scenario: Scenario, beta_max_list, options: AdmmOptions = None, seed: int = 0
 ) -> RunResult:
     """Per-iteration LB-RMSE trace for each spread bound in the list."""
-    t0 = time.perf_counter()
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_max_list]
     results = optimize_many(designs, options)
     design_rows = _design_rows(designs, results, seed)
@@ -186,7 +186,7 @@ def run_convergence(
         for rec in trace.records
     ]
     mean_inner = {_fmt(row["beta_max_deg"]): row["mean_inner_iters"] for row in design_rows}
-    return _result("convergence", rows, results, t0, mean_inner_iters=mean_inner)
+    return _result("convergence", rows, results, mean_inner_iters=mean_inner)
 
 
 def resize_sensors(template: Scenario, n: int) -> Scenario:
@@ -230,24 +230,22 @@ def run_sweep_n(
     seed: int = 0,
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across swarm sizes and spread bounds."""
-    t0 = time.perf_counter()
     designs = []
     for n in n_list:
         sc = resize_sensors(scenario_template, n)
         designs.extend(replace(sc, beta_max=float(beta_max)) for beta_max in beta_max_list)
 
     results = optimize_many(designs, options)
-    return _result("sweep-n", _design_rows(designs, results, seed), results, t0)
+    return _result("sweep-n", _design_rows(designs, results, seed), results)
 
 
 def run_sweep_angle(
     scenario: Scenario, beta_grid, options: AdmmOptions = None, seed: int = 0
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across a grid of spread bounds."""
-    t0 = time.perf_counter()
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_grid]
     results = optimize_many(designs, options)
-    return _result("sweep-angle", _design_rows(designs, results, seed), results, t0)
+    return _result("sweep-angle", _design_rows(designs, results, seed), results)
 
 
 def run_practical(
@@ -277,7 +275,6 @@ def run_practical(
     set the distances from the restart grid's extreme starts, is a
     ScenarioError.
     """
-    t0 = time.perf_counter()
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -341,8 +338,9 @@ def run_practical(
             for t in range(trials)
         ]
         positions = swarm_positions(scenario, placement, priors)
-        # the MLE restart grid reaches 2 * prior_std off each prior in x and y
-        corners = 2.0 * prior_std * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        # the MLE restart grid reaches spread off each prior in x and y
+        spread = 2.0 * prior_std
+        corners = spread * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
         with np.errstate(over="ignore"):
             off = (priors[:, None, :] + corners)[:, :, None, :] - positions[:, None, :, :2]
             grid_sq = off[..., 0] ** 2 + off[..., 1] ** 2 + positions[:, None, :, 2] ** 2
@@ -357,7 +355,7 @@ def run_practical(
             np.sqrt(scenario.effective_var),
             scenario.gamma,
             [SourceParams(p0=0.0, position=prior) for prior in priors],
-            multistart_spread=2.0 * prior_std,
+            multistart_spread=spread,
         )
         for row, estimate in zip(rows, estimates):
             row["empirical_rmse_m"] = float(
@@ -381,7 +379,6 @@ def run_practical(
         "practical",
         rows,
         results,
-        t0,
         lb_rmse_theoretical_m=lb_theory,
         lb_rmse_practical_mean_m=float(np.mean(lb_vals)),
     )
@@ -389,9 +386,8 @@ def run_practical(
 
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
-    t0 = time.perf_counter()
     results = [optimize(scenario, options=options)]
-    return _result("optimize", _design_rows([scenario], results, seed), results, t0)
+    return _result("optimize", _design_rows([scenario], results, seed), results)
 
 
 # -- validation ---------------------------------------------------------------

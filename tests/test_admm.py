@@ -190,13 +190,13 @@ class TestXUpdate:
 class TestMmRowUpdate:
     def test_interior_case(self):
         bound = g0_bound(math.pi / 2)
-        g = mm_row_update(np.array([0.0, -1.0]), bound)
+        g = mm_row_update(np.array([0.0, -1.0]), bound, prev=np.zeros(2))
         np.testing.assert_allclose(g, [0.0, 1.0], atol=1e-12)
 
     def test_endpoint_case(self):
         # -q points at [0,-1], infeasible; candidates give values 1 and 0
         bound = g0_bound(math.pi / 2)
-        g = mm_row_update(np.array([0.0, 1.0]), bound)
+        g = mm_row_update(np.array([0.0, 1.0]), bound, prev=np.zeros(2))
         np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
 
     def test_zero_q_keeps_previous(self):
@@ -221,7 +221,7 @@ class TestMmRowUpdate:
             grid_vals = cand @ qs.T  # (n_grid, 1000)
             grid_min = grid_vals.min(axis=0)
             for q, gmin in zip(qs, grid_min):
-                g = mm_row_update(q, bound)
+                g = mm_row_update(q, bound, prev=np.zeros(2))
                 assert float(g @ q) <= gmin + 1e-9
                 assert np.all(g >= bound.g0 - 1e-12)
 
@@ -298,7 +298,7 @@ class TestBatchedRowUpdate:
         # at beta_max = pi/2 the endpoints score 1 and 1 + 6e-17, which rounds to 1
         bound = g0_bound(math.pi / 2)
         q = np.array([1.0, 1.0])
-        np.testing.assert_array_equal(mm_row_update(q, bound), [1.0, 0.0])
+        np.testing.assert_array_equal(mm_row_update(q, bound, prev=np.zeros(2)), [1.0, 0.0])
         np.testing.assert_array_equal(_mm_rows(q[None, :], bound, np.zeros((1, 2)))[0], [1.0, 0.0])
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from rssdgeom import cli
 from rssdgeom.cli import main
 from rssdgeom.estimator import mle_estimate
 from rssdgeom.experiments import (
+    HEADERS,
     resize_sensors,
     run_convergence,
     run_optimize,
@@ -51,7 +53,7 @@ class TestConvergenceMode:
     def test_rows_and_header(self, tmp_path):
         sc = case_a()
         result = run_convergence(sc, [math.radians(120.0)], seed=3)
-        assert result.header[:5] == [
+        assert HEADERS[result.mode][:5] == [
             "beta_max_deg", "iter", "lb_rmse_m", "objective", "inner_iters",
         ]
         assert result.rows[0]["iter"] == 0
@@ -59,7 +61,7 @@ class TestConvergenceMode:
         path = tmp_path / "conv.csv"
         write_csv(result, path)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(result.header)
+        assert lines[0] == ",".join(HEADERS[result.mode])
         assert len(lines) == len(result.rows) + 1
 
     def test_iteration_zero_is_uniform(self):
@@ -268,6 +270,23 @@ class TestSweepAngle:
         for row in result.rows:
             assert row["lb_rmse_opt_m"] <= row["lb_rmse_uniform_m"] + 1e-9
             assert row["improvement_pct"] >= -1e-9
+
+
+class TestDeterminism:
+    """Identical calls return equal results: a RunResult holds only what the run computed."""
+
+    def test_sweep_angle_results_equal(self):
+        grid = [math.radians(b) for b in (90.0, 200.0, 360.0)]
+        assert run_sweep_angle(case_a(), grid, seed=4) == run_sweep_angle(case_a(), grid, seed=4)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_practical_results_equal(self, refine):
+        def run():
+            return run_practical(case_a(), prior_std=50.0, trials=4, seed=11, refine=refine)
+
+        first, second = run(), run()
+        assert first == second
+        assert math.isfinite(first.rows[-1]["empirical_rmse_m"]) == refine
 
 
 class TestPractical:
@@ -516,6 +535,13 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("beta_max_deg,lb_rmse_uniform_m,lb_rmse_opt_m")
         assert len(lines) == 2
+
+    def test_summary_line_reports_the_run_time(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--scenario", str(CASE_A), "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        pattern = rf"optimize: 1 rows -> {re.escape(str(out))} \(\d+\.\d\ds, converged=yes\)"
+        assert re.fullmatch(pattern, line), line
 
     def test_nonconvergence_exit_code(self, tmp_path):
         out = tmp_path / "opt.csv"

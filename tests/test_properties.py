@@ -1,17 +1,18 @@
-"""Property tests: sign invariance of the X-update and symmetries of the scores."""
+"""Property tests: sign invariance of the X-update, symmetries of the scores and the frame bound."""
 
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rssdgeom import admm
 from rssdgeom.admm import x_update
-from rssdgeom.fim import fim_full
-from rssdgeom.model import Placement, Scenario, SourceParams, Variant
+from rssdgeom.fim import fim_full, noise_weights, sensitivity_diag
+from rssdgeom.model import Placement, Scenario, SourceParams, Variant, case_b
 from rssdgeom.numerics import thin_svd
 
 TWO_PI = 2.0 * math.pi
@@ -123,3 +124,57 @@ def test_lb_rmse_scales_with_distances(case, k):
     scaled = replace(sc, horiz_dist=k * sc.horiz_dist, vert_dist=k * sc.vert_dist)
     _, lb = scores(scaled, angles)
     assert_rel_close(lb, k * base[1])
+
+
+@st.composite
+def bound_cases(draw):
+    """A scenario of either variant, N up to 19 on a random arc, and a placement seed."""
+    variant = draw(st.sampled_from([Variant.RSSD, Variant.RSS]))
+    n = draw(st.integers(3 if variant is Variant.RSSD else 2, 19))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    sc = Scenario(
+        source=[draw(st.floats(-500, 500)), draw(st.floats(-500, 500)), 0.0],
+        n_sensors=n,
+        gamma=draw(st.floats(1.5, 4.0)),
+        horiz_dist=vector(50.0, 3000.0),
+        vert_dist=vector(0.0, 600.0),
+        noise_std=vector(0.5, 4.0),
+        samples_per_position=draw(st.integers(1, 20)),
+        beta_max=draw(st.floats(0.01, TWO_PI)),
+        variant=variant,
+    )
+    return sc, draw(st.integers(0, 2**32 - 1))
+
+
+def frame_bound(sc):
+    """(sum_i w_i c_i^2 / 2)^2, w the noise weights and c_i = r_i / d_i^2."""
+    w, c = noise_weights(sc).w, sensitivity_diag(sc)
+    return (float(np.sum(w * c**2)) / 2.0) ** 2
+
+
+def det_t(sc, angles):
+    """det T of a placement at the scenario's own source."""
+    summary = fim_full(sc, Placement.from_angles(angles), SourceParams(0.0, sc.source[:2]))
+    return float(np.linalg.det(summary.t))
+
+
+@PROPERTY
+@given(bound_cases())
+def test_det_t_never_exceeds_the_frame_bound(case):
+    # tr T <= sum w_i c_i^2 (T is a weighted covariance of the points
+    # c_i g_i, or their second moment for RSS), so det T <= (tr T / 2)^2
+    # is at most the bound on every arc
+    sc, seed = case
+    bound = frame_bound(sc)
+    for angles in np.random.default_rng(seed).uniform(0.0, sc.beta_max, (30, sc.n_sensors)):
+        assert det_t(sc, angles) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_regular_polygon_meets_the_frame_bound(n):
+    # identical sensors on a regular polygon: m = 0 and T = c^2 / 2 * I
+    sc = case_b(n)
+    assert det_t(sc, TWO_PI * np.arange(n) / n) == pytest.approx(frame_bound(sc), rel=1e-12)
