@@ -19,10 +19,12 @@ its own copy of its trial's measurements and sensor positions; the loop then
 holds its state only for the starts still running, and drops the starts that
 stop from every array at once. An unusable trial step (singular, non-finite,
 at a sensor, or overflowing to a NaN cost) is rejected by a mask. Each start
-keeps its own damping and stopping rules, and every batched product and 2x2
-solve goes through the same BLAS/LAPACK call as for a single start, so each
-result is bit-identical to running the starts of each trial one after
-another. mle_estimate is the one-trial call.
+keeps its own damping and stopping rules. Every operation of the loop is
+elementwise or a sum along one row of a C-contiguous (starts, N) array, the
+Jacobian is held as its x and y components, and the damped 2x2 normal
+equations are solved in closed form on (starts,) arrays, so no value of a
+row depends on the other rows: each result is bit-identical to running the
+starts of each trial one after another. mle_estimate is the one-trial call.
 
 A start forms its Gauss-Newton normal equations (J^T J and J^T r) only when
 its iterate has moved: at its first iteration and after an accepted step. A
@@ -42,12 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SourceParams
-from .numerics import row_dots
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _DAMPING_MIN = 1e-15
+# the float64 resolution of the profiled cost, relative: a trial whose cost
+# exceeds the current one by no more is a tie at rounding level, not a rise
+_COST_RESOLUTION = 16 * np.finfo(float).eps
 _STEP_TOL = 1e-8
 _MAX_ITERS = 200
 _BLOCK_ROWS = 1024
@@ -92,39 +96,38 @@ def _profiled_residual(d_sq, measurements, inv_std, gamma):
 
 
 def _jacobian(xy, px, py, inv_std, gamma, d_sq):
-    """(S, N, 2) Jacobians of the profiled residuals w.r.t. (x, y)."""
+    """(S, N) x and y components of the Jacobians of the profiled residuals."""
     slope = 10.0 * gamma / math.log(10.0)
-    # d(10*gamma*log10 d_i)/dx = slope * (x - x_i) / d_i^2
-    raw = np.stack(
-        [
-            slope * (xy[:, :1] - px) / d_sq,
-            slope * (xy[:, 1:] - py) / d_sq,
-        ],
-        axis=-1,
-    )
     w2 = inv_std**2
     wsum = np.sum(w2)
-    mean_row = (w2 @ raw) / wsum
-    return inv_std[:, None] * (raw - mean_row[:, None, :])
+    components = []
+    for coord, sensor in ((xy[:, :1], px), (xy[:, 1:], py)):
+        # d(10*gamma*log10 d_i)/dx = slope * (x - x_i) / d_i^2
+        raw = slope * (coord - sensor) / d_sq
+        mean = np.sum(w2 * raw, axis=1) / wsum
+        components.append(inv_std * (raw - mean[:, None]))
+    return components
 
 
-def _solve_each(a, b):
-    """Solve every 2x2 system a_i x = b_i; a singular one fails only its own row.
+def _solve_2x2(a00, a01, a11, b0, b1):
+    """Solve every symmetric 2x2 system [[a00, a01], [a01, a11]] x = (b0, b1).
 
-    Returns (x, solved). The batched call is the same LAPACK routine as a
-    single solve, so each row is bit-identical to solving it alone.
+    All arguments are (S,) arrays. LU with partial pivoting, as LAPACK's
+    getrf: the rows swap where |a01| > |a00|. A row is unsolved exactly
+    where a pivot is 0, where np.linalg.solve raises LinAlgError; its x is
+    then meaningless. A NaN entry gives a NaN x, not an unsolved row.
+    Returns the (S, 2) x and the (S,) solved mask.
     """
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
-        solved = np.ones(len(a), dtype=bool)
-        for i in range(len(a)):
-            try:
-                x[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return x, solved
+    swap = np.abs(a01) > np.abs(a00)
+    # the pivot row (p0, p1 | c0) and the row it eliminates (q0, q1 | c1)
+    p0, p1, c0 = np.where(swap, a01, a00), np.where(swap, a11, a01), np.where(swap, b1, b0)
+    q0, q1, c1 = np.where(swap, a00, a01), np.where(swap, a01, a11), np.where(swap, b0, b1)
+    with np.errstate(all="ignore"):
+        lower = q0 / p0
+        u11 = q1 - lower * p1
+        x1 = (c1 - lower * c0) / u11
+        x0 = (c0 - p1 * x1) / p0
+    return np.stack([x0, x1], axis=1), (p0 != 0) & (u11 != 0)
 
 
 def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
@@ -136,18 +139,23 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     iteration scores every row's trial, with floating-point warnings
     silenced, and rejects by mask: a trial is ok where the solve succeeded,
     it is finite and no sensor is at zero distance from it, and accepted
-    where it is ok and does not raise the cost (a finite trial whose squared
-    distances overflow costs NaN, so it is rejected). A rejection raises the
-    damping. A singular normal matrix stops a start, an accepted step shorter
-    than _STEP_TOL stops it, and a rejected ok trial that lifts its damping
-    above 1e15 stops it. A short step counts as converged only where
+    where it is ok and does not raise the cost beyond its rounding
+    (a finite trial whose squared distances overflow costs NaN, so it is
+    rejected). The rounding allowance is _COST_RESOLUTION relative: near a
+    minimum the cost of the next iterate differs from the current one only
+    by rounding, and counting such a tie as a rise would raise the damping
+    until the step vanished short of the fixed point; accepted, a tie lowers
+    the damping and lets the Gauss-Newton step finish. A rejection raises
+    the damping. A singular normal matrix stops a start, an accepted step
+    shorter than _STEP_TOL stops it, and a rejected ok trial that lifts its
+    damping above 1e15 stops it. A short step counts as converged only where
     tr(J^T J) is at least the damping floor _DAMPING_MIN: below it the
     damping swamps J^T J at every value it can take, so the step is short
     however far the start is from a minimum (a start lost far out on a flat
-    cost). J^T J and J^T r are kept per start and recomputed, through
-    _jacobian, only for starts whose iterate moved (the first iteration, and
-    after an accepted step); after a rejected step they are reused as they
-    are.
+    cost). J^T J and J^T r are kept per start as five (S,) arrays and
+    recomputed, through _jacobian, only for starts whose iterate moved (the
+    first iteration, and after an accepted step); after a rejected step they
+    are reused as they are.
 
     The loop state covers only the starts still running. On an iteration
     where starts stop, their results are written out and every state array
@@ -163,30 +171,33 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     rows = np.arange(n_starts)  # the start that each state row belongs to
     d_sq = _dist_sq(xy, px, py, h_sq)
     res, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
-    cost = row_dots(res, res)
+    cost = np.sum(res * res, axis=1)
     damping = np.full(n_starts, _DAMPING_START)
-    # J^T J and J^T r of each start's current iterate; moved marks the starts
-    # whose iterate changed since they were formed (all of them at first)
-    hess = np.empty((n_starts, 2, 2))
-    grad = np.empty((n_starts, 2))
+    # J^T J = [[h00, h01], [h01, h11]] and J^T r = (g0, g1) of each start's
+    # current iterate; moved marks the starts whose iterate changed since
+    # they were formed (all of them at first)
+    h00, h01, h11, g0, g1 = np.empty((5, n_starts))
     moved = np.ones(n_starts, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
         if moved.any():
             new = np.flatnonzero(moved)
-            jac = _jacobian(xy[new], px[new], py[new], inv_std, gamma, d_sq[new])
-            jac_t = jac.transpose(0, 2, 1)
-            grad[new] = (jac_t @ res[new][:, :, None])[:, :, 0]
-            hess[new] = jac_t @ jac
-        step, solved = _solve_each(hess + damping[:, None, None] * np.eye(2), -grad)
+            jx, jy = _jacobian(xy[new], px[new], py[new], inv_std, gamma, d_sq[new])
+            r = res[new]
+            h00[new] = np.sum(jx * jx, axis=1)
+            h01[new] = np.sum(jx * jy, axis=1)
+            h11[new] = np.sum(jy * jy, axis=1)
+            g0[new] = np.sum(jx * r, axis=1)
+            g1[new] = np.sum(jy * r, axis=1)
+        step, solved = _solve_2x2(h00 + damping, h01, h11 + damping, -g0, -g1)
         trial = xy + step
         # a bad trial's NaN or overflow is thrown away by the masks below
         with np.errstate(all="ignore"):
             t_sq = _dist_sq(trial, px, py, h_sq)
             res_t, _ = _profiled_residual(t_sq, meas, inv_std, gamma)
-            cost_t = row_dots(res_t, res_t)
-            step_norm = np.sqrt(row_dots(step, step))
+            cost_t = np.sum(res_t * res_t, axis=1)
+            step_norm = np.sqrt(np.sum(step * step, axis=1))
         ok = solved & np.all(np.isfinite(trial), axis=1) & ~np.any(t_sq <= 0, axis=1)
-        accept = ok & (cost_t <= cost)
+        accept = ok & (cost_t <= cost * (1.0 + _COST_RESOLUTION))
         xy = np.where(accept[:, None], trial, xy)
         res = np.where(accept[:, None], res_t, res)
         d_sq = np.where(accept[:, None], t_sq, d_sq)
@@ -200,13 +211,14 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         if stop.any():
             done = rows[stop]
             out_xy[done], out_cost[done], iterations[done] = xy[stop], cost[stop], it
-            flat = hess[:, 0, 0] + hess[:, 1, 1] < _DAMPING_MIN
+            flat = h00 + h11 < _DAMPING_MIN
             converged[rows[short & ~flat]] = True
             keep = np.flatnonzero(~stop)
-            rows, xy, res, cost, d_sq, damping, hess, grad, moved, meas, px, py, h_sq = (
-                a.take(keep, axis=0)
-                for a in (rows, xy, res, cost, d_sq, damping, hess, grad, moved, meas, px, py, h_sq)
+            state = (rows, xy, res, cost, d_sq, damping, moved, h00, h01, h11, g0, g1)
+            rows, xy, res, cost, d_sq, damping, moved, h00, h01, h11, g0, g1 = (
+                a.take(keep, axis=0) for a in state
             )
+            meas, px, py, h_sq = (a.take(keep, axis=0) for a in (meas, px, py, h_sq))
             if not keep.size:
                 break
     out_xy[rows], out_cost[rows] = xy, cost
@@ -342,7 +354,9 @@ def mle_estimate(
 
     Returns:
         MleResult with theta_hat = (P0_hat, x_hat, y_hat). The residual at
-        the estimate never exceeds the residual at the init.
+        the estimate never exceeds the residual at the init beyond rounding:
+        an accepted step may raise the squared residual by at most the
+        relative allowance _COST_RESOLUTION (16 float64 epsilons).
     """
     return mle_estimate_many(
         np.asarray(measurements, dtype=float)[None],
