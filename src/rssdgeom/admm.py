@@ -5,39 +5,46 @@ angles confined to an arc, by splitting the log-det objective from the
 unit-norm/arc constraints: an auxiliary matrix X carries the objective, the
 direction matrix G carries the constraints, and a dual matrix V plus a
 quadratic penalty rho tie them together. Per outer iteration the X block has
-a closed-form update through a thin SVD, and the G block is solved by
-majorize-minimize sweeps whose per-row minimizers are known in closed form on
-the feasible arc. A sweep updates all N rows in one array expression
-(_mm_rows); mm_row_update is the same kernel applied to a single row.
+a closed-form update on the 2x2 Gram matrix of J (a thin SVD only where that
+matrix is near singular), and the G block is solved by majorize-minimize
+sweeps whose per-row minimizers are known in closed form on the feasible
+arc: each row's minimizer is an angle on the arc, and the sweep's
+objective is read off the same q the rows are computed from. A sweep
+updates all N rows in one array expression (_mm_rows); mm_row_update is
+the same kernel applied to a single row.
 
 Designs run in lockstep along a leading design axis. optimize_many groups
 its scenarios by variant, all swarms of at most _PAD_LIMIT sensors in one
 group and larger swarms by exact size, and advances each group as one
 batch of (B, N, 2) arrays, N being the group's largest sensor count: every
-outer step is one batched thin SVD for the X-update, one set of MM sweeps
-(each design stops sweeping on its own test) and one dual update for all
-running designs. A smaller swarm is padded with zero rows and columns in
-its coupling factor and m_tilde and zero rows in G and V; its padded rows
-see q = 0 in every sweep, so they keep their zeros, and they never feed
-back into the real rows. The set-up makes one call per kernel for all
-designs of one sensor count. The iterates are scored (frame rotation, T,
-det T and LB-RMSE) once per block of up to _SCORE_BLOCK outer steps, with
-one frame rotation over every step and design of the block and one
-scoring call per sensor count on the real rows only; the solver state
-never reads a score, so the block only decides how far a design runs past
-its stop before it leaves the batch. Each design keeps its own penalty,
-bound, arc offset, LB budget, best record and stop test, keeps only the
-records up to its stop, and leaves the batch at the end of the block in
-which it stops. Its result is bit for bit the serial loop run on its
-zero-padded arrays: what it would be alone when its group holds one size,
-and within rounding of that otherwise (the padded sums round differently).
-optimize is optimize_many on one scenario. x_update, g_update_mm, _mm_rows
-and _to_user_frame take the design axis or a single design, and give a
-single design the same bits either way.
+outer step is one X-update call, one set of MM sweeps (each design stops
+sweeping on its own test) and one dual update for all running designs. A
+smaller swarm is padded with zero rows and columns in its coupling factor
+and m_tilde and zero rows in G and V; its padded rows see q = 0 in every
+sweep, so they keep their zeros, and they never feed back into the real
+rows. The set-up makes one call per kernel for all designs of one sensor
+count. The iterates are scored (det T and LB-RMSE) once per block of up to
+_SCORE_BLOCK outer steps, with one call over every step and design of the
+block on T = (S D G)^T S D G, which the steps already hold; the solver
+state never reads a score, so the block only decides how far a design
+runs past its stop before it leaves the batch. The MM sweeps carry each
+row's arc angle, which is its user-frame angle, so no iterate is turned
+back from directions to angles. Each design keeps its own penalty, bound,
+LB budget, best record and stop test, keeps only the records up to its
+stop, and leaves the batch at the end of the block in which it stops.
+Record 0 and the returned best record are re-scored at the end through
+fim.reduced_scores, one call per sensor count, so the reported numbers
+are those of fim_full. A design's result is bit for bit the serial loop
+run on its zero-padded arrays: what it would be alone when its group holds
+one size, and within rounding of that otherwise (the padded sums round
+differently). optimize is optimize_many on one scenario. x_update,
+g_update_mm and _mm_rows take the design axis or a single design, and
+give a single design the same bits either way.
 
 For spread bounds above pi the solver works in a rotation-equivalent arc
-centered on pi/2 (where the constraint is a plain elementwise vector bound)
-and rotates the result back into [0, beta_max] before returning it.
+centered on pi/2 (where the constraint is a plain elementwise vector
+bound); a row's arc angle, measured from the arc's lower end, is the same
+in both frames.
 
 Two conventions worth knowing:
 
@@ -58,6 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fim import (
+    _DEGENERACY_RCOND,
     ConstraintBound,
     coupling_matrix,
     g0_bound,
@@ -67,9 +75,7 @@ from .fim import (
     sensor_offsets,
     solver_arc_offset,
 )
-from .model import (
-    TWO_PI, Placement, Scenario, ScenarioError, Variant, direction_angles, wrap_angles
-)
+from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, wrap_angles
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 # fim_full is not called here, but it stays importable as admm.fim_full:
@@ -94,6 +100,18 @@ _STALL_ITERATIONS = 2
 # that stops inside a block has its later steps of that block computed and
 # dropped, so a group runs at most _SCORE_BLOCK - 1 steps past its last stop.
 _SCORE_BLOCK = 8
+
+# A design's X-update takes the closed form on its Gram matrix K = J^T J
+# while det K > _GRAM_RCOND * K_00 * K_11, that is, while the squared sine
+# of the angle between J's columns exceeds it; the rest take the thin SVD.
+# det K is formed by cancellation, so the closed form's relative error grows
+# as about eps / sin^2: at this bound it stays within about 1e-13 of the SVD
+# (measured against 40-digit arithmetic), and the J of the bundled studies
+# stay above 0.048.
+_GRAM_RCOND = 1e-2
+
+_IDENTITY = np.eye(2)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Designs with at most this many sensors share one lockstep group, padded to
 # its largest sensor count; larger swarms keep one group per exact size. A
@@ -188,36 +206,80 @@ def singular_value_map(sigma, rho):
 def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     """Global minimizer of the X subproblem for the current J = V + rho*S*G.
 
-    Shares singular vectors with J (the alignment that attains the trace
-    upper bound); each singular value is remapped by singular_value_map
-    (sigma >= 0 by construction, rho > 0). Returns the array
-    X = U diag(lambda) V^T, which holds each singular pair only as the
-    product u_j v_j^T and so does not depend on its sign. J may be a
-    (B, N, 2) stack of designs with one rho each.
+    X = U diag(lambda) V^T shares its singular vectors with J (the alignment
+    that attains the trace upper bound), each singular value remapped by
+    singular_value_map. With the 2x2 Gram matrix K = J^T J that is
+    X = J (I + (I + 8 rho K^-1)^(1/2)) / (2 rho), evaluated in closed form:
+    a 2x2 positive definite A has the square root
+    (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)). A design whose K is
+    singular or too ill-conditioned for that (det K at most _GRAM_RCOND
+    times the product of its diagonal) takes the thin SVD instead, which
+    then runs on the whole stack. J may be a (B, N, 2) stack of designs
+    with one rho each; a design's path and bits depend on its own J and
+    rho only.
     """
-    u, sigma, vh = thin_svd(j_k)
-    lam = singular_value_map(sigma, np.asarray(rho)[..., None])
-    return (u * lam[..., None, :]) @ vh
+    j = np.asarray(j_k, dtype=float)
+    one = j.ndim == 2
+    if one:
+        j = j[None]
+    rho = np.asarray(rho, dtype=float).reshape(-1)
+    k = j.swapaxes(-1, -2) @ j
+    k00, k01, k11 = k[:, 0, 0], k[:, 0, 1], k[:, 1, 1]
+    diagonal = k00 * k11
+    det = diagonal - k01 * k01
+    closed = det > _GRAM_RCOND * diagonal
+    all_closed = np.count_nonzero(closed) == len(closed)
+    # A = I + c adj(K) with c = 8 rho / det K; det A = 1 + c tr K + 8 rho c
+    # is a sum of positive terms, so it is formed without cancellation
+    eight_rho = 8.0 * rho
+    c = eight_rho / (det if all_closed else np.where(closed, det, 1.0))
+    one_ct = 1.0 + c * (k00 + k11)
+    root_det = np.sqrt(one_ct + eight_rho * c)
+    root_trace = np.sqrt(one_ct + 1.0 + 2.0 * root_det)
+    scale = 0.5 / rho
+    per_trace = scale / root_trace
+    diag = scale + (1.0 + root_det) * per_trace
+    cross = c * per_trace
+    # (I + A^(1/2)) / (2 rho) = diag I + cross adj(K), adj(K) being K with
+    # its diagonal swapped and its off-diagonal negated
+    adjugate = k[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+    m = diag[:, None, None] * _IDENTITY + cross[:, None, None] * adjugate
+    x = j @ m
+    if not all_closed:
+        u, sigma, vh = thin_svd(j)
+        lam = singular_value_map(sigma, rho[:, None])
+        x = np.where(closed[:, None, None], x, (u * lam[..., None, :]) @ vh)
+    return x[0] if one else x
 
 
-def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
+def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angles=None):
     """Minimize g_i.T q_i over unit vectors in the feasible arc, for every row i.
 
-    The unconstrained minimizer -q_i/|q_i| wins where it satisfies the vector
-    bound; elsewhere the minimum sits at an arc endpoint (the objective is
-    unimodal along the circle), ties going to the smaller angle. Rows with
-    q_i = 0 keep prev_i: every feasible point is optimal there. q and prev
-    are (N, 2), or (B, N, 2) with a bound carrying one row per design.
+    Along the circle g_i.T q_i = -|q_i| cos(t - t_i), t_i the angle of -q_i,
+    which is unimodal: the minimizer is t_i where it lies on the arc and the
+    nearer arc end elsewhere. So each row measures t_i from the arc centre,
+    wrapped to [-pi, pi) (-q_i opposite the centre ties to the lower end),
+    clips it to the arc's half-width and turns that angle into a unit row.
+    Rows with q_i = 0 keep prev_i: every feasible point is optimal there.
+    q and prev are (N, 2), or (B, N, 2) with a bound carrying one beta_max
+    per design. Given prev_angles, the arc angles of prev's rows, it returns
+    the new rows and their arc angles: a row's angle above the arc's lower
+    end, which is its user-frame angle in [0, beta_max].
     """
-    nq = np.sqrt(row_dots(q, q))
-    zero = nq == 0.0
-    interior = -q / np.where(zero, 1.0, nq)[..., None]
-    lo, hi = bound.ends[..., None, 0, :], bound.ends[..., None, 1, :]
-    lower_first = row_dots(q, hi) < row_dots(q, lo)
-    endpoint = np.where(lower_first[..., None], hi, lo)
-    feasible = (interior >= bound.g0[..., None, :]).all(axis=-1)
-    g = np.where(feasible[..., None], interior, endpoint)
-    return np.where(zero[..., None], prev, g)
+    away = -q
+    x, y = away[..., 0], away[..., 1]
+    turn = np.arctan2(y, x) - bound.centre
+    np.add(turn, TWO_PI, out=turn, where=turn < -math.pi)
+    np.minimum(np.maximum(turn, -bound.half, out=turn), bound.half, out=turn)
+    angle = bound.centre + turn
+    rows = np.empty_like(away)
+    np.cos(angle, out=rows[..., 0])
+    np.sin(angle, out=rows[..., 1])
+    moved = np.logical_or(x, y)
+    rows = np.where(moved[..., None], rows, prev)
+    if prev_angles is None:
+        return rows
+    return rows, np.where(moved, turn + bound.half, prev_angles)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
@@ -231,7 +293,7 @@ def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np
 
 
 def _design_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of every entry of each design's (N, 2) block, as np.sum of the block."""
+    """Sum of every entry of each design's block, as np.sum of the block."""
     return a.reshape(len(a), -1).sum(axis=1)
 
 
@@ -239,12 +301,6 @@ def _design_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each design's block, as np.linalg.norm of the block."""
     flat = a.reshape(len(a), -1)
     return np.sqrt(row_dots(flat, flat))
-
-
-def _g_objective(g: np.ndarray, half_bd: np.ndarray, c: np.ndarray, half_rho: np.ndarray) -> list:
-    """G-subproblem objective rho/2 * ||S G||^2 + <C, S G> up to constants, per design."""
-    sg = half_bd @ g
-    return (half_rho * _design_sums(sg * sg) + _design_sums(c * sg)).tolist()
 
 
 def g_update_mm(
@@ -257,6 +313,7 @@ def g_update_mm(
     bound: ConstraintBound,
     mm_tol: float = 1e-3,
     max_inner: int = 50,
+    angles=None,
 ):
     """Solve the constrained G subproblem by majorize-minimize sweeps.
 
@@ -266,7 +323,9 @@ def g_update_mm(
     surrogate splits into independent per-row problems, all solved at once
     by _mm_rows. Sweeps stop when the subproblem objective change falls
     below mm_tol (relative) or the iterate moves less than mm_tol in
-    Frobenius norm. Returns (G, sweeps performed).
+    Frobenius norm. Returns (G, sweeps performed); given angles, the arc
+    angles of g_start's rows (see _mm_rows), it returns
+    (G, sweeps, arc angles of G's rows).
 
     Every array may carry a leading design axis (B, ...), with one rho and
     one bound row per design; each design then stops on its own test, every
@@ -278,29 +337,41 @@ def g_update_mm(
         x_next, v, g_start, half_bd, m_tilde = (
             np.asarray(a, dtype=float)[None] for a in (x_next, v, g_start, half_bd, m_tilde)
         )
-    rho = np.reshape(rho, -1)
+    rho = np.asarray(rho, dtype=float).reshape(-1)
     rho_3d = rho[:, None, None]
-    half_rho = 0.5 * rho
-    g = g_start
     c = v - rho_3d * x_next
     base = half_bd.swapaxes(-1, -2) @ c
-    prev_obj = _g_objective(g, half_bd, c, half_rho)
+    # The objective rho/2 ||S G||^2 + <C, S G> read off the sweep's own
+    # q = S^T C + rho m_tilde G: every row of G is a unit row or a zero
+    # (padded) row, so rho/2 ||S G||^2 = rho/2 <G, m_tilde G> + lambda_max(M)
+    # times the real rows, which is rho/2 (||S||_F^2 - tr m_tilde).
+    flat = half_bd.reshape(len(half_bd), -1)
+    shift = 0.5 * rho * (row_dots(flat, flat) - np.trace(m_tilde, axis1=-2, axis2=-1))
+    g = g_start
+    arc = np.zeros(g.shape[:-1]) if angles is None else np.reshape(angles, g.shape[:-1])
+    q = base + rho_3d * (m_tilde @ g)
+    prev_obj = (0.5 * _design_sums(g * (q + base)) + shift).tolist()
     inner = [max_inner] * len(g)
     running = [True] * len(g)
+    # a zero q keeps a row, so a stopped design's q is multiplied by zero
+    live = np.ones((len(g), 1, 1))
     for sweep in range(1, max_inner + 1):
-        q_all = base + rho_3d * (m_tilde @ g)
-        g_next = _mm_rows(q_all, bound, g)
-        obj = _g_objective(g_next, half_bd, c, half_rho)
+        g_next, arc = _mm_rows(q if all(running) else q * live, bound, g, arc)
         delta = _design_norms(g_next - g).tolist()
-        g = np.where(np.array(running)[:, None, None], g_next, g)
+        g = g_next
+        q = base + rho_3d * (m_tilde @ g)
+        obj = (0.5 * _design_sums(g * (q + base)) + shift).tolist()
         for b, (p, o, d) in enumerate(zip(prev_obj, obj, delta)):
             if running[b] and (abs(p - o) < mm_tol * max(1.0, abs(o)) or d < mm_tol):
                 running[b] = False
+                live[b] = 0.0
                 inner[b] = sweep
         if not any(running):
             break
         prev_obj = obj
-    return (g[0], inner[0]) if one else (g, inner)
+    if one:
+        g, inner, arc = g[0], inner[0], arc[0]
+    return (g, inner) if angles is None else (g, inner, arc)
 
 
 def _log_det_inv_gram(x: np.ndarray):
@@ -309,23 +380,48 @@ def _log_det_inv_gram(x: np.ndarray):
     return np.where(sign > 0, -logdet, math.inf).tolist()
 
 
-def _to_user_frame(g_solver: np.ndarray, beta_max, offset) -> np.ndarray:
-    """Rotate solver-frame directions back into [0, beta_max] user angles.
+def _iterate_scores(hg: np.ndarray, lb_scale: np.ndarray):
+    """det T and LB-RMSE of every entry of a (E, N, 2) stack of S*D*G, as lists.
 
-    g_solver is (..., N, 2), beta_max and offset scalars or one per leading
-    entry; returns the (..., N) angles. Angles within 1e-9 above beta_max
-    snap to beta_max, and those within 1e-9 below 2*pi to 0. The row angles
-    come from model.direction_angles.
+    T = (S D G)^T S D G is the reduced information matrix G^T D B D G, the
+    T of fim.reduced_scores turned into the solver frame (which keeps its
+    determinant and eigenvalues). The LB-RMSE follows the reduced_scores
+    rule, sqrt((1/lambda_min + 1/lambda_max) / lb_scale), +inf where
+    lambda_min <= 1e-12 lambda_max.
     """
-    snap = 1e-9
-    beta_max = np.asarray(beta_max)[..., None]
-    a = wrap_angles(direction_angles(g_solver) - np.asarray(offset)[..., None])
-    over = a > beta_max
-    return np.where(
-        over & (TWO_PI - a <= snap),
-        0.0,
-        np.where(over & (a - beta_max <= snap), beta_max, a),
-    )
+    t = hg.swapaxes(-1, -2) @ hg
+    t00, t01, t11 = t[:, 0, 0], t[:, 0, 1], t[:, 1, 1]
+    half_trace = 0.5 * (t00 + t11)
+    half_gap = np.sqrt(np.square(0.5 * (t00 - t11)) + t01 * t01)
+    lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
+    degenerate = lam_min <= _DEGENERACY_RCOND * np.maximum(lam_max, 0.0)
+    lam_min, lam_max = (np.where(degenerate, 1.0, lam) for lam in (lam_min, lam_max))
+    lb = np.where(degenerate, math.inf, np.sqrt((1.0 / lam_min + 1.0 / lam_max) / lb_scale))
+    return (t00 * t11 - t01 * t01).tolist(), lb.tolist()
+
+
+def _certified_scores(scenarios: list, weights: list, angles: list):
+    """det T and LB-RMSE of each design's user-frame angles, scored as fim_full does.
+
+    One sensor_offsets and one reduced_scores call per sensor count, at each
+    design's own source, so every value has the bits of fim_full on the
+    design alone.
+    """
+    variant = scenarios[0].variant
+    det_t, lbs = [0.0] * len(scenarios), [0.0] * len(scenarios)
+    sizes = [sc.n_sensors for sc in scenarios]
+    for n in sorted(set(sizes)):
+        at = [i for i, size in enumerate(sizes) if size == n]
+        center = np.stack([scenarios[i].source[:2] for i in at])
+        horiz = np.stack([scenarios[i].horiz_dist for i in at])
+        vert = np.stack([scenarios[i].vert_dist for i in at])
+        a = np.stack([angles[i] for i in at])
+        dx, dy, d_sq = sensor_offsets(center, horiz, vert, a, center)
+        w = np.stack([weights[i].w for i in at])
+        t, lb, _ = reduced_scores(dx, dy, d_sq, w, [weights[i].lb_scale for i in at], variant)
+        for i, det, value in zip(at, np.linalg.det(t).tolist(), lb):
+            det_t[i], lbs[i] = det, value
+    return det_t, lbs
 
 
 @dataclass
@@ -333,7 +429,8 @@ class _Batch:
     """Solver arrays of the designs still running in a lockstep group, one row each.
 
     Sensor axes are padded with zeros to the group's largest sensor count;
-    n holds each design's own count.
+    n holds each design's own count, and angles the arc angles (user-frame
+    angles) of g's rows.
     """
 
     index: np.ndarray  # position of each design in its group
@@ -342,45 +439,15 @@ class _Batch:
     m_tilde: np.ndarray
     rho: np.ndarray
     g0: np.ndarray
-    ends: np.ndarray
     beta_max: np.ndarray
-    offset: np.ndarray
-    center: np.ndarray
-    horiz: np.ndarray
-    vert: np.ndarray
-    w: np.ndarray
     lb_scale: np.ndarray
     g: np.ndarray
+    angles: np.ndarray
     v: np.ndarray
     hg: np.ndarray  # half_bd @ g
 
     def take(self, keep: np.ndarray) -> "_Batch":
         return _Batch(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
-
-    def score(self, angles: np.ndarray, design: np.ndarray, variant: Variant):
-        """det T, LB-RMSE and real angles of entries (angles[e], design[e]), as lists.
-
-        angles are padded (entries, N) user-frame rows. Each entry is scored
-        on its design's own sensors only, with one sensor_offsets and one
-        reduced_scores call per sensor count, as it would be alone.
-        """
-        det_t = np.empty(len(design))
-        lbs = np.empty(len(design))
-        real = [None] * len(design)
-        sizes = self.n[design]
-        for n in sorted(set(sizes.tolist())):
-            sel = np.flatnonzero(sizes == n)
-            rows = design[sel]
-            a = angles[sel, :n]
-            center = self.center[rows]
-            horiz, vert = self.horiz[rows, :n], self.vert[rows, :n]
-            dx, dy, d_sq = sensor_offsets(center, horiz, vert, a, center)
-            t, lb, _ = reduced_scores(dx, dy, d_sq, self.w[rows, :n], self.lb_scale[rows], variant)
-            det_t[sel] = np.linalg.det(t)
-            lbs[sel] = lb
-            for e, row in zip(sel.tolist(), a):
-                real[e] = row
-        return det_t.tolist(), lbs.tolist(), real
 
 
 @dataclass
@@ -428,7 +495,7 @@ class _Run:
         return Placement.from_angles(self.best.angles), trace
 
 
-def _start(scenarios: list):
+def _start(scenarios: list, weights: list):
     """Set up a lockstep group: its _Batch and one _Run per design.
 
     Each design's coupling factor, m_tilde, penalty and uniform start are
@@ -436,20 +503,20 @@ def _start(scenarios: list):
     designs of that count, and embedded in zeros up to the group's largest
     count. The zero rows and columns keep the padded sensors inert (see
     the module docstring). Every run starts from the uniform placement,
-    which is record 0 and the first best record.
+    which is record 0 and the first best record, scored by
+    _certified_scores.
     """
     variant = scenarios[0].variant
     count = len(scenarios)
     sizes = np.array([sc.n_sensors for sc in scenarios])
     n_pad = int(sizes.max())
-    weights = [noise_weights(sc) for sc in scenarios]
     bounds = [g0_bound(sc.beta_max) for sc in scenarios]
     offset = np.array([solver_arc_offset(sc.beta_max) for sc in scenarios])
 
     half_bd = np.zeros((count, n_pad, n_pad))
     m_tilde = np.zeros((count, n_pad, n_pad))
     rho = np.empty(count)
-    angles, horiz, vert, w = (np.zeros((count, n_pad)) for _ in range(4))
+    angles = np.zeros((count, n_pad))
     g = np.zeros((count, n_pad, 2))
     for n in sorted(set(sizes.tolist())):
         at = np.flatnonzero(sizes == n)
@@ -469,9 +536,6 @@ def _start(scenarios: list):
         turned = uniform + offset[at, None]
         angles[at, :n] = uniform
         g[at, :n] = np.stack([np.cos(turned), np.sin(turned)], axis=-1)
-        horiz[at, :n] = [sc.horiz_dist for sc in members]
-        vert[at, :n] = [sc.vert_dist for sc in members]
-        w[at, :n] = [weights[i].w for i in at]
 
     hg = half_bd @ g
     batch = _Batch(
@@ -481,22 +545,18 @@ def _start(scenarios: list):
         m_tilde=m_tilde,
         rho=rho,
         g0=np.stack([b.g0 for b in bounds]),
-        ends=np.stack([b.ends for b in bounds]),
         beta_max=np.array([b.beta_max for b in bounds]),
-        offset=offset,
-        center=np.stack([sc.source[:2] for sc in scenarios]),
-        horiz=horiz,
-        vert=vert,
-        w=w,
         lb_scale=np.array([wt.lb_scale for wt in weights]),
         g=g,
+        angles=angles,
         v=np.zeros_like(g),
         hg=hg,
     )
-    det_t, lbs, real = batch.score(angles, batch.index, variant)
     runs = []
-    for objective, det, lb, rec_angles in zip(_log_det_inv_gram(hg), det_t, lbs, real):
-        first = TraceRecord(0, objective, det, lb, 0, 0.0, rec_angles)
+    for objective, det, lb, row, n in zip(
+        _log_det_inv_gram(hg), *_iterate_scores(hg, batch.lb_scale), angles, sizes.tolist()
+    ):
+        first = TraceRecord(0, objective, det, lb, 0, 0.0, row[:n])
         runs.append(_Run(records=[first], best=first, lb_budget=lb + 1e-9))
     return batch, runs
 
@@ -506,55 +566,57 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
-    call per kernel and no scoring. The block's iterates are then stacked
-    step-major to (steps * designs, N, 2), rotated to the user frame with
-    one call and scored on each design's real sensors with one call per
-    kernel and sensor count (_Batch.score); each design replays its records
-    through its stop test in step order. A design that stops keeps the
-    records up to its stop, drops the rest of the block and leaves the
-    batch; the others run on.
+    call per kernel and no scoring; g_update_mm carries the arc angles of
+    G's rows along. The block's iterates are then stacked step-major to
+    (steps * designs, N, 2) and scored with one _iterate_scores call on the
+    S*D*G the steps already hold; each design replays its records through
+    its stop test in step order. A design that stops keeps the records up
+    to its stop, drops the rest of the block and leaves the batch; the
+    others run on. At the end, each design's record 0 and best record are
+    re-scored by _certified_scores, so the numbers reported with the uniform
+    and the returned placement are those of fim_full.
     """
-    variant = scenarios[0].variant
-    batch, runs = _start(scenarios)
+    weights = [noise_weights(sc) for sc in scenarios]
+    batch, runs = _start(scenarios, weights)
     k = 0
     while k < max_outer:
         steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
-        bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max, ends=batch.ends)
-        xs, gs, residuals, moves, inner = [], [], [], [], []
+        bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max)
+        xs, hgs, arcs, residuals, moves, inner = [], [], [], [], [], []
         for _ in range(steps):
             x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
-            g, sweeps = g_update_mm(
-                x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound
+            g, sweeps, arc = g_update_mm(
+                x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound,
+                angles=batch.angles,
             )
             hg = batch.half_bd @ g
             residual = hg - x
             xs.append(x)
-            gs.append(g)
+            hgs.append(hg)
+            arcs.append(arc)
             residuals.append(residual)
             moves.append(g - batch.g)
             inner += sweeps
-            batch.g, batch.hg, batch.v = g, hg, batch.v + rho_3d * residual
+            batch.g, batch.angles, batch.hg = g, arc, hg
+            batch.v = batch.v + rho_3d * residual
 
         width = len(batch.index)
-        angles = _to_user_frame(
-            np.concatenate(gs), np.tile(batch.beta_max, steps), np.tile(batch.offset, steps)
-        )
-        det_t, lbs, real = batch.score(angles, np.tile(np.arange(width), steps), variant)
+        det_t, lbs = _iterate_scores(np.concatenate(hgs), np.tile(batch.lb_scale, steps))
+        user = wrap_angles(np.stack(arcs))
         columns = list(zip(
             _log_det_inv_gram(np.concatenate(xs)),
             det_t,
             lbs,
             inner,
             _design_norms(np.concatenate(residuals)).tolist(),
-            real,
             _design_norms(np.concatenate(moves)).tolist(),
         ))
         running = []
-        for j, i in enumerate(batch.index.tolist()):
+        for j, (i, n) in enumerate(zip(batch.index.tolist(), batch.n.tolist())):
             for s in range(steps):
-                objective, det, lb, sweeps, primal, rec_angles, step = columns[s * width + j]
-                rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, rec_angles)
+                objective, det, lb, sweeps, primal, step = columns[s * width + j]
+                rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, user[s, j, :n])
                 stopped = runs[i].advance(rec, step)
                 if stopped:
                     break
@@ -564,6 +626,10 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             if not any(running):
                 break
             batch = batch.take(np.array(running))
+    reported = [run.records[0] for run in runs] + [run.best for run in runs]
+    certified = _certified_scores(scenarios * 2, weights * 2, [rec.angles for rec in reported])
+    for rec, det, lb in zip(reported, *certified):
+        rec.det_t, rec.lb_rmse = det, lb
     return [run.result() for run in runs]
 
 

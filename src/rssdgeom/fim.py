@@ -231,14 +231,21 @@ class ConstraintBound:
     A unit vector g satisfies g >= g0 exactly when its angle lies in the
     bound's feasible arc: [0, beta_max] itself when beta_max <= pi, and for
     beta_max > pi the rotation-equivalent arc centered on pi/2 (see
-    solver_arc_offset). ends holds the arc's two endpoint directions as
-    (2, 2) rows, by increasing angle. Every field may carry a leading
-    design axis, one bound per design.
+    solver_arc_offset). That arc is centre +- half, with
+    centre = min(beta_max, pi) / 2 and half = beta_max / 2, both derived from
+    beta_max with a trailing axis so that they broadcast against rows. g0 and
+    beta_max may carry a leading design axis, one bound per design.
     """
 
     g0: np.ndarray
     beta_max: float
-    ends: np.ndarray
+    centre: np.ndarray = field(init=False)
+    half: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        beta_max = np.asarray(self.beta_max, dtype=float)[..., None]
+        self.centre = 0.5 * np.minimum(beta_max, math.pi)
+        self.half = 0.5 * beta_max
 
 
 def g0_bound(beta_max: float) -> ConstraintBound:
@@ -247,13 +254,9 @@ def g0_bound(beta_max: float) -> ConstraintBound:
     beta_max = min(float(beta_max), TWO_PI)
     if beta_max <= math.pi:
         g0 = np.array([math.cos(beta_max), 0.0])
-        ends = (0.0, beta_max)
     else:
         g0 = np.array([-1.0, math.cos(beta_max / 2.0)])
-        ends = ((math.pi + beta_max) / 2.0, (5.0 * math.pi - beta_max) / 2.0)
-    return ConstraintBound(
-        g0=g0, beta_max=beta_max, ends=np.array([[math.cos(a), math.sin(a)] for a in ends])
-    )
+    return ConstraintBound(g0=g0, beta_max=beta_max)
 
 
 def solver_arc_offset(beta_max: float) -> float:
