@@ -49,9 +49,9 @@ _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _DAMPING_MIN = 1e-15
-# the float64 resolution of the profiled cost, relative: a trial whose cost
-# exceeds the current one by no more is a tie at rounding level, not a rise
-_COST_RESOLUTION = 16 * np.finfo(float).eps
+# the float64 resolution of one residual term, relative to the size of the
+# terms it is summed from; see _solve_lockstep for the cost's tie allowance
+_COST_RESOLUTION = np.finfo(float).eps
 _STEP_TOL = 1e-8
 _MAX_ITERS = 200
 _BLOCK_ROWS = 1024
@@ -84,15 +84,15 @@ def _dist_sq(xy, px, py, h_sq):
 def _profiled_residual(d_sq, measurements, inv_std, gamma):
     """Weighted residuals with the optimal P0 substituted, per row.
 
-    d_sq and measurements are (S, N); returns the (S, N) residuals and the
-    (S,) profiled P0.
+    d_sq and measurements are (S, N); returns the (S, N) residuals, the
+    (S,) profiled P0 and the (S, N) path-loss terms 10*gamma*log10(d_i).
     """
     log_term = 5.0 * gamma * np.log10(d_sq)  # 10*gamma*log10(d)
     shifted = measurements + log_term
     wsum = np.sum(inv_std**2)
     p0 = np.sum(inv_std**2 * shifted, axis=1) / wsum
     res = inv_std * (shifted - p0[:, None])
-    return res, p0
+    return res, p0, log_term
 
 
 def _jacobian(xy, px, py, inv_std, gamma, d_sq):
@@ -141,11 +141,17 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     it is finite and no sensor is at zero distance from it, and accepted
     where it is ok and does not raise the cost beyond its rounding
     (a finite trial whose squared distances overflow costs NaN, so it is
-    rejected). The rounding allowance is _COST_RESOLUTION relative: near a
-    minimum the cost of the next iterate differs from the current one only
-    by rounding, and counting such a tie as a rise would raise the damping
-    until the step vanished short of the fixed point; accepted, a tie lowers
-    the damping and lets the Gauss-Newton step finish. A rejection raises
+    rejected). The rounding allowance scales with the terms the cost is
+    summed from, not with the cost: each residual r_i is a difference of
+    the measurement P_i and the path-loss term 10*gamma*log10(d_i), so it
+    carries a rounding of about eps*inv_std_i*(|P_i| + |10*gamma*log10 d_i|),
+    and the trial's cost may exceed the current one by
+    _COST_RESOLUTION * sum_i |r_i|*inv_std_i*(|P_i| + |10*gamma*log10 d_i|).
+    Near a minimum the cost of the next iterate differs from the current
+    one only by rounding, and counting such a tie as a rise would raise the
+    damping until the step vanished short of the fixed point; accepted, a
+    tie lowers the damping and lets the Gauss-Newton step finish. A
+    rejection raises
     the damping. A singular normal matrix stops a start, an accepted step
     shorter than _STEP_TOL stops it, and a rejected ok trial that lifts its
     damping above 1e15 stops it. A short step counts as converged only where
@@ -170,7 +176,7 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     iterations = np.full(n_starts, _MAX_ITERS)
     rows = np.arange(n_starts)  # the start that each state row belongs to
     d_sq = _dist_sq(xy, px, py, h_sq)
-    res, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
+    res, _, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
     cost = np.sum(res * res, axis=1)
     damping = np.full(n_starts, _DAMPING_START)
     # J^T J = [[h00, h01], [h01, h11]] and J^T r = (g0, g1) of each start's
@@ -193,11 +199,15 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         # a bad trial's NaN or overflow is thrown away by the masks below
         with np.errstate(all="ignore"):
             t_sq = _dist_sq(trial, px, py, h_sq)
-            res_t, _ = _profiled_residual(t_sq, meas, inv_std, gamma)
+            res_t, _, log_t = _profiled_residual(t_sq, meas, inv_std, gamma)
             cost_t = np.sum(res_t * res_t, axis=1)
+            # the rounding of cost_t: each residual carries its terms' rounding
+            tie = _COST_RESOLUTION * np.sum(
+                np.abs(res_t) * inv_std * (np.abs(meas) + np.abs(log_t)), axis=1
+            )
             step_norm = np.sqrt(np.sum(step * step, axis=1))
         ok = solved & np.all(np.isfinite(trial), axis=1) & ~np.any(t_sq <= 0, axis=1)
-        accept = ok & (cost_t <= cost * (1.0 + _COST_RESOLUTION))
+        accept = ok & (cost_t <= cost + tie)
         xy = np.where(accept[:, None], trial, xy)
         res = np.where(accept[:, None], res_t, res)
         d_sq = np.where(accept[:, None], t_sq, d_sq)
@@ -316,7 +326,7 @@ def mle_estimate_many(
             best[cost[:, s] < cost[trial, best]] = s
         rows = trial * k + best
         # recomputed, an iterate's squared distances are the bits the loop held
-        _, p0 = _profiled_residual(_dist_sq(xy[rows], px, py, h_sq), meas, inv_std, gamma)
+        _, p0, _ = _profiled_residual(_dist_sq(xy[rows], px, py, h_sq), meas, inv_std, gamma)
         conv = conv.reshape(n_block, k)
         iters = iters.reshape(n_block, k)
         for j in range(n_block):
@@ -355,8 +365,8 @@ def mle_estimate(
     Returns:
         MleResult with theta_hat = (P0_hat, x_hat, y_hat). The residual at
         the estimate never exceeds the residual at the init beyond rounding:
-        an accepted step may raise the squared residual by at most the
-        relative allowance _COST_RESOLUTION (16 float64 epsilons).
+        an accepted step may raise the squared residual by at most its
+        rounding allowance (see _solve_lockstep).
     """
     return mle_estimate_many(
         np.asarray(measurements, dtype=float)[None],
