@@ -7,8 +7,12 @@ residual sum over sensors
 
 P0 enters linearly, so it is profiled out in closed form (the weighted mean
 of P_i + 10*gamma*log10(d_i)); the horizontal position is found by damped
-Gauss-Newton on the profiled residual, optionally restarted from a small grid
-of offsets around the initial guess to escape distant local minima.
+Gauss-Newton on the profiled residual.
+
+Given a prior std, each problem runs three starts, the initial guess (the
+prior) and the two closed-form roots of the model's linearisation
+(_model_roots), and keeps the result with the most posterior mass
+(_laplace_scores). Without a prior std the initial guess is the one start.
 
 mle_estimate_many refines many problems (trials) that share the noise levels
 and path-loss exponent. Every start of every trial is one row of a
@@ -141,11 +145,8 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     it is finite and no sensor is at zero distance from it, and accepted
     where it is ok and does not raise the cost beyond its rounding
     (a finite trial whose squared distances overflow costs NaN, so it is
-    rejected). The rounding allowance scales with the terms the cost is
-    summed from, not with the cost: each residual r_i is a difference of
-    the measurement P_i and the path-loss term 10*gamma*log10(d_i), so it
-    carries a rounding of about eps*inv_std_i*(|P_i| + |10*gamma*log10 d_i|),
-    and the trial's cost may exceed the current one by
+    rejected). The rounding allowance is the rounding the residuals carry,
+    which scales with the terms they are summed from, not with the cost:
     _COST_RESOLUTION * sum_i |r_i|*inv_std_i*(|P_i| + |10*gamma*log10 d_i|).
     Near a minimum the cost of the next iterate differs from the current
     one only by rounding, and counting such a tie as a rise would raise the
@@ -235,17 +236,76 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     return out_xy, out_cost, converged, iterations
 
 
-def _restart_offsets(multistart_spread: float) -> np.ndarray:
-    """(K, 2) offsets of the restart grid around the init, init excluded."""
-    offsets = []
-    if multistart_spread > 0:
-        grid = np.linspace(-multistart_spread, multistart_spread, 5)
-        for ox in grid:
-            for oy in grid:
-                if ox == 0.0 and oy == 0.0:
-                    continue
-                offsets.append([ox, oy])
-    return np.array(offsets, dtype=float).reshape(-1, 2)
+def _model_roots(meas, px, py, h_sq, prior, gamma):
+    """(T, 2, 2) the two closed-form source candidates of each of T problems.
+
+    The model gives d_i^2 = lambda * kappa_i, with
+    kappa_i = 10^(-(P_i - mean P) / (5 gamma)) and lambda set by P0. With s_i
+    the horizontal sensor offsets from the prior and p the source offset,
+    d_i^2 = |p|^2 - 2 s_i^T p + |s_i|^2 + h_i^2, so each row
+    [1, -2 s_i^T, -kappa_i, |s_i|^2 + h_i^2] annihilates (|p|^2, p, lambda, 1):
+    the model is linear in A = |p|^2, p and lambda. Each problem's columns
+    are scaled by their largest magnitude over the sensors, and the right
+    singular vectors of the two smallest singular values span the solutions;
+    full_matrices makes them the null space when N < 5. On that span, the
+    last component set to 1 leaves a line (A, p)(t), and A = |p|^2 is a
+    quadratic in t, solved in its stable form. On noiseless data the source
+    is a root, and on a swarm at one radius and height about the prior the
+    other root is its circle-inversion mirror (So & Lin 2011, IEEE TSP
+    59(8); Beck, Stoica & Li 2008, IEEE TSP 56(5)). A negative discriminant
+    gives the vertex as both roots; a root that is not finite, or a problem
+    whose rows are not, gives the prior. meas, px, py and h_sq are (T, N),
+    prior is (T, 2); one stacked SVD serves all T problems.
+    """
+    with np.errstate(all="ignore"):
+        sx, sy = px - prior[:, :1], py - prior[:, 1:]
+        kappa = 10.0 ** ((np.mean(meas, axis=1, keepdims=True) - meas) / (5.0 * gamma))
+        rows = np.stack(
+            [np.ones_like(sx), -2.0 * sx, -2.0 * sy, -kappa, sx * sx + sy * sy + h_sq], axis=2
+        )
+        scale = np.max(np.abs(rows), axis=1)
+        scale[~(scale > 0)] = 1.0
+        rows /= scale[:, None, :]
+    finite = np.all(np.isfinite(rows), axis=(1, 2))
+    rows[~finite] = 0.0  # LAPACK may not return on a non-finite matrix
+    v1, v2 = np.moveaxis(np.linalg.svd(rows, full_matrices=True)[2][:, -2:], 1, 0)
+    with np.errstate(all="ignore"):
+        e1, e2 = v1[:, 4:], v2[:, 4:]
+        # the combination whose unscaled last component is 1, and a direction
+        # along which that component stays exactly 0
+        base = scale[:, 4:] * (e1 * v1 + e2 * v2) / (e1 * e1 + e2 * e2) / scale
+        ray = (e2 * v1 - e1 * v2) / scale
+        qa = ray[:, 1] ** 2 + ray[:, 2] ** 2
+        qb = 2.0 * (base[:, 1] * ray[:, 1] + base[:, 2] * ray[:, 2]) - ray[:, 0]
+        qc = base[:, 1] ** 2 + base[:, 2] ** 2 - base[:, 0]
+        disc = qb * qb - 4.0 * qa * qc
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+        vertex = -qb / (2.0 * qa)
+        t = np.stack([np.where(disc < 0, vertex, q / qa), np.where(disc < 0, vertex, qc / q)], 1)
+        roots = prior[:, None, :] + base[:, None, 1:3] + t[:, :, None] * ray[:, None, 1:3]
+    ok = finite[:, None, None] & np.isfinite(roots)
+    return np.where(np.all(ok, axis=2, keepdims=True), roots, prior[:, None, :])
+
+
+def _laplace_scores(xy, cost, prior, px, py, h_sq, inv_std, gamma, prior_std):
+    """(S,) -2 log posterior mass of each refined start, up to a constant.
+
+    The Laplace approximation under a Gaussian prior of std prior_std about
+    the (S, 2) prior: cost + |p - prior|^2 / prior_std^2
+    + log det(J^T J + I / prior_std^2), with J^T J the profiled Gauss-Newton
+    normal matrix at p. A source and its mirror fit the data alike, so only
+    the prior density and the basin volume tell them apart. A score that is
+    not finite is returned as inf.
+    """
+    with np.errstate(all="ignore"):
+        d_sq = _dist_sq(xy, px, py, h_sq)
+        jx, jy = _jacobian(xy, px, py, inv_std, gamma, d_sq)
+        inv_var = np.float64(prior_std) ** -2
+        h00 = np.sum(jx * jx, axis=1) + inv_var
+        h11 = np.sum(jy * jy, axis=1) + inv_var
+        h01 = np.sum(jx * jy, axis=1)
+        score = cost + np.sum((xy - prior) ** 2, axis=1) * inv_var + np.log(h00 * h11 - h01 * h01)
+    return np.where(np.isfinite(score), score, np.inf)
 
 
 def mle_estimate_many(
@@ -254,7 +314,7 @@ def mle_estimate_many(
     sigma_eff: np.ndarray,
     gamma: float,
     inits,
-    multistart_spread: float = 0.0,
+    prior_std: float = 0.0,
 ) -> list:
     """Weighted nonlinear least-squares source estimates of T problems at once.
 
@@ -267,8 +327,12 @@ def mle_estimate_many(
         inits: T initial guesses (SourceParams; each position seeds its
             problem's iteration, each p0 is ignored since the power is
             profiled out).
-        multistart_spread: half-width (m) of a 5x5 restart grid of horizontal
-            offsets around each init; 0 runs a single start per problem.
+        prior_std: std (m) of the error of each init as a prior on its
+            problem's position. 0 runs a single start per problem, from the
+            init. Above 0, each problem runs three starts, its init and the
+            two closed-form candidates of _model_roots, and keeps the result
+            with the lowest _laplace_scores score, the earliest start on a
+            tie; a score that is not finite never wins.
 
     Returns:
         T MleResults in input order, each equal bit for bit to
@@ -291,42 +355,38 @@ def mle_estimate_many(
         raise ValueError("measurements must be finite")
     if not np.all(np.isfinite(pos)):
         raise ValueError("sensor_positions must be finite")
-    spread = float(multistart_spread)
-    if not (math.isfinite(spread) and spread >= 0):
-        raise ValueError(f"multistart_spread must be finite and >= 0, got {multistart_spread!r}")
+    prior_std = float(prior_std)
+    if not (math.isfinite(prior_std) and prior_std >= 0):
+        raise ValueError(f"prior_std must be finite and >= 0, got {prior_std!r}")
     inv_std = 1.0 / sigma_eff
     init_xy = np.array([init.position for init in inits], dtype=float).reshape(-1, 2)
-    offsets = _restart_offsets(spread)
-    k = 1 + len(offsets)
-    per_block = max(1, _BLOCK_ROWS // k)
+    k = 3 if prior_std > 0 else 1
+    per_block = _BLOCK_ROWS // k
 
     results = []
     for t0 in range(0, n_problems, per_block):
         block = slice(t0, t0 + per_block)
         meas, px, py = measurements[block], pos[block, :, 0], pos[block, :, 1]
         h_sq = pos[block, :, 2] ** 2
+        prior = init_xy[block]
         n_block = len(meas)
-        # rows are trial-major: the init of each trial, then its restart grid;
+        # rows are trial-major: the init of each trial, then its two roots;
         # each row carries its own copy of its trial's inputs
-        starts = np.empty((n_block, k, 2))
-        starts[:, 0] = init_xy[block]
-        starts[:, 1:] = init_xy[block, None, :] + offsets
+        starts = prior[:, None, :]
+        if k > 1:
+            starts = np.concatenate([starts, _model_roots(meas, px, py, h_sq, prior, gamma)], 1)
+        meas, px, py, h_sq, prior = (np.repeat(a, k, axis=0) for a in (meas, px, py, h_sq, prior))
         xy, cost, conv, iters = _solve_lockstep(
-            starts.reshape(-1, 2),
-            *(np.repeat(a, k, axis=0) for a in (meas, px, py, h_sq)),
-            inv_std,
-            gamma,
+            starts.reshape(-1, 2), meas, px, py, h_sq, inv_std, gamma
         )
-        # per trial, the first start with the lowest cost; a later one must
-        # beat it strictly, so a NaN cost never takes over
-        cost = cost.reshape(n_block, k)
-        trial = np.arange(n_block)
         best = np.zeros(n_block, dtype=int)
-        for s in range(1, k):
-            best[cost[:, s] < cost[trial, best]] = s
-        rows = trial * k + best
+        if k > 1:
+            scores = _laplace_scores(xy, cost, prior, px, py, h_sq, inv_std, gamma, prior_std)
+            best = np.argmin(scores.reshape(n_block, k), axis=1)
+        rows = np.arange(n_block) * k + best
         # recomputed, an iterate's squared distances are the bits the loop held
-        _, p0, _ = _profiled_residual(_dist_sq(xy[rows], px, py, h_sq), meas, inv_std, gamma)
+        d_sq = _dist_sq(xy[rows], px[rows], py[rows], h_sq[rows])
+        _, p0, _ = _profiled_residual(d_sq, meas[rows], inv_std, gamma)
         conv = conv.reshape(n_block, k)
         iters = iters.reshape(n_block, k)
         for j in range(n_block):
@@ -334,7 +394,7 @@ def mle_estimate_many(
             results.append(
                 MleResult(
                     theta_hat=theta,
-                    residual_norm=math.sqrt(cost[j, best[j]]),
+                    residual_norm=math.sqrt(cost[rows[j]]),
                     converged=bool(np.any(conv[j])) and bool(np.all(np.isfinite(theta))),
                     iterations=int(np.sum(iters[j])),
                 )
@@ -348,7 +408,7 @@ def mle_estimate(
     sigma_eff: np.ndarray,
     gamma: float,
     init: SourceParams,
-    multistart_spread: float = 0.0,
+    prior_std: float = 0.0,
 ) -> MleResult:
     """Weighted nonlinear least-squares source estimate.
 
@@ -359,14 +419,15 @@ def mle_estimate(
         gamma: path-loss exponent.
         init: initial guess (its position seeds the iteration; its p0 is
             ignored since the power is profiled out).
-        multistart_spread: half-width (m) of a 5x5 restart grid of horizontal
-            offsets around the init; 0 runs a single start.
+        prior_std: std (m) of the init's error as a prior on the position;
+            0 runs a single start from the init, above 0 three starts, as in
+            mle_estimate_many.
 
     Returns:
         MleResult with theta_hat = (P0_hat, x_hat, y_hat). The residual at
-        the estimate never exceeds the residual at the init beyond rounding:
-        an accepted step may raise the squared residual by at most its
-        rounding allowance (see _solve_lockstep).
+        the estimate never exceeds the residual at its start beyond
+        rounding: an accepted step may raise the squared residual by at most
+        its rounding allowance (see _solve_lockstep).
     """
     return mle_estimate_many(
         np.asarray(measurements, dtype=float)[None],
@@ -374,5 +435,5 @@ def mle_estimate(
         sigma_eff,
         gamma,
         [init],
-        multistart_spread,
+        prior_std,
     )[0]

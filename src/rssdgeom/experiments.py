@@ -267,13 +267,16 @@ def run_practical(
     give every trial's LB-RMSE in one fim.reduced_scores call, and (when
     refine is set) their (T, N, 3) sensor positions feed one
     simulate_measurements_many call, trial t seeded from (seed, (t, 1)), and
-    one lockstep maximum-likelihood refinement. A final aggregate row
-    (trial = -1) carries the means and the empirical refinement RMSE. The
-    true reference power is 0 dB: the MLE profiles P0 out, so no value of it
-    would change the refined position beyond the Gauss-Newton step tolerance.
-    A prior_std so large that the sensor distances overflow, or with refine
-    set the distances from the restart grid's extreme starts, is a
-    ScenarioError.
+    one lockstep maximum-likelihood refinement. The refinement takes
+    prior_std as the std of its Gaussian prior about each trial's prior: it
+    starts from the prior and from the two closed-form candidates of the
+    model, the source and its circle-inversion mirror, and keeps the start
+    with the most posterior mass (see estimator.mle_estimate_many). A final
+    aggregate row (trial = -1) carries the means and the empirical
+    refinement RMSE. The true reference power is 0 dB: the MLE profiles P0
+    out, so no value of it would change the refined position beyond the
+    Gauss-Newton step tolerance. A prior_std so large that the sensor
+    distances overflow is a ScenarioError.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
@@ -338,31 +341,20 @@ def run_practical(
             for t in range(trials)
         ]
         positions = swarm_positions(scenario, placement, priors)
-        # the MLE restart grid reaches spread off each prior in x and y
-        spread = 2.0 * prior_std
-        corners = spread * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
-        with np.errstate(over="ignore"):
-            off = (priors[:, None, :] + corners)[:, :, None, :] - positions[:, None, :, :2]
-            grid_sq = off[..., 0] ** 2 + off[..., 1] ** 2 + positions[:, None, :, 2] ** 2
-        if not np.all(np.isfinite(grid_sq)):
-            raise ScenarioError(
-                f"practical: prior_std {prior_std!r} spreads the MLE restart grid so far "
-                "from the swarm that its distances overflow"
-            )
         estimates = mle_estimate_many(
             simulate_measurements_many(scenario, positions, truth, meas_seeds),
             positions,
             np.sqrt(scenario.effective_var),
             scenario.gamma,
             [SourceParams(p0=0.0, position=prior) for prior in priors],
-            multistart_spread=spread,
+            prior_std=prior_std,
         )
         for row, estimate in zip(rows, estimates):
             row["empirical_rmse_m"] = float(
                 np.linalg.norm(estimate.theta_hat[1:] - truth.position)
             )
     lb_vals = [r["lb_rmse_practical_m"] for r in rows]
-    emp_sq = [r["empirical_rmse_m"] ** 2 for r in rows if math.isfinite(r["empirical_rmse_m"])]
+    emp = [r["empirical_rmse_m"] for r in rows if math.isfinite(r["empirical_rmse_m"])]
     rows.append(
         {
             **design,
@@ -372,7 +364,8 @@ def run_practical(
             "prior_y_m": 0.0,
             "lb_rmse_theoretical_m": lb_theory,
             "lb_rmse_practical_m": float(np.mean(lb_vals)),
-            "empirical_rmse_m": math.sqrt(float(np.mean(emp_sq))) if emp_sq else math.nan,
+            # hypot does not overflow where the squared errors' sum would
+            "empirical_rmse_m": math.hypot(*emp) / math.sqrt(len(emp)) if emp else math.nan,
         }
     )
     return _result(

@@ -100,7 +100,8 @@ class TestShiftInvariance:
         assert shifted.theta_hat[0] - base.theta_hat[0] == pytest.approx(23.5, abs=1e-9)
         assert np.linalg.norm(shifted.theta_hat[1:] - base.theta_hat[1:]) < 1e-8
 
-    def test_constant_shift_over_many_seeds(self):
+    @pytest.mark.parametrize("prior_std", [0.0, 111.8])
+    def test_constant_shift_over_many_seeds(self, prior_std):
         # a shift changes the cost's rounding, not its minimum; counting a
         # rounding-level cost tie as a rise stalls a start short of its fixed
         # point, by up to 1.85e-6 m on these seeds with no tie allowance, and
@@ -111,8 +112,8 @@ class TestShiftInvariance:
         gaps = []
         for seed in range(60, 100):
             meas = simulate_measurements(sc, placement, truth, seed=seed)
-            base = mle_estimate(meas, pos, sigma_eff, sc.gamma, init)
-            shifted = mle_estimate(meas + 23.5, pos, sigma_eff, sc.gamma, init)
+            base = mle_estimate(meas, pos, sigma_eff, sc.gamma, init, prior_std)
+            shifted = mle_estimate(meas + 23.5, pos, sigma_eff, sc.gamma, init, prior_std)
             assert base.converged and shifted.converged
             gaps.append(np.linalg.norm(shifted.theta_hat[1:] - base.theta_hat[1:]))
         assert max(gaps) < 1e-9, max(gaps)
@@ -136,9 +137,9 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "field, value, named",
         [
-            ("spread", math.inf, "multistart_spread"),
-            ("spread", math.nan, "multistart_spread"),
-            ("spread", -5.0, "multistart_spread"),
+            ("prior", math.inf, "prior_std"),
+            ("prior", math.nan, "prior_std"),
+            ("prior", -5.0, "prior_std"),
             ("sigma", math.nan, "sigma_eff"),
             ("sigma", math.inf, "sigma_eff"),
             ("meas", math.nan, "measurements"),
@@ -149,9 +150,9 @@ class TestInputValidation:
     )
     def test_rejects_non_finite_inputs(self, field, value, named):
         meas, pos, sigma = random_problem(np.random.default_rng(3), 6)
-        spread = 100.0
-        if field == "spread":
-            spread = value
+        prior_std = 100.0
+        if field == "prior":
+            prior_std = value
         elif field == "sigma":
             sigma[2] = value
         elif field == "meas":
@@ -160,11 +161,11 @@ class TestInputValidation:
             pos[1, 2] = value
         init = SourceParams(0.0, [10.0, -20.0])
         with pytest.raises(ValueError, match=named):
-            mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=spread)
+            mle_estimate(meas, pos, sigma, 2.0, init, prior_std=prior_std)
         with pytest.raises(ValueError, match=named):
             mle_estimate_many(
                 np.stack([meas, meas]), np.stack([pos, pos]), sigma, 2.0, [init, init],
-                multistart_spread=spread,
+                prior_std=prior_std,
             )
 
     def test_many_dimension_mismatch(self):
@@ -200,13 +201,14 @@ class TestCrlbConsistency:
         assert rmse <= 1.5 * lb
 
 
-# -- lockstep multistart against the per-start reference ----------------------
+# -- lockstep starts against the per-start reference --------------------------
 #
 # The functions below are the per-start damped Gauss-Newton loop that
 # mle_estimate runs, one start at a time on 1-D arrays and Python floats,
-# kept frozen as the reference: the lockstep version must reproduce it bit
-# for bit. Its arithmetic is elementwise products and 1-D sums, and a
-# closed-form 2x2 solve.
+# and its pick among the starts, kept frozen as the reference: the lockstep
+# version must reproduce them bit for bit. Their arithmetic is elementwise
+# products and 1-D sums, and a closed-form 2x2 solve. The starts other than
+# the init come from estimator._model_roots, which TestModelRoots checks.
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
@@ -300,37 +302,55 @@ def _solve_from(xy0, measurements, pos, inv_std, gamma):
     return xy, cost, converged, it
 
 
-def reference_mle(measurements, pos, sigma_eff, gamma, init, multistart_spread=0.0):
+def _laplace_score(xy, cost, prior, measurements, pos, inv_std, gamma, prior_std):
+    """-2 log posterior mass of a refined start, up to a constant; inf if not finite."""
+    with np.errstate(all="ignore"):
+        _, _, d_sq, _ = _profiled_residual(xy, measurements, pos, inv_std, gamma)
+        jx, jy = _jacobian(xy, pos, inv_std, gamma, d_sq)
+        inv_var = np.float64(prior_std) ** -2
+        h00 = np.sum(jx * jx) + inv_var
+        h11 = np.sum(jy * jy) + inv_var
+        h01 = np.sum(jx * jy)
+        score = cost + np.sum((xy - prior) ** 2) * inv_var + np.log(h00 * h11 - h01 * h01)
+    return float(score) if np.isfinite(score) else math.inf
+
+
+def reference_mle(measurements, pos, sigma_eff, gamma, init, prior_std=0.0):
     """mle_estimate with one _solve_from call per start, in start order."""
     inv_std = 1.0 / sigma_eff
-    starts = [np.asarray(init.position, dtype=float)]
-    if multistart_spread > 0:
-        offsets = np.linspace(-multistart_spread, multistart_spread, 5)
-        for ox in offsets:
-            for oy in offsets:
-                if ox == 0.0 and oy == 0.0:
-                    continue
-                starts.append(init.position + np.array([ox, oy]))
+    prior = np.asarray(init.position, dtype=float)
+    starts = [prior]
+    if prior_std > 0:
+        starts += list(
+            estimator._model_roots(
+                measurements[None], pos[None, :, 0], pos[None, :, 1], pos[None, :, 2] ** 2,
+                prior[None], gamma,
+            )[0]
+        )
 
-    best = None
-    any_converged = False
-    total_iters = 0
-    per_start = []
+    solved, per_start = [], []
     for s in starts:
         xy, cost, conv, iters = _solve_from(s, measurements, pos, inv_std, gamma)
         per_start.append((conv, iters))
-        total_iters += iters
-        any_converged = any_converged or conv
-        if best is None or cost < best[1]:
-            best = (xy, cost, conv)
-    xy, cost, conv = best
+        solved.append((xy, cost))
+    # the first start with the lowest score; only a finite score wins
+    best = 0
+    if prior_std > 0:
+        scores = [
+            _laplace_score(xy, cost, prior, measurements, pos, inv_std, gamma, prior_std)
+            for xy, cost in solved
+        ]
+        for k, score in enumerate(scores):
+            if score < scores[best]:
+                best = k
+    xy, cost = solved[best]
     _, p0, _, _ = _profiled_residual(xy, measurements, pos, inv_std, gamma)
     theta = np.array([p0, xy[0], xy[1]])
     result = MleResult(
         theta_hat=theta,
         residual_norm=math.sqrt(cost),
-        converged=any_converged and bool(np.all(np.isfinite(theta))),
-        iterations=total_iters,
+        converged=any(conv for conv, _ in per_start) and bool(np.all(np.isfinite(theta))),
+        iterations=sum(iters for _, iters in per_start),
     )
     return result, per_start
 
@@ -354,14 +374,14 @@ def random_problem(rng, n, sigma_scale=1.0):
 
 
 class TestLockstepMatchesPerStartReference:
-    def test_randomized_scenarios_and_spreads(self):
+    def test_randomized_scenarios_and_priors(self):
         rng = np.random.default_rng(2024)
         for _ in range(30):
             meas, pos, sigma = random_problem(rng, int(rng.integers(3, 20)))
             init = SourceParams(0.0, rng.normal(0.0, 300.0, 2))
-            spread = float(rng.choice([0.0, 5.0, 150.0, 2000.0]))
-            want, _ = reference_mle(meas, pos, sigma, 2.0, init, spread)
-            got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=spread)
+            prior_std = float(rng.choice([0.0, 5.0, 150.0, 2000.0]))
+            want, _ = reference_mle(meas, pos, sigma, 2.0, init, prior_std)
+            got = mle_estimate(meas, pos, sigma, 2.0, init, prior_std=prior_std)
             assert_same_result(got, want)
 
     def test_designed_placement_with_simulated_measurements(self):
@@ -370,8 +390,8 @@ class TestLockstepMatchesPerStartReference:
         for t in range(10):
             meas = simulate_measurements(sc, placement, truth, seed=900 + t)
             init = SourceParams(0.0, [80.0 - 20.0 * t, 15.0 * t])
-            want, _ = reference_mle(meas, pos, sigma_eff, sc.gamma, init, 223.6)
-            got = mle_estimate(meas, pos, sigma_eff, sc.gamma, init, multistart_spread=223.6)
+            want, _ = reference_mle(meas, pos, sigma_eff, sc.gamma, init, 111.8)
+            got = mle_estimate(meas, pos, sigma_eff, sc.gamma, init, prior_std=111.8)
             assert_same_result(got, want)
 
     def test_single_start(self):
@@ -390,10 +410,11 @@ class TestLockstepMatchesPerStartReference:
                 init = SourceParams(0.0, rng.normal(0.0, scale, 2))
                 with np.errstate(all="ignore"):
                     want, per_start = reference_mle(meas, pos, sigma, 2.0, init, scale)
-                    got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=scale)
+                    got = mle_estimate(meas, pos, sigma, 2.0, init, prior_std=scale)
                 assert_same_result(got, want)
-        # at 1e160 every trial overflows: the starts run to the iteration cap
-        assert all(iters == 200 and not conv for conv, iters in per_start)
+        # at 1e160 every trial overflows, and so do the model's rows: all
+        # three starts are the init, and each runs to the iteration cap
+        assert per_start == [(False, 200)] * 3
 
     def test_starts_that_stop_on_damping(self, monkeypatch):
         # with noise levels of 1e-9 dB the cost is dominated by rounding
@@ -407,7 +428,7 @@ class TestLockstepMatchesPerStartReference:
             meas, pos, sigma = random_problem(rng, int(rng.integers(3, 9)), sigma_scale=1e-9)
             init = SourceParams(0.0, rng.normal(0.0, 300.0, 2))
             want, per_start = reference_mle(meas, pos, sigma, 2.0, init, 100.0)
-            got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=100.0)
+            got = mle_estimate(meas, pos, sigma, 2.0, init, prior_std=100.0)
             assert_same_result(got, want)
             stopped += sum(not conv and iters < 200 for conv, iters in per_start)
         assert stopped > 0
@@ -425,10 +446,10 @@ class TestLockstepMatchesPerStartReference:
         want, per_start = reference_mle(meas, pos, sigma, 2.0, init)
         assert per_start == [(False, 1)]  # the singular solve ends the only start
         assert_same_result(mle_estimate(meas, pos, sigma, 2.0, init), want)
-        # the diagonal offsets of the restart grid are singular too, the others are not
+        # the model's roots lie on the line of the sensors and the init too
         want, per_start = reference_mle(meas, pos, sigma, 2.0, init, 50.0)
-        assert (False, 1) in per_start and any(iters > 1 for _, iters in per_start)
-        got = mle_estimate(meas, pos, sigma, 2.0, init, multistart_spread=50.0)
+        assert per_start == [(False, 1)] * 3
+        got = mle_estimate(meas, pos, sigma, 2.0, init, prior_std=50.0)
         assert_same_result(got, want)
 
 
@@ -438,12 +459,10 @@ class TestNormalEquationsReuse:
         # the iterate as it was; with each run of a repeated iterate counted
         # once, its J points are the starts and the accepted steps a start
         # went on from, the points where the lockstep must form J, and only them
-        sc, placement, pos, sigma_eff = setup_problem(120.0)
-        truth = SourceParams(p0=0.0, position=[0.0, 0.0])
-        meas = np.array(
-            [simulate_measurements(sc, placement, truth, seed=900 + t) for t in range(4)]
-        )
-        inits = [SourceParams(0.0, [80.0 - 20.0 * t, 15.0 * t]) for t in range(4)]
+        # (one start per problem: the pick among starts forms J once more)
+        rng = np.random.default_rng(3)
+        sigma_eff = rng.uniform(0.3, 3.0, 6)
+        meas, pos, _, inits = random_batch(rng, 4, 6, sigma_eff)
 
         evaluated = []
         jacobian = estimator._jacobian
@@ -453,10 +472,7 @@ class TestNormalEquationsReuse:
             return jacobian(xy, *args)
 
         monkeypatch.setattr(estimator, "_jacobian", recording_jacobian)
-        got = mle_estimate_many(
-            meas, np.repeat(pos[None], 4, axis=0), sigma_eff, sc.gamma, inits,
-            multistart_spread=1000.0,
-        )
+        got = mle_estimate_many(meas, pos, sigma_eff, 2.0, inits)
 
         per_start = []
         reference_jacobian, reference_solve = _jacobian, _solve_from
@@ -473,11 +489,11 @@ class TestNormalEquationsReuse:
         monkeypatch.setitem(globals(), "_jacobian", tracking_jacobian)
         monkeypatch.setitem(globals(), "_solve_from", tracking_solve)
         for t in range(4):
-            want, _ = reference_mle(meas[t], pos, sigma_eff, sc.gamma, inits[t], 1000.0)
+            want, _ = reference_mle(meas[t], pos[t], sigma_eff, 2.0, inits[t])
             assert_same_result(got[t], want)
         monkeypatch.undo()
 
-        assert len(per_start) == 4 * 25
+        assert len(per_start) == 4
         assert sorted(evaluated) == sorted(row for start in per_start for row in start)
         # rejected steps happen here, so reuse saves Jacobians
         assert len(evaluated) < sum(result.iterations for result in got)
@@ -497,25 +513,25 @@ def random_batch(rng, n_problems, n, sigma, init_scale=300.0):
     return np.array(meas), np.array(pos), sigma, inits
 
 
-def assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread):
-    got = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=spread)
+def assert_many_matches_one_at_a_time(meas, pos, sigma, inits, prior_std):
+    got = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=prior_std)
     assert len(got) == len(inits)
     for t, result in enumerate(got):
-        want = mle_estimate(meas[t], pos[t], sigma, 2.0, inits[t], multistart_spread=spread)
+        want = mle_estimate(meas[t], pos[t], sigma, 2.0, inits[t], prior_std=prior_std)
         assert_same_result(result, want)
 
 
 class TestManyMatchesOneAtATime:
-    # 25 starts per problem run in blocks of 40 problems (1000 rows), so 41
-    # and 81 problems cross block boundaries; one start per problem runs
-    # 1024 problems per block
-    @pytest.mark.parametrize("n_problems", [1, 20, 21, 40, 41, 81])
-    @pytest.mark.parametrize("spread", [0.0, 223.6])
-    def test_problem_counts_across_blocks(self, n_problems, spread):
+    # 3 starts per problem run in blocks of 341 problems (1023 rows), so 342
+    # problems cross a block boundary; one start per problem runs 1024
+    # problems per block
+    @pytest.mark.parametrize("n_problems", [1, 20, 341, 342])
+    @pytest.mark.parametrize("prior_std", [0.0, 111.8])
+    def test_problem_counts_across_blocks(self, n_problems, prior_std):
         rng = np.random.default_rng(100 + n_problems)
         sigma = rng.uniform(0.3, 3.0, 7)
         meas, pos, _, inits = random_batch(rng, n_problems, 7, sigma)
-        assert_many_matches_one_at_a_time(meas, pos, sigma, inits, spread)
+        assert_many_matches_one_at_a_time(meas, pos, sigma, inits, prior_std)
 
     def test_one_start_per_problem_across_a_block(self):
         rng = np.random.default_rng(1025)
@@ -533,17 +549,16 @@ class TestManyMatchesOneAtATime:
         with np.errstate(all="ignore"):
             assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 1e7)
             assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 1e160)
-            results = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=1e160)
-        # around a far-off init every trial step overflows: each of its 25
+            results = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=1e160)
+        # around a far-off init every trial step overflows: each of its 3
         # starts runs to the iteration cap, next to problems that converge
-        assert all(results[t].iterations == 25 * 200 for t in far)
+        assert all(results[t].iterations == 3 * 200 for t in far)
         assert not any(results[t].converged for t in far)
         assert any(r.converged for r in results)
 
     def test_singular_normal_matrix_in_a_batch(self):
-        # the line problem of the per-start test: its diagonal restart
-        # offsets hit an exactly singular normal matrix, the other problems'
-        # starts do not
+        # the line problem of the per-start test: each of its starts hits an
+        # exactly singular normal matrix, the other problems' starts do not
         n = 5
         line = np.array([-700.0, -300.0, 100.0, 450.0, 900.0])
         sigma = np.full(n, 1e-9)
@@ -553,25 +568,26 @@ class TestManyMatchesOneAtATime:
         meas[7] = [-55.0, -61.0, -58.5, -63.0, -57.0]
         inits[7] = SourceParams(0.0, [20.0, 20.0])
         _, per_start = reference_mle(meas[7], pos[7], sigma, 2.0, inits[7], 50.0)
-        assert (False, 1) in per_start
+        assert per_start == [(False, 1)] * 3
         assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 50.0)
 
     def test_a_start_on_a_sensor_never_wins(self):
-        # a restart point on a sensor at zero height has a NaN cost (log of
-        # zero distance) that no step repairs; the pick takes the first start
-        # with the lowest cost, so that NaN never wins, while np.argmin would
-        # take it
+        # an init on a sensor at zero height has a NaN cost (log of zero
+        # distance) that no step repairs; its score is not finite, so the
+        # pick takes one of the model's roots, while np.argmin of the raw
+        # scores would take the NaN
         rng = np.random.default_rng(21)
         sigma = rng.uniform(0.3, 3.0, 6)
         meas, pos, _, inits = random_batch(rng, 21, 6, sigma, init_scale=50.0)
         for t in (0, 13, 20):
-            pos[t, 0] = [*(inits[t].position + [25.0, 25.0]), 0.0]
+            pos[t, 0] = [*inits[t].position, 0.0]
         with np.errstate(all="ignore"):
-            got = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=50.0)
+            got = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=50.0)
             for t in (0, 13, 20):
                 want, _ = reference_mle(meas[t], pos[t], sigma, 2.0, inits[t], 50.0)
                 assert_same_result(got[t], want)
                 assert np.all(np.isfinite(got[t].theta_hat))
+                assert math.isfinite(got[t].residual_norm)
             assert_many_matches_one_at_a_time(meas, pos, sigma, inits, 50.0)
 
 
@@ -588,15 +604,15 @@ class TestLockstepBlocks:
             return solve_2x2(a00, *args)
 
         monkeypatch.setattr(estimator, "_solve_2x2", counting_solve_2x2)
-        results = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=100.0)
-        # the 40 x 25 starts fill one block, and the running set only shrinks
-        assert rows[0] == 40 * 25
+        results = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=100.0)
+        # the 40 x 3 starts fill one block, and the running set only shrinks
+        assert rows[0] == 40 * 3
         assert rows == sorted(rows, reverse=True)
         # a start is solved once per iteration it runs, and never after it stops
         assert sum(rows) == sum(r.iterations for r in results)
 
-    @pytest.mark.parametrize("spread", [0.0, 100.0])
-    def test_a_trial_on_a_sensor_is_rejected_like_a_non_finite_one(self, monkeypatch, spread):
+    @pytest.mark.parametrize("prior_std", [0.0, 100.0])
+    def test_a_trial_on_a_sensor_is_rejected_like_a_non_finite_one(self, monkeypatch, prior_std):
         # the first step of problem 1's first start lands exactly on its
         # sensor 2, at zero height; that trial must stay out of the residual
         # arithmetic (log of a zero distance) and be rejected as a non-finite
@@ -606,7 +622,7 @@ class TestLockstepBlocks:
         meas, pos, _, inits = random_batch(rng, 3, 6, sigma, init_scale=50.0)
         inits[1] = SourceParams(0.0, [10.0, 20.0])
         pos[1, 2] = [30.0, 50.0, 0.0]
-        row = 1 if spread == 0 else 25
+        row = 1 if prior_std == 0 else 3
         solve_2x2 = estimator._solve_2x2
 
         def run(first_step):
@@ -621,9 +637,7 @@ class TestLockstepBlocks:
             monkeypatch.setattr(estimator, "_solve_2x2", forced_solve_2x2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                results = mle_estimate_many(
-                    meas, pos, sigma, 2.0, inits, multistart_spread=spread
-                )
+                results = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=prior_std)
             assert not forced  # the step was forced through the solve
             return results
 
@@ -639,7 +653,7 @@ class TestLockstepBlocks:
         sigma = rng.uniform(0.3, 3.0, 6)
         meas, pos, _, inits = random_batch(rng, 3, 6, sigma, init_scale=50.0)
         solve_2x2 = estimator._solve_2x2
-        row = 30
+        row = 4  # problem 1's second start
 
         def run(spoil_matrix):
             first = []
@@ -658,7 +672,7 @@ class TestLockstepBlocks:
             monkeypatch.setattr(estimator, "_solve_2x2", spoilt_solve_2x2)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                results = mle_estimate_many(meas, pos, sigma, 2.0, inits, multistart_spread=100.0)
+                results = mle_estimate_many(meas, pos, sigma, 2.0, inits, prior_std=100.0)
             return results, first[0]
 
         spoilt, (step, solved) = run(spoil_matrix=True)
@@ -786,18 +800,21 @@ class TestConvergedFlag:
 
     def test_starts_lost_far_out_do_not_converge(self, monkeypatch):
         # about 1e150 m out, J^T J is below the damping floor: every start
-        # stops on a short first step, which is no sign of convergence
+        # stops on a short first step, which is no sign of convergence (the
+        # model's roots fall back to the prior: at that magnitude the sensor
+        # offsets from it round to zero)
         results = self.practical_results(monkeypatch, case_a(), 1e150, 5, 7)
-        assert all(r.iterations == 25 for r in results)  # 25 starts, 1 iteration each
+        assert all(r.iterations == 3 for r in results)  # 3 starts, 1 iteration each
         assert not any(r.converged for r in results)
         for r in results:
             assert np.linalg.norm(r.theta_hat[1:]) > 1e149
 
     def test_converged_starts_far_from_the_swarm_are_stationary_points(self, monkeypatch):
-        # with priors about 1e6 m off, most starts stop converged tens of km
-        # from their 1 km swarm; each is a genuine stationary point of the
-        # profiled cost: its Gauss-Newton decrement g^T (J^T J)^-1 g, with
-        # g = J^T r, is a rounding-level fraction of the cost r^T r
+        # with priors about 1e6 m off, one of the model's roots of every
+        # trial stops converged tens of km from its 1 km swarm; each
+        # converged start is a genuine stationary point of the profiled cost:
+        # its Gauss-Newton decrement g^T (J^T J)^-1 g, with g = J^T r, is a
+        # rounding-level fraction of the cost r^T r
         solve = estimator._solve_lockstep
         runs = []
 
@@ -811,7 +828,7 @@ class TestConvergedFlag:
         (meas, px, py, h_sq, inv_std, gamma), (xy, cost, converged, _) = runs[0]
         centre = np.column_stack([px.mean(axis=1), py.mean(axis=1)])
         far = np.linalg.norm(xy - centre, axis=1) > 5000.0
-        assert (converged & far).sum() > len(xy) / 2
+        assert np.all(np.any((converged & far).reshape(-1, 3), axis=1))
         d_sq = estimator._dist_sq(xy, px, py, h_sq)
         res, _, _ = estimator._profiled_residual(d_sq, meas, inv_std, gamma)
         jac = np.stack(estimator._jacobian(xy, px, py, inv_std, gamma, d_sq), axis=-1)
@@ -839,11 +856,13 @@ class TestConvergedFlag:
 
 
 class TestMirrorAmbiguity:
-    # Sensors on a circle of radius R about c see a source p at distance a
-    # from c and its circle-inversion mirror p* = c + R^2 (p - c) / a^2 in
-    # the fixed distance ratio |s - p*| = (R / a) |s - p| (at zero height).
-    # That ratio is a constant dB offset, which the profiled P0 absorbs, so
-    # the RSSD measurements cannot tell p from p*.
+    # Sensors on a circle of radius R about c, all at height h, see a source
+    # p at distance a from c and its mirror p* = c + (R^2 + h^2) (p - c) / a^2
+    # in the fixed distance ratio |s - p*| = (sqrt(R^2 + h^2) / a) |s - p|,
+    # with |s - p| the 3-D distance: writing u = s - c and v = p - c,
+    # |u - v*|^2 + h^2 = (R^2 + h^2) / a^2 (|u - v|^2 + h^2). That ratio is a
+    # constant dB offset, which the profiled P0 absorbs, so the RSSD
+    # measurements cannot tell p from p* at any height.
     R = 1000.0
     CENTER = np.array([40.0, -30.0])
     SOURCE = CENTER + [300.0, 400.0]  # a = 500 m
@@ -855,48 +874,126 @@ class TestMirrorAmbiguity:
         d_sq = np.sum((pos[:, :2] - self.SOURCE) ** 2, axis=1) + height**2
         meas = 17.0 - 10.0 * 2.0 * np.log10(np.sqrt(d_sq))  # noiseless, P0 = 17 dB
         offset = self.SOURCE - self.CENTER
-        mirror = self.CENTER + self.R**2 * offset / np.dot(offset, offset)
+        mirror = self.CENTER + (self.R**2 + height**2) * offset / np.dot(offset, offset)
         return meas, pos, sigma_eff, mirror
 
     def cost(self, xy, meas, pos, sigma_eff):
         res, p0, _, _ = _profiled_residual(xy, meas, pos, 1.0 / sigma_eff, 2.0)
         return float(res @ res), p0
 
-    def test_mirror_fits_exactly_at_zero_height(self):
-        meas, pos, sigma_eff, mirror = self.problem(0.0)
+    @pytest.mark.parametrize("height", [0.0, 100.0, 600.0])
+    def test_mirror_fits_exactly_at_every_height(self, height):
+        meas, pos, sigma_eff, mirror = self.problem(height)
         np.testing.assert_allclose(np.hypot(*(pos[:, :2] - self.CENTER).T), self.R)
-        ratio = np.hypot(*(pos[:, :2] - mirror).T) / np.hypot(*(pos[:, :2] - self.SOURCE).T)
-        np.testing.assert_allclose(ratio, self.R / 500.0, rtol=1e-12)
+        ratio_sq = (np.sum((pos[:, :2] - mirror) ** 2, axis=1) + height**2) / (
+            np.sum((pos[:, :2] - self.SOURCE) ** 2, axis=1) + height**2
+        )
+        np.testing.assert_allclose(ratio_sq, (self.R**2 + height**2) / 500.0**2, rtol=1e-12)
         cost, p0 = self.cost(mirror, meas, pos, sigma_eff)
-        assert cost < 1e-20  # zero up to rounding, 2 km from the source
-        assert p0 == pytest.approx(17.0 + 20.0 * math.log10(self.R / 500.0), abs=1e-9)
+        assert cost < 1e-20  # zero up to rounding, 1.5 km or more from the source
+        assert p0 == pytest.approx(
+            17.0 + 10.0 * math.log10((self.R**2 + height**2) / 500.0**2), abs=1e-9
+        )
         assert self.cost(self.CENTER, meas, pos, sigma_eff)[0] > 1.0
         # started there, the ML estimate stays at the mirror
         got = mle_estimate(meas, pos, sigma_eff, 2.0, SourceParams(0.0, mirror))
         assert np.linalg.norm(got.theta_hat[1:] - mirror) < 1e-6
 
-    def test_height_breaks_the_tie_only_weakly(self):
-        # at caseA's 100 m the mirror's cost is positive, yet far below the
-        # cost that measurement noise alone gives at the source: about
-        # N - 1 = 7, the mean of a chi-square with 7 degrees of freedom
-        meas, pos, sigma_eff, mirror = self.problem(100.0)
-        cost, _ = self.cost(mirror, meas, pos, sigma_eff)
-        assert 1e-3 < cost < 0.1
-        assert self.cost(self.SOURCE, meas, pos, sigma_eff)[0] < 1e-20
+
+def model_roots(meas, pos, prior, gamma=2.0):
+    """estimator._model_roots on (T, N) measurements and (T, N, 3) positions."""
+    return estimator._model_roots(
+        meas, pos[:, :, 0], pos[:, :, 1], pos[:, :, 2] ** 2, prior, gamma
+    )
+
+
+def noiseless_swarms(rng, n_problems, n):
+    """Sensors at their own radius and height about each prior, and a source."""
+    priors = rng.uniform(-500.0, 500.0, (n_problems, 2))
+    radius = rng.uniform(400.0, 1500.0, (n_problems, n))
+    angle = rng.uniform(0.0, 2.0 * math.pi, (n_problems, n))
+    pos = np.stack(
+        [
+            priors[:, :1] + radius * np.cos(angle),
+            priors[:, 1:] + radius * np.sin(angle),
+            rng.uniform(0.0, 300.0, (n_problems, n)),
+        ],
+        axis=2,
+    )
+    sources = priors + rng.normal(0.0, 300.0, (n_problems, 2))
+    d_sq = np.sum((pos[:, :, :2] - sources[:, None]) ** 2, axis=2) + pos[:, :, 2] ** 2
+    meas = 17.0 - 5.0 * 2.0 * np.log10(d_sq)
+    return meas, pos, priors, sources
+
+
+class TestModelRoots:
+    @pytest.mark.parametrize("height", [0.0, 100.0, 600.0])
+    def test_a_concentric_swarm_gives_the_source_and_its_mirror(self, height):
+        mirror_problem = TestMirrorAmbiguity()
+        meas, pos, _, mirror = mirror_problem.problem(height)
+        roots = model_roots(meas[None], pos[None], mirror_problem.CENTER[None])[0]
+        err = [np.linalg.norm(roots - point, axis=1) for point in (mirror_problem.SOURCE, mirror)]
+        assert min(err[0][0] + err[1][1], err[0][1] + err[1][0]) < 1e-6, roots
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_a_heterogeneous_swarm_has_the_source_as_a_root(self, n):
+        # with its own radius and height per sensor the system is
+        # inhomogeneous; noiseless, the source still solves it exactly
+        meas, pos, priors, sources = noiseless_swarms(np.random.default_rng(n), 20, n)
+        roots = model_roots(meas, pos, priors)
+        err = np.min(np.linalg.norm(roots - sources[:, None], axis=2), axis=1)
+        assert err.max() < 1e-6, err.max()
+
+    def test_a_stacked_call_gives_each_problem_the_bits_of_a_one_problem_call(self):
+        rng = np.random.default_rng(12)
+        meas, pos, priors, _ = noiseless_swarms(rng, 9, 6)
+        meas += rng.normal(0.0, 1.0, meas.shape)
+        stacked = model_roots(meas, pos, priors)
+        for t in range(len(meas)):
+            np.testing.assert_array_equal(
+                stacked[t], model_roots(meas[t : t + 1], pos[t : t + 1], priors[t : t + 1])[0]
+            )
+
+    @pytest.mark.parametrize(
+        "scenario, prior_std, trials, seed",
+        [(case_a(), 1e150, 45, 7), (case_b(), 1e6, 45, 7), (case_a(), 2e4, 40, 1)],
+        ids=["far", "cap", "mid"],
+    )
+    def test_far_priors_raise_no_warning(self, scenario, prior_std, trials, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            experiments.run_practical(scenario, prior_std, trials=trials, seed=seed)
+
+    def test_no_start_runs_to_the_iteration_cap_at_a_far_prior(self, monkeypatch):
+        # a 5x5 restart grid of +-2 prior_std about priors 1e6 m off ran 73 of
+        # its starts to the cap here; the model's roots and the prior run none
+        solve = estimator._solve_lockstep
+        iterations = []
+
+        def recording(*args):
+            out = solve(*args)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(estimator, "_solve_lockstep", recording)
+        experiments.run_practical(case_b(), prior_std=1e6, trials=45, seed=7)
+        assert len(iterations) == 1 and len(iterations[0]) == 45 * 3
+        assert not np.any(iterations[0] == estimator._MAX_ITERS)
 
 
 class TestBoundedMemory:
     def test_peak_does_not_grow_with_the_number_of_problems(self):
         rng = np.random.default_rng(8)
         sigma = rng.uniform(0.3, 3.0, 8)
-        meas, pos, _, inits = random_batch(rng, 400, 8, sigma, init_scale=50.0)
+        meas, pos, _, inits = random_batch(rng, 1364, 8, sigma, init_scale=50.0)
         peaks = []
-        for n_problems in (40, 400):
+        # 341 problems of 3 starts fill one block of rows, 1364 fill four
+        for n_problems in (341, 1364):
             tracemalloc.start()
             try:
                 mle_estimate_many(
                     meas[:n_problems], pos[:n_problems], sigma, 2.0, inits[:n_problems],
-                    multistart_spread=100.0,
+                    prior_std=100.0,
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
