@@ -25,7 +25,8 @@ sweep, so they keep their zeros, and they never feed back into the real
 rows. The set-up makes one call per kernel for all designs of one sensor
 count. The iterates are scored (det T and LB-RMSE) once per block of up to
 _SCORE_BLOCK outer steps, with one call over every step and design of the
-block on T = (S D G)^T S D G, which the steps already hold; the solver
+block on T = (S D G)^T S D G, which the steps already hold, through
+fim.t_scores, the rule fim.reduced_scores applies too; the solver
 state never reads a score, so the block only decides how far a design
 runs past its stop before it leaves the batch. The MM sweeps carry each
 row's arc angle, which is its user-frame angle, so no iterate is turned
@@ -48,8 +49,9 @@ in both frames.
 
 Two conventions worth knowing:
 
-* the penalty is a calibrated constant over the squared spectral norm of
-  the constraint operator, so trajectories do not depend on physical units;
+* the penalty is a calibrated constant over lambda_max(M), the squared
+  spectral norm of the constraint operator S D, taken from the same
+  eigenvalue as m_tilde, so trajectories do not depend on physical units;
 * the outer stopping test watches the placement metric (relative LB-RMSE
   change) and the iterate step norm rather than the primal residual: the
   X singular values are bounded below by sqrt(2/rho), so the primal residual
@@ -65,7 +67,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fim import (
-    _DEGENERACY_RCOND,
     ConstraintBound,
     coupling_matrix,
     g0_bound,
@@ -74,6 +75,7 @@ from .fim import (
     sensitivity_diag,
     sensor_offsets,
     solver_arc_offset,
+    t_scores,
 )
 from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, wrap_angles
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
@@ -82,8 +84,9 @@ from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 # perfbench/spans.py wraps it under that name
 from .fim import fim_full  # noqa: F401
 
-# Penalty rho = _PENALTY_SCALE / opnorm^2. The constant is calibrated on the
-# bundled benchmark scenarios (convergence inside 100 outer iterations with
+# Penalty rho = _PENALTY_SCALE / lambda_max(M), M = (S D)^T S D, the squared
+# spectral norm of the constraint operator S D. The constant is calibrated on
+# the bundled benchmark scenarios (convergence inside 100 outer iterations with
 # the documented improvement envelope at 10 iterations). The problem is
 # nonconvex, so the penalty picks the fixed point the run reaches, not only
 # the path to it: it is a constant of the solver, not a setting.
@@ -298,7 +301,7 @@ def _design_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _design_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each design's block, as np.linalg.norm of the block."""
+    """Frobenius norm of each design's block, the square root of its flat self-dot."""
     flat = a.reshape(len(a), -1)
     return np.sqrt(row_dots(flat, flat))
 
@@ -385,19 +388,10 @@ def _iterate_scores(hg: np.ndarray, lb_scale: np.ndarray):
 
     T = (S D G)^T S D G is the reduced information matrix G^T D B D G, the
     T of fim.reduced_scores turned into the solver frame (which keeps its
-    determinant and eigenvalues). The LB-RMSE follows the reduced_scores
-    rule, sqrt((1/lambda_min + 1/lambda_max) / lb_scale), +inf where
-    lambda_min <= 1e-12 lambda_max.
+    determinant and eigenvalues), scored by fim.t_scores.
     """
-    t = hg.swapaxes(-1, -2) @ hg
-    t00, t01, t11 = t[:, 0, 0], t[:, 0, 1], t[:, 1, 1]
-    half_trace = 0.5 * (t00 + t11)
-    half_gap = np.sqrt(np.square(0.5 * (t00 - t11)) + t01 * t01)
-    lam_min, lam_max = half_trace - half_gap, half_trace + half_gap
-    degenerate = lam_min <= _DEGENERACY_RCOND * np.maximum(lam_max, 0.0)
-    lam_min, lam_max = (np.where(degenerate, 1.0, lam) for lam in (lam_min, lam_max))
-    lb = np.where(degenerate, math.inf, np.sqrt((1.0 / lam_min + 1.0 / lam_max) / lb_scale))
-    return (t00 * t11 - t01 * t01).tolist(), lb.tolist()
+    det, lb, _ = t_scores(hg.swapaxes(-1, -2) @ hg, lb_scale)
+    return det, lb
 
 
 def _certified_scores(scenarios: list, weights: list, angles: list):
@@ -418,8 +412,10 @@ def _certified_scores(scenarios: list, weights: list, angles: list):
         a = np.stack([angles[i] for i in at])
         dx, dy, d_sq = sensor_offsets(center, horiz, vert, a, center)
         w = np.stack([weights[i].w for i in at])
-        t, lb, _ = reduced_scores(dx, dy, d_sq, w, [weights[i].lb_scale for i in at], variant)
-        for i, det, value in zip(at, np.linalg.det(t).tolist(), lb):
+        _, dets, lb, _ = reduced_scores(
+            dx, dy, d_sq, w, [weights[i].lb_scale for i in at], variant
+        )
+        for i, det, value in zip(at, dets, lb):
             det_t[i], lbs[i] = det, value
     return det_t, lbs
 
@@ -501,7 +497,7 @@ def _start(scenarios: list, weights: list):
     Each design's coupling factor, m_tilde, penalty and uniform start are
     computed at its own sensor count, with one call per kernel for all
     designs of that count, and embedded in zeros up to the group's largest
-    count. The zero rows and columns keep the padded sensors inert (see
+    count. m_tilde and the penalty share one lambda_max(M). The zero rows and columns keep the padded sensors inert (see
     the module docstring). Every run starts from the uniform placement,
     which is record 0 and the first best record, scored by
     _certified_scores.
@@ -526,12 +522,12 @@ def _start(scenarios: list, weights: list):
         factor = psd_sqrt(coupling) * sens[:, None, :]
         m_mat = factor.swapaxes(-1, -2) @ factor
         m_mat = 0.5 * (m_mat + m_mat.swapaxes(-1, -2))
-        op_norms = np.linalg.norm(factor, 2, axis=(-2, -1)).tolist()
-        if min(op_norms) <= 0:
+        lam_max = sym_eig_max(m_mat)
+        if lam_max.min() <= 0:
             raise ValueError("degenerate scenario: constraint operator is zero")
         half_bd[at, :n, :n] = factor
-        m_tilde[at, :n, :n] = m_mat - sym_eig_max(m_mat)[:, None, None] * np.eye(n)
-        rho[at] = [_PENALTY_SCALE / op**2 for op in op_norms]
+        m_tilde[at, :n, :n] = m_mat - lam_max[:, None, None] * np.eye(n)
+        rho[at] = _PENALTY_SCALE / lam_max
         uniform = np.stack([uniform_init(n, sc.beta_max).angles for sc in members])
         turned = uniform + offset[at, None]
         angles[at, :n] = uniform

@@ -29,11 +29,9 @@ Jacobian is held as its x and y components, and the damped 2x2 normal
 equations are solved in closed form on (starts,) arrays, so no value of a
 row depends on the other rows: each result is bit-identical to running the
 starts of each trial one after another. mle_estimate is the one-trial call.
-
-A start forms its Gauss-Newton normal equations (J^T J and J^T r) only when
-its iterate has moved: at its first iteration and after an accepted step. A
-rejected step changes only the damping, so the next iteration reuses the
-stored J^T J and J^T r, which are the same bits a recomputation would give.
+Every iteration forms each start's Gauss-Newton normal equations (J^T J and
+J^T r) afresh, also after a rejected step, which leaves the iterate and so
+those bits as they were.
 
 Profiling P0 also makes the position estimate exactly insensitive to a
 constant shift of all measurements, matching the difference-based nature of
@@ -65,9 +63,11 @@ _BLOCK_ROWS = 1024
 class MleResult:
     """Estimated (P0, x, y), final weighted residual norm, and solver status.
 
-    converged means that a start reached a stationary point of the profiled
-    cost, not that the estimate is near the source: a start that begins far
-    from the swarm can stop converged on a far-field stationary point.
+    converged means that the start whose estimate is returned reached a
+    stationary point of the profiled cost, not that the estimate is near the
+    source: a start that begins far from the swarm can stop converged on a
+    far-field stationary point. iterations counts the iterations of every
+    start.
     """
 
     theta_hat: np.ndarray
@@ -152,17 +152,14 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     one only by rounding, and counting such a tie as a rise would raise the
     damping until the step vanished short of the fixed point; accepted, a
     tie lowers the damping and lets the Gauss-Newton step finish. A
-    rejection raises
-    the damping. A singular normal matrix stops a start, an accepted step
-    shorter than _STEP_TOL stops it, and a rejected ok trial that lifts its
-    damping above 1e15 stops it. A short step counts as converged only where
-    tr(J^T J) is at least the damping floor _DAMPING_MIN: below it the
-    damping swamps J^T J at every value it can take, so the step is short
-    however far the start is from a minimum (a start lost far out on a flat
-    cost). J^T J and J^T r are kept per start as five (S,) arrays and
-    recomputed, through _jacobian, only for starts whose iterate moved (the
-    first iteration, and after an accepted step); after a rejected step they
-    are reused as they are.
+    rejection raises the damping. A singular normal matrix stops a start,
+    an accepted step shorter than _STEP_TOL stops it, and a rejected ok
+    trial that lifts its damping above 1e15 stops it. A short step counts
+    as converged only where tr(J^T J) is at least the damping floor
+    _DAMPING_MIN: below it the damping swamps J^T J at every value it can
+    take, so the step is short however far the start is from a minimum (a
+    start lost far out on a flat cost). J^T J and J^T r are formed, through
+    _jacobian, at every iteration of every running start.
 
     The loop state covers only the starts still running. On an iteration
     where starts stop, their results are written out and every state array
@@ -180,21 +177,11 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     res, _, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
     cost = np.sum(res * res, axis=1)
     damping = np.full(n_starts, _DAMPING_START)
-    # J^T J = [[h00, h01], [h01, h11]] and J^T r = (g0, g1) of each start's
-    # current iterate; moved marks the starts whose iterate changed since
-    # they were formed (all of them at first)
-    h00, h01, h11, g0, g1 = np.empty((5, n_starts))
-    moved = np.ones(n_starts, dtype=bool)
     for it in range(1, _MAX_ITERS + 1):
-        if moved.any():
-            new = np.flatnonzero(moved)
-            jx, jy = _jacobian(xy[new], px[new], py[new], inv_std, gamma, d_sq[new])
-            r = res[new]
-            h00[new] = np.sum(jx * jx, axis=1)
-            h01[new] = np.sum(jx * jy, axis=1)
-            h11[new] = np.sum(jy * jy, axis=1)
-            g0[new] = np.sum(jx * r, axis=1)
-            g1[new] = np.sum(jy * r, axis=1)
+        # J^T J = [[h00, h01], [h01, h11]] and J^T r = (g0, g1) of each start
+        jx, jy = _jacobian(xy, px, py, inv_std, gamma, d_sq)
+        h00, h01, h11 = (np.sum(a * b, axis=1) for a, b in ((jx, jx), (jx, jy), (jy, jy)))
+        g0, g1 = np.sum(jx * res, axis=1), np.sum(jy * res, axis=1)
         step, solved = _solve_2x2(h00 + damping, h01, h11 + damping, -g0, -g1)
         trial = xy + step
         # a bad trial's NaN or overflow is thrown away by the masks below
@@ -218,17 +205,14 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         )
         short = accept & (step_norm < _STEP_TOL)
         stop = ~solved | short | (ok & ~accept & (damping > 1e15))
-        moved = accept
         if stop.any():
             done = rows[stop]
             out_xy[done], out_cost[done], iterations[done] = xy[stop], cost[stop], it
             flat = h00 + h11 < _DAMPING_MIN
             converged[rows[short & ~flat]] = True
             keep = np.flatnonzero(~stop)
-            state = (rows, xy, res, cost, d_sq, damping, moved, h00, h01, h11, g0, g1)
-            rows, xy, res, cost, d_sq, damping, moved, h00, h01, h11, g0, g1 = (
-                a.take(keep, axis=0) for a in state
-            )
+            state = (rows, xy, res, cost, d_sq, damping)
+            rows, xy, res, cost, d_sq, damping = (a.take(keep, axis=0) for a in state)
             meas, px, py, h_sq = (a.take(keep, axis=0) for a in (meas, px, py, h_sq))
             if not keep.size:
                 break
@@ -387,7 +371,6 @@ def mle_estimate_many(
         # recomputed, an iterate's squared distances are the bits the loop held
         d_sq = _dist_sq(xy[rows], px[rows], py[rows], h_sq[rows])
         _, p0, _ = _profiled_residual(d_sq, meas[rows], inv_std, gamma)
-        conv = conv.reshape(n_block, k)
         iters = iters.reshape(n_block, k)
         for j in range(n_block):
             theta = np.array([p0[j], xy[rows[j], 0], xy[rows[j], 1]])
@@ -395,7 +378,7 @@ def mle_estimate_many(
                 MleResult(
                     theta_hat=theta,
                     residual_norm=math.sqrt(cost[rows[j]]),
-                    converged=bool(np.any(conv[j])) and bool(np.all(np.isfinite(theta))),
+                    converged=bool(conv[rows[j]]) and bool(np.all(np.isfinite(theta))),
                     iterations=int(np.sum(iters[j])),
                 )
             )

@@ -314,7 +314,7 @@ def run_practical(
             "that its distances overflow"
         )
     weights = noise_weights(scenario)
-    _, lb_practical, _ = reduced_scores(
+    _, _, lb_practical, _ = reduced_scores(
         dx,
         dy,
         d_sq,
@@ -409,7 +409,7 @@ def validate_scenario(path) -> ValidationReport:
         uniform_init(scenario.n_sensors, scenario.beta_max),
         SourceParams(0.0, scenario.source[:2]),
     )
-    lam_min, lam_max = t_eigenvalues(uniform.t.tolist())
+    lam_min, lam_max = t_eigenvalues(uniform.t)
     details = {
         "n_sensors": scenario.n_sensors,
         "variant": scenario.variant.value,
@@ -419,7 +419,7 @@ def validate_scenario(path) -> ValidationReport:
         "coupling_rank": rank,
         "beta_max_deg": math.degrees(scenario.beta_max),
         "lb_rmse_uniform_m": uniform.lb_rmse,
-        "t_condition": math.inf if uniform.degenerate else lam_max / lam_min,
+        "t_condition": math.inf if uniform.degenerate else float(lam_max / lam_min),
         "scenario_hash": scenario_hash(scenario),
     }
     return ValidationReport(ok=True, message="scenario valid", details=details)

@@ -12,8 +12,10 @@ and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
 power) B is diagonal and the same formula gives the known-power bound.
 reduced_scores evaluates T in O(N) as a weighted covariance, for a stack of
 placements at once (the solver scores every design of a batch with one
-call; fim_full calls it with one placement); t_eigenvalues gives the
-closed-form eigenvalues of T that its LB-RMSE and degeneracy test use.
+call; fim_full calls it with one placement). t_scores holds the one rule
+that turns a stack of T into det T, the LB-RMSE and the degenerate flag,
+from the closed-form eigenvalues of t_eigenvalues; every caller that
+scores a T, the solver's iterates included, goes through it.
 coupling_matrix and sensitivity_diag return B and the diagonal of D as plain
 arrays for the solver set-up; t_matrix builds T from them the N x N way, as
 a reference.
@@ -149,7 +151,7 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
     f = 0.5 * (f + f.T)
 
     weights = noise_weights(scenario)
-    t, lb, degenerate = reduced_scores(
+    t, _, lb, degenerate = reduced_scores(
         dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale], scenario.variant
     )
     return FimSummary(
@@ -174,19 +176,19 @@ def sensor_offsets(center, horiz, vert, angles, at):
 
 
 def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
-    """T, LB-RMSE and the degenerate flag of B placements at once.
+    """T, det T, LB-RMSE and the degenerate flag of B placements at once.
 
     dx, dy: (B, N) sensor offsets from the evaluation source; d_sq: (B, N)
     squared slant distances; w: (B, N) normalised inverse effective
     variances; lb_scale: B values of slope^2 * sum 1/var_i. Returns T as
-    (B, 2, 2) and the LB-RMSE and degenerate flag as lists of B.
+    (B, 2, 2) and det T, the LB-RMSE and the degenerate flag as lists of B,
+    scored by t_scores.
 
     With u_i = (dy_i, dx_i) / d_i^2, T = sum w_i u_i u_i^T - m m^T with
     m = sum w_i u_i (RSS: no m m^T term), computed as the weighted
     covariance sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
     (slope^2 * sum 1/var_i * T)^-1, so
-    LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)); it is +inf when
-    lambda_min(T) <= 1e-12 * lambda_max(T).
+    LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)).
     """
     # rows (cos, sin) * r / d^2 of the angle convention tan(beta) = dx/dy
     u = np.stack([dy, dx], axis=-1) / d_sq[..., None]
@@ -194,22 +196,33 @@ def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
         u = u - w[..., None, :] @ u
     t = (w[..., None] * u).swapaxes(-1, -2) @ u
     t = 0.5 * (t + t.swapaxes(-1, -2))
-
-    lbs, flags = [], []
-    for t_rows, scale in zip(t.tolist(), lb_scale):
-        lam_min, lam_max = t_eigenvalues(t_rows)
-        degenerate = lam_min <= _DEGENERACY_RCOND * max(lam_max, 0.0)
-        flags.append(degenerate)
-        lbs.append(math.inf if degenerate else math.sqrt((1.0 / lam_min + 1.0 / lam_max) / scale))
-    return t, lbs, flags
+    return t, *t_scores(t, lb_scale)
 
 
-def t_eigenvalues(t) -> tuple:
-    """(lambda_min, lambda_max) of a symmetric 2x2 T, in closed form."""
-    (t00, t01), (_, t11) = t
+def t_eigenvalues(t):
+    """(lambda_min, lambda_max) of each symmetric 2x2 T of a (..., 2, 2) stack, closed form."""
+    t00, t01, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 1]
     half_trace = 0.5 * (t00 + t11)
-    half_gap = math.hypot(0.5 * (t00 - t11), t01)
+    half_gap = np.hypot(0.5 * (t00 - t11), t01)
     return half_trace - half_gap, half_trace + half_gap
+
+
+def t_scores(t, lb_scale):
+    """det T, LB-RMSE and the degenerate flag of each T of a (B, 2, 2) stack, as lists of B.
+
+    det T = t00 t11 - t01^2 and LB-RMSE = sqrt((1/lambda_min + 1/lambda_max)
+    / lb_scale), lb_scale being B values of slope^2 * sum 1/var_i. A T with
+    lambda_min <= 1e-12 * lambda_max is degenerate: its LB-RMSE is +inf, and
+    its eigenvalues are masked before the division, so a singular or zero T
+    raises no floating-point warning. Every entry has the bits of a
+    one-entry call on it.
+    """
+    lam_min, lam_max = t_eigenvalues(t)
+    degenerate = lam_min <= _DEGENERACY_RCOND * np.maximum(lam_max, 0.0)
+    lam_min, lam_max = (np.where(degenerate, 1.0, lam) for lam in (lam_min, lam_max))
+    lb = np.where(degenerate, math.inf, np.sqrt((1.0 / lam_min + 1.0 / lam_max) / lb_scale))
+    det = t[:, 0, 0] * t[:, 1, 1] - t[:, 0, 1] * t[:, 0, 1]
+    return det.tolist(), lb.tolist(), degenerate.tolist()
 
 
 def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:

@@ -1,6 +1,7 @@
 """Fisher information, reduced form, and constraint machinery tests."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,12 @@ from rssdgeom.fim import (
     is_feasible,
     loss_slope,
     noise_weights,
+    reduced_scores,
     sensitivity_diag,
+    sensor_offsets,
+    t_eigenvalues,
     t_matrix,
+    t_scores,
 )
 from rssdgeom.model import (
     Placement,
@@ -288,6 +293,65 @@ class TestLbRmse:
             inv = cofactor_inverse_3x3(summary.f)
             expect = math.sqrt(inv[1, 1] + inv[2, 2])
             assert summary.lb_rmse == pytest.approx(expect, rel=1e-10)
+
+
+class TestTScores:
+    def test_stack_entries_have_the_bits_of_one_entry_calls(self):
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(60, 2, 2)) * 10.0 ** rng.uniform(-9.0, -3.0, (60, 1, 1))
+        t = a.swapaxes(-1, -2) @ a
+        t[0] = 0.0
+        t[1] = np.outer([0.6, 0.8], [0.6, 0.8])
+        scale = rng.uniform(0.1, 10.0, 60)
+        det, lb, degenerate = t_scores(t, scale)
+        lam_min, lam_max = t_eigenvalues(t)
+        for i in range(len(t)):
+            assert t_scores(t[i : i + 1], scale[i : i + 1]) == ([det[i]], [lb[i]], [degenerate[i]])
+            assert t_eigenvalues(t[i]) == (lam_min[i], lam_max[i])
+        assert degenerate[:2] == [True, True] and not any(degenerate[2:])
+
+    def test_degenerate_stack_is_inf_without_warnings(self):
+        # sensors on one line through the source make T rank one; a zero
+        # coupling makes it 0
+        sc = make_scenario(n=4, r=[500.0, 1000.0, 1500.0, 2000.0])
+        sens = sensitivity_diag(sc)
+        b = coupling_matrix(noise_weights(sc), Variant.RSSD)
+        collinear = Placement.from_angles([0.7, 0.7, 0.7 + math.pi, 0.7 + math.pi]).directions
+        spread = Placement.from_angles(TWO_PI * np.arange(1, 5) / 4).directions
+        t = np.stack(
+            [t_matrix(collinear, sens, b), np.zeros((2, 2)), t_matrix(spread, sens, b)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det, lb, degenerate = t_scores(t, [1.0, 1.0, 1.0])
+        assert degenerate == [True, True, False]
+        assert lb[:2] == [math.inf, math.inf] and math.isfinite(lb[2])
+        assert abs(det[0]) <= 1e-12 * np.trace(t[0]) ** 2 and det[1] == 0.0
+
+    @pytest.mark.parametrize("variant", [Variant.RSSD, Variant.RSS])
+    def test_lb_rmse_matches_the_coupling_reference(self, variant):
+        # LB-RMSE = sqrt(tr T^-1 / lb_scale) with T = G' D B D G from the
+        # N x N coupling matrix, for a stack of random placements in one call
+        rng = np.random.default_rng(32)
+        worst = 0.0
+        for _ in range(10):
+            sc = replace(random_scenario(rng), variant=variant)
+            weights = noise_weights(sc)
+            b = coupling_matrix(weights, variant)
+            sens = sensitivity_diag(sc)
+            angles = rng.uniform(0, TWO_PI, (30, sc.n_sensors))
+            center = sc.source[:2]
+            dx, dy, d_sq = sensor_offsets(center, sc.horiz_dist, sc.vert_dist, angles, center)
+            w = np.broadcast_to(weights.w, dx.shape)
+            _, _, lb, degenerate = reduced_scores(
+                dx, dy, d_sq, w, [weights.lb_scale] * len(angles), variant
+            )
+            assert not any(degenerate)
+            for row, value in zip(angles, lb):
+                ref = t_matrix(Placement.from_angles(row).directions, sens, b)
+                want = math.sqrt(np.trace(np.linalg.inv(ref)) / weights.lb_scale)
+                worst = max(worst, abs(value - want) / want)
+        assert worst <= 1e-12, worst
 
 
 def rotation(phi):
