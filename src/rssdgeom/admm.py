@@ -8,10 +8,10 @@ quadratic penalty rho tie them together. Per outer iteration the X block has
 a closed-form update on the 2x2 Gram matrix of J (a thin SVD only where that
 matrix is near singular), and the G block is solved by majorize-minimize
 sweeps whose per-row minimizers are known in closed form on the feasible
-arc: each row's minimizer is an angle on the arc, and the sweep's
-objective is read off the same q the rows are computed from. A sweep
-updates all N rows in one array expression (_mm_rows); mm_row_update is
-the same kernel applied to a single row.
+arc [0, beta_max]: each row's minimizer is an angle on the arc, for every
+beta_max, and the sweep's objective is read off the same q the rows are
+computed from. A sweep updates all N rows in one array expression
+(_mm_rows); mm_row_update is the same kernel applied to a single row.
 
 Designs run in lockstep along a leading design axis. optimize_many groups
 its scenarios by variant, all swarms of at most _PAD_LIMIT sensors in one
@@ -29,23 +29,18 @@ block on T = (S D G)^T S D G, which the steps already hold, through
 fim.t_scores, the rule fim.reduced_scores applies too; the solver
 state never reads a score, so the block only decides how far a design
 runs past its stop before it leaves the batch. The MM sweeps carry each
-row's arc angle, which is its user-frame angle, so no iterate is turned
-back from directions to angles. Each design keeps its own penalty, bound,
-LB budget, best record and stop test, keeps only the records up to its
-stop, and leaves the batch at the end of the block in which it stops.
-Record 0 and the returned best record are re-scored at the end through
-fim.reduced_scores, one call per sensor count, so the reported numbers
+row's angle along, so no iterate is turned back from directions to angles.
+Each design keeps its own penalty, bound, LB budget, best record and stop
+test, keeps only the records up to its stop, and leaves the batch at the
+end of the block in which it stops. Record 0 is scored before the first
+step and the returned best record at the end, both through
+fim.reduced_scores with one call per sensor count, so the reported numbers
 are those of fim_full. A design's result is bit for bit the serial loop
 run on its zero-padded arrays: what it would be alone when its group holds
 one size, and within rounding of that otherwise (the padded sums round
 differently). optimize is optimize_many on one scenario. x_update,
 g_update_mm and _mm_rows take the design axis or a single design, and
 give a single design the same bits either way.
-
-For spread bounds above pi the solver works in a rotation-equivalent arc
-centered on pi/2 (where the constraint is a plain elementwise vector
-bound); a row's arc angle, measured from the arc's lower end, is the same
-in both frames.
 
 Two conventions worth knowing:
 
@@ -69,12 +64,10 @@ import numpy as np
 from .fim import (
     ConstraintBound,
     coupling_matrix,
-    g0_bound,
     noise_weights,
     reduced_scores,
     sensitivity_diag,
     sensor_offsets,
-    solver_arc_offset,
     t_scores,
 )
 from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, wrap_angles
@@ -144,7 +137,7 @@ class AdmmOptions:
 
 @dataclass
 class TraceRecord:
-    """One outer iteration: scalar diagnostics plus the user-frame angles."""
+    """One outer iteration: scalar diagnostics plus the sensor angles."""
 
     k: int
     objective: float
@@ -256,25 +249,26 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
 
 
 def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angles=None):
-    """Minimize g_i.T q_i over unit vectors in the feasible arc, for every row i.
+    """Minimize g_i.T q_i over unit vectors on the arc [0, beta_max], for every row i.
 
     Along the circle g_i.T q_i = -|q_i| cos(t - t_i), t_i the angle of -q_i,
     which is unimodal: the minimizer is t_i where it lies on the arc and the
-    nearer arc end elsewhere. So each row measures t_i from the arc centre,
-    wrapped to [-pi, pi) (-q_i opposite the centre ties to the lower end),
-    clips it to the arc's half-width and turns that angle into a unit row.
+    nearer arc end elsewhere. So each row measures t_i from the arc centre
+    beta_max / 2, wrapped to [-pi, pi) (-q_i opposite the centre ties to the
+    lower end), clips it to the half-width beta_max / 2 and adds the centre
+    back: that is the row's angle in [0, beta_max], turned into a unit row.
     Rows with q_i = 0 keep prev_i: every feasible point is optimal there.
     q and prev are (N, 2), or (B, N, 2) with a bound carrying one beta_max
-    per design. Given prev_angles, the arc angles of prev's rows, it returns
-    the new rows and their arc angles: a row's angle above the arc's lower
-    end, which is its user-frame angle in [0, beta_max].
+    per design. Given prev_angles, the angles of prev's rows, it returns the
+    new rows and their angles.
     """
+    half = 0.5 * np.asarray(bound.beta_max, dtype=float)[..., None]
     away = -q
     x, y = away[..., 0], away[..., 1]
-    turn = np.arctan2(y, x) - bound.centre
+    turn = np.arctan2(y, x) - half
     np.add(turn, TWO_PI, out=turn, where=turn < -math.pi)
-    np.minimum(np.maximum(turn, -bound.half, out=turn), bound.half, out=turn)
-    angle = bound.centre + turn
+    np.minimum(np.maximum(turn, -half, out=turn), half, out=turn)
+    angle = half + turn
     rows = np.empty_like(away)
     np.cos(angle, out=rows[..., 0])
     np.sin(angle, out=rows[..., 1])
@@ -282,7 +276,7 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angle
     rows = np.where(moved[..., None], rows, prev)
     if prev_angles is None:
         return rows
-    return rows, np.where(moved, turn + bound.half, prev_angles)
+    return rows, np.where(moved, angle, prev_angles)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
@@ -326,9 +320,9 @@ def g_update_mm(
     surrogate splits into independent per-row problems, all solved at once
     by _mm_rows. Sweeps stop when the subproblem objective change falls
     below mm_tol (relative) or the iterate moves less than mm_tol in
-    Frobenius norm. Returns (G, sweeps performed); given angles, the arc
-    angles of g_start's rows (see _mm_rows), it returns
-    (G, sweeps, arc angles of G's rows).
+    Frobenius norm. Returns (G, sweeps performed); given angles, the angles
+    of g_start's rows on [0, beta_max] (see _mm_rows), it returns
+    (G, sweeps, angles of G's rows).
 
     Every array may carry a leading design axis (B, ...), with one rho and
     one bound row per design; each design then stops on its own test, every
@@ -387,15 +381,14 @@ def _iterate_scores(hg: np.ndarray, lb_scale: np.ndarray):
     """det T and LB-RMSE of every entry of a (E, N, 2) stack of S*D*G, as lists.
 
     T = (S D G)^T S D G is the reduced information matrix G^T D B D G, the
-    T of fim.reduced_scores turned into the solver frame (which keeps its
-    determinant and eigenvalues), scored by fim.t_scores.
+    T of fim.reduced_scores at G's angles, scored by fim.t_scores.
     """
     det, lb, _ = t_scores(hg.swapaxes(-1, -2) @ hg, lb_scale)
     return det, lb
 
 
 def _certified_scores(scenarios: list, weights: list, angles: list):
-    """det T and LB-RMSE of each design's user-frame angles, scored as fim_full does.
+    """det T and LB-RMSE of each design's angles, scored as fim_full does.
 
     One sensor_offsets and one reduced_scores call per sensor count, at each
     design's own source, so every value has the bits of fim_full on the
@@ -425,8 +418,7 @@ class _Batch:
     """Solver arrays of the designs still running in a lockstep group, one row each.
 
     Sensor axes are padded with zeros to the group's largest sensor count;
-    n holds each design's own count, and angles the arc angles (user-frame
-    angles) of g's rows.
+    n holds each design's own count, and angles the angles of g's rows.
     """
 
     index: np.ndarray  # position of each design in its group
@@ -434,7 +426,6 @@ class _Batch:
     half_bd: np.ndarray
     m_tilde: np.ndarray
     rho: np.ndarray
-    g0: np.ndarray
     beta_max: np.ndarray
     lb_scale: np.ndarray
     g: np.ndarray
@@ -494,20 +485,21 @@ class _Run:
 def _start(scenarios: list, weights: list):
     """Set up a lockstep group: its _Batch and one _Run per design.
 
-    Each design's coupling factor, m_tilde, penalty and uniform start are
-    computed at its own sensor count, with one call per kernel for all
-    designs of that count, and embedded in zeros up to the group's largest
-    count. m_tilde and the penalty share one lambda_max(M). The zero rows and columns keep the padded sensors inert (see
-    the module docstring). Every run starts from the uniform placement,
-    which is record 0 and the first best record, scored by
-    _certified_scores.
+    Every run starts from the uniform placement, G being its own directions.
+    That placement is record 0 and the first best record, scored once by
+    _certified_scores; its LB-RMSE sets the run's LB budget. Each design's
+    coupling factor, m_tilde and penalty are computed at its own sensor
+    count, with one call per kernel for all designs of that count, and
+    embedded in zeros up to the group's largest count; m_tilde and the
+    penalty share one lambda_max(M). The zero rows and columns keep the
+    padded sensors inert (see the module docstring).
     """
     variant = scenarios[0].variant
     count = len(scenarios)
     sizes = np.array([sc.n_sensors for sc in scenarios])
     n_pad = int(sizes.max())
-    bounds = [g0_bound(sc.beta_max) for sc in scenarios]
-    offset = np.array([solver_arc_offset(sc.beta_max) for sc in scenarios])
+    uniform = [uniform_init(sc.n_sensors, sc.beta_max).angles for sc in scenarios]
+    det_0, lb_0 = _certified_scores(scenarios, weights, uniform)
 
     half_bd = np.zeros((count, n_pad, n_pad))
     m_tilde = np.zeros((count, n_pad, n_pad))
@@ -528,10 +520,9 @@ def _start(scenarios: list, weights: list):
         half_bd[at, :n, :n] = factor
         m_tilde[at, :n, :n] = m_mat - lam_max[:, None, None] * np.eye(n)
         rho[at] = _PENALTY_SCALE / lam_max
-        uniform = np.stack([uniform_init(n, sc.beta_max).angles for sc in members])
-        turned = uniform + offset[at, None]
-        angles[at, :n] = uniform
-        g[at, :n] = np.stack([np.cos(turned), np.sin(turned)], axis=-1)
+        start = np.stack([uniform[i] for i in at])
+        angles[at, :n] = start
+        g[at, :n] = np.stack([np.cos(start), np.sin(start)], axis=-1)
 
     hg = half_bd @ g
     batch = _Batch(
@@ -540,8 +531,7 @@ def _start(scenarios: list, weights: list):
         half_bd=half_bd,
         m_tilde=m_tilde,
         rho=rho,
-        g0=np.stack([b.g0 for b in bounds]),
-        beta_max=np.array([b.beta_max for b in bounds]),
+        beta_max=np.array([sc.beta_max for sc in scenarios]),
         lb_scale=np.array([wt.lb_scale for wt in weights]),
         g=g,
         angles=angles,
@@ -549,10 +539,8 @@ def _start(scenarios: list, weights: list):
         hg=hg,
     )
     runs = []
-    for objective, det, lb, row, n in zip(
-        _log_det_inv_gram(hg), *_iterate_scores(hg, batch.lb_scale), angles, sizes.tolist()
-    ):
-        first = TraceRecord(0, objective, det, lb, 0, 0.0, row[:n])
+    for objective, det, lb, row in zip(_log_det_inv_gram(hg), det_0, lb_0, uniform):
+        first = TraceRecord(0, objective, det, lb, 0, 0.0, row)
         runs.append(_Run(records=[first], best=first, lb_budget=lb + 1e-9))
     return batch, runs
 
@@ -562,15 +550,19 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
-    call per kernel and no scoring; g_update_mm carries the arc angles of
+    call per kernel and no scoring; g_update_mm carries the angles of
     G's rows along. The block's iterates are then stacked step-major to
     (steps * designs, N, 2) and scored with one _iterate_scores call on the
     S*D*G the steps already hold; each design replays its records through
     its stop test in step order. A design that stops keeps the records up
     to its stop, drops the rest of the block and leaves the batch; the
-    others run on. At the end, each design's record 0 and best record are
-    re-scored by _certified_scores, so the numbers reported with the uniform
-    and the returned placement are those of fim_full.
+    others run on. At the end, each design's best record is re-scored by
+    _certified_scores, as record 0 was at the start, so the numbers reported
+    with the uniform and the returned placement are those of fim_full. A
+    best record that scores +inf there (no placement reached has a finite
+    bound, as on an arc far too narrow for the swarm) raises a ScenarioError
+    naming the arc; a degenerate uniform start alone does not, since the
+    run may leave it (two antipodal RSS sensors on the full circle do).
     """
     weights = [noise_weights(sc) for sc in scenarios]
     batch, runs = _start(scenarios, weights)
@@ -578,7 +570,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     while k < max_outer:
         steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
-        bound = ConstraintBound(g0=batch.g0, beta_max=batch.beta_max)
+        bound = ConstraintBound(batch.beta_max)
         xs, hgs, arcs, residuals, moves, inner = [], [], [], [], [], []
         for _ in range(steps):
             x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
@@ -622,9 +614,15 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             if not any(running):
                 break
             batch = batch.take(np.array(running))
-    reported = [run.records[0] for run in runs] + [run.best for run in runs]
-    certified = _certified_scores(scenarios * 2, weights * 2, [rec.angles for rec in reported])
-    for rec, det, lb in zip(reported, *certified):
+    best = [run.best for run in runs]
+    certified = _certified_scores(scenarios, weights, [rec.angles for rec in best])
+    for sc, rec, det, lb in zip(scenarios, best, *certified):
+        if lb == math.inf:
+            raise ScenarioError(
+                f"beta_max {math.degrees(sc.beta_max):.6g} deg is too narrow for "
+                f"{sc.n_sensors} sensors: every placement the solver reached has a "
+                "singular information matrix"
+            )
         rec.det_t, rec.lb_rmse = det, lb
     return [run.result() for run in runs]
 

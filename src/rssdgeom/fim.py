@@ -239,49 +239,31 @@ def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:
 
 @dataclass
 class ConstraintBound:
-    """Elementwise lower bound g0 equivalent to the spread-angle constraint.
+    """The spread-angle constraint: every sensor angle lies in [0, beta_max].
 
-    A unit vector g satisfies g >= g0 exactly when its angle lies in the
-    bound's feasible arc: [0, beta_max] itself when beta_max <= pi, and for
-    beta_max > pi the rotation-equivalent arc centered on pi/2 (see
-    solver_arc_offset). That arc is centre +- half, with
-    centre = min(beta_max, pi) / 2 and half = beta_max / 2, both derived from
-    beta_max with a trailing axis so that they broadcast against rows. g0 and
-    beta_max may carry a leading design axis, one bound per design.
+    beta_max may carry a leading design axis, one bound per design; the
+    solver reads nothing else. g0 is the paper's equivalent elementwise
+    vector bound for a single beta_max: a unit vector g satisfies g >= g0
+    exactly when its angle lies in [0, beta_max] for beta_max <= pi, and for
+    beta_max > pi in the arc of the same width centered on pi/2, which is
+    [0, beta_max] turned by pi/2 - beta_max/2 (a rotation, which leaves the
+    information determinant unchanged).
     """
 
-    g0: np.ndarray
     beta_max: float
-    centre: np.ndarray = field(init=False)
-    half: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        beta_max = np.asarray(self.beta_max, dtype=float)[..., None]
-        self.centre = 0.5 * np.minimum(beta_max, math.pi)
-        self.half = 0.5 * beta_max
+    @property
+    def g0(self) -> np.ndarray:
+        beta_max = float(self.beta_max)
+        if beta_max <= math.pi:
+            return np.array([math.cos(beta_max), 0.0])
+        return np.array([-1.0, math.cos(beta_max / 2.0)])
 
 
 def g0_bound(beta_max: float) -> ConstraintBound:
     if not 0.0 < beta_max <= TWO_PI + 1e-12:
         raise ValueError(f"beta_max must lie in (0, 2*pi], got {beta_max!r}")
-    beta_max = min(float(beta_max), TWO_PI)
-    if beta_max <= math.pi:
-        g0 = np.array([math.cos(beta_max), 0.0])
-    else:
-        g0 = np.array([-1.0, math.cos(beta_max / 2.0)])
-    return ConstraintBound(g0=g0, beta_max=beta_max)
-
-
-def solver_arc_offset(beta_max: float) -> float:
-    """Rotation mapping [0, beta_max] onto the vector-bound feasible arc.
-
-    Zero for beta_max <= pi. For beta_max > pi the feasible arc of the vector
-    bound is centered on pi/2, so angles are shifted by pi/2 - beta_max/2
-    (an overall rotation, which leaves the information determinant unchanged).
-    """
-    if beta_max <= math.pi:
-        return 0.0
-    return math.pi / 2.0 - beta_max / 2.0
+    return ConstraintBound(beta_max=min(float(beta_max), TWO_PI))
 
 
 @dataclass
@@ -298,11 +280,12 @@ class FeasibilityReport:
 def is_feasible(placement: Placement, bound: ConstraintBound, tol: float = 1e-9) -> FeasibilityReport:
     """Check every direction row against the vector bound and unit norm."""
     violations = []
+    g0 = bound.g0
     norms = np.linalg.norm(placement.directions, axis=1)
     for i, (g, norm) in enumerate(zip(placement.directions, norms)):
         if abs(norm - 1.0) > tol:
             violations.append((i, "norm", float(norm)))
         for axis in range(2):
-            if g[axis] < bound.g0[axis] - tol:
+            if g[axis] < g0[axis] - tol:
                 violations.append((i, f"coord{axis}", float(g[axis])))
     return FeasibilityReport(ok=not violations, violations=violations)

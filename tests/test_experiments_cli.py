@@ -158,10 +158,10 @@ def serial_optimize_many(designs, options=None):
     """optimize_many built from the serial reference optimize, one design at a time."""
     results = []
     for sc in designs:
-        placement, records, converged, outer_iters, mean_inner, best = reference_optimize(
+        placement, records, converged, outer_iters, mean_inner, best, reason = reference_optimize(
             sc, options
         )
-        trace = AdmmTrace(records, converged, outer_iters, mean_inner, best, stop_reason="")
+        trace = AdmmTrace(records, converged, outer_iters, mean_inner, best, reason)
         results.append((placement, trace))
     return results
 
@@ -368,7 +368,7 @@ class TestValidate:
         np.testing.assert_allclose(report.details["g0"], [-1.0, -1.0], atol=1e-12)
 
     @pytest.mark.parametrize(
-        "beta_max_deg, degenerate", [(360.0, False), (1.0, False), (1e-5, True)]
+        "beta_max_deg, degenerate", [(360.0, False), (1.0, False), (1e-5, True), (1e-6, True)]
     )
     def test_t_condition_at_the_uniform_placement(self, tmp_path, beta_max_deg, degenerate):
         path = tmp_path / "scenario.json"
@@ -502,6 +502,11 @@ class TestCli:
                 case_a_with(), "sweep-angle", ["--beta-grid-deg", "120,400"], "beta_max",
                 id="sweep-angle-400",
             ),
+            # every placement on the arc has a singular T: nothing to optimize
+            pytest.param(
+                case_a_with(), "sweep-angle", ["--beta-grid-deg", "120,1e-6"],
+                "beta_max 1e-06 deg is too narrow for 8 sensors", id="sweep-angle-tiny",
+            ),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -514,6 +519,16 @@ class TestCli:
         assert main(argv) == 2
         out = capsys.readouterr()
         assert named in out.out + out.err
+
+    def test_narrowest_tested_arc_is_accepted(self, tmp_path):
+        # 0.001 degrees still has a finite bound, so it runs and is written
+        out = tmp_path / "narrow.csv"
+        assert main(["sweep-angle", "--scenario", str(CASE_A), "--beta-grid-deg", "0.001",
+                     "--out", str(out)]) == 0
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert math.isfinite(float(row["lb_rmse_uniform_m"]))
+        assert math.isfinite(float(row["lb_rmse_opt_m"]))
 
     def test_validate_exit_codes(self, tmp_path):
         ok = run_cli("validate", "--scenario", str(CASE_A))

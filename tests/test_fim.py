@@ -2,12 +2,13 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rssdgeom.fim import (
+    ConstraintBound,
     apply_orthogonal,
     coupling_matrix,
     fim_full,
@@ -406,6 +407,18 @@ class TestG0Bound:
     def test_quarter_circle(self):
         bound = g0_bound(math.pi / 2)
         np.testing.assert_allclose(bound.g0, [0.0, 0.0], atol=1e-12)
+
+    def test_built_from_beta_max_alone(self):
+        # beta_max is the bound's one field; g0 follows from it
+        assert [f.name for f in fields(ConstraintBound)] == ["beta_max"]
+        for beta_max in (0.3, math.pi / 2, math.pi, 3.5, TWO_PI):
+            bound = ConstraintBound(beta_max)
+            if beta_max <= math.pi:
+                want = [math.cos(beta_max), 0.0]
+            else:
+                want = [-1.0, math.cos(beta_max / 2.0)]
+            assert bound.g0.tobytes() == np.array(want).tobytes()
+            assert g0_bound(beta_max) == bound
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
