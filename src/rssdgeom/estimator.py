@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,31 +86,47 @@ def _dist_sq(xy, px, py, h_sq):
     return (xy[:, :1] - px) ** 2 + (xy[:, 1:] - py) ** 2 + h_sq
 
 
-def _profiled_residual(d_sq, measurements, inv_std, gamma):
+class _CostModel(NamedTuple):
+    """The constants of the profiled cost shared by every row, made once per call.
+
+    inv_std is the (N,) 1 / sigma_eff, w2 = inv_std**2 the weights of P0's
+    weighted mean, wsum their sum, and slope = 10*gamma / ln(10) the scale
+    of the path-loss term's derivative.
+    """
+
+    inv_std: np.ndarray
+    w2: np.ndarray
+    wsum: float
+    gamma: float
+    slope: float
+
+
+def _cost_model(inv_std, gamma) -> _CostModel:
+    w2 = inv_std**2
+    return _CostModel(inv_std, w2, np.add.reduce(w2), gamma, 10.0 * gamma / math.log(10.0))
+
+
+def _profiled_residual(d_sq, measurements, model):
     """Weighted residuals with the optimal P0 substituted, per row.
 
     d_sq and measurements are (S, N); returns the (S, N) residuals, the
     (S,) profiled P0 and the (S, N) path-loss terms 10*gamma*log10(d_i).
     """
-    log_term = 5.0 * gamma * np.log10(d_sq)  # 10*gamma*log10(d)
+    log_term = 5.0 * model.gamma * np.log10(d_sq)  # 10*gamma*log10(d)
     shifted = measurements + log_term
-    wsum = np.sum(inv_std**2)
-    p0 = np.sum(inv_std**2 * shifted, axis=1) / wsum
-    res = inv_std * (shifted - p0[:, None])
+    p0 = np.add.reduce(model.w2 * shifted, axis=1) / model.wsum
+    res = model.inv_std * (shifted - p0[:, None])
     return res, p0, log_term
 
 
-def _jacobian(xy, px, py, inv_std, gamma, d_sq):
+def _jacobian(xy, px, py, model, d_sq):
     """(S, N) x and y components of the Jacobians of the profiled residuals."""
-    slope = 10.0 * gamma / math.log(10.0)
-    w2 = inv_std**2
-    wsum = np.sum(w2)
     components = []
     for coord, sensor in ((xy[:, :1], px), (xy[:, 1:], py)):
         # d(10*gamma*log10 d_i)/dx = slope * (x - x_i) / d_i^2
-        raw = slope * (coord - sensor) / d_sq
-        mean = np.sum(w2 * raw, axis=1) / wsum
-        components.append(inv_std * (raw - mean[:, None]))
+        raw = model.slope * (coord - sensor) / d_sq
+        mean = np.add.reduce(model.w2 * raw, axis=1) / model.wsum
+        components.append(model.inv_std * (raw - mean[:, None]))
     return components
 
 
@@ -134,14 +151,14 @@ def _solve_2x2(a00, a01, a11, b0, b1):
     return np.stack([x0, x1], axis=1), (p0 != 0) & (u11 != 0)
 
 
-def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
+def _solve_lockstep(starts, meas, px, py, h_sq, model):
     """Damped Gauss-Newton from every start at once.
 
     Row s of the (S, N) measurements, sensor x, y and squared heights is the
-    problem of start s. Each start keeps its own damping and its own
-    accept/reject, convergence and stop rules, as if run alone. Each
-    iteration scores every row's trial, with floating-point warnings
-    silenced, and rejects by mask: a trial is ok where the solve succeeded,
+    problem of start s; model holds the constants of the cost (_cost_model).
+    Each start keeps its own damping and its own accept/reject, convergence
+    and stop rules, as if run alone. Each iteration scores every row's
+    trial, with floating-point warnings silenced, and rejects by mask: a trial is ok where the solve succeeded,
     it is finite and no sensor is at zero distance from it, and accepted
     where it is ok and does not raise the cost beyond its rounding
     (a finite trial whose squared distances overflow costs NaN, so it is
@@ -159,7 +176,10 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     _DAMPING_MIN: below it the damping swamps J^T J at every value it can
     take, so the step is short however far the start is from a minimum (a
     start lost far out on a flat cost). J^T J and J^T r are formed, through
-    _jacobian, at every iteration of every running start.
+    _jacobian, at every iteration of every running start. The row sums and
+    row tests call the ufunc reductions (np.add.reduce and the logical ones)
+    directly: they give np.sum's, np.all's and np.any's bits without their
+    Python wrappers.
 
     The loop state covers only the starts still running. On an iteration
     where starts stop, their results are written out and every state array
@@ -174,27 +194,28 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
     iterations = np.full(n_starts, _MAX_ITERS)
     rows = np.arange(n_starts)  # the start that each state row belongs to
     d_sq = _dist_sq(xy, px, py, h_sq)
-    res, _, _ = _profiled_residual(d_sq, meas, inv_std, gamma)
-    cost = np.sum(res * res, axis=1)
+    res, _, _ = _profiled_residual(d_sq, meas, model)
+    row_sum, row_all, row_any = np.add.reduce, np.logical_and.reduce, np.logical_or.reduce
+    cost = row_sum(res * res, axis=1)
     damping = np.full(n_starts, _DAMPING_START)
     for it in range(1, _MAX_ITERS + 1):
         # J^T J = [[h00, h01], [h01, h11]] and J^T r = (g0, g1) of each start
-        jx, jy = _jacobian(xy, px, py, inv_std, gamma, d_sq)
-        h00, h01, h11 = (np.sum(a * b, axis=1) for a, b in ((jx, jx), (jx, jy), (jy, jy)))
-        g0, g1 = np.sum(jx * res, axis=1), np.sum(jy * res, axis=1)
+        jx, jy = _jacobian(xy, px, py, model, d_sq)
+        h00, h01, h11 = (row_sum(a * b, axis=1) for a, b in ((jx, jx), (jx, jy), (jy, jy)))
+        g0, g1 = row_sum(jx * res, axis=1), row_sum(jy * res, axis=1)
         step, solved = _solve_2x2(h00 + damping, h01, h11 + damping, -g0, -g1)
         trial = xy + step
         # a bad trial's NaN or overflow is thrown away by the masks below
         with np.errstate(all="ignore"):
             t_sq = _dist_sq(trial, px, py, h_sq)
-            res_t, _, log_t = _profiled_residual(t_sq, meas, inv_std, gamma)
-            cost_t = np.sum(res_t * res_t, axis=1)
+            res_t, _, log_t = _profiled_residual(t_sq, meas, model)
+            cost_t = row_sum(res_t * res_t, axis=1)
             # the rounding of cost_t: each residual carries its terms' rounding
-            tie = _COST_RESOLUTION * np.sum(
-                np.abs(res_t) * inv_std * (np.abs(meas) + np.abs(log_t)), axis=1
+            tie = _COST_RESOLUTION * row_sum(
+                np.abs(res_t) * model.inv_std * (np.abs(meas) + np.abs(log_t)), axis=1
             )
-            step_norm = np.sqrt(np.sum(step * step, axis=1))
-        ok = solved & np.all(np.isfinite(trial), axis=1) & ~np.any(t_sq <= 0, axis=1)
+            step_norm = np.sqrt(row_sum(step * step, axis=1))
+        ok = solved & row_all(np.isfinite(trial), axis=1) & ~row_any(t_sq <= 0, axis=1)
         accept = ok & (cost_t <= cost + tie)
         xy = np.where(accept[:, None], trial, xy)
         res = np.where(accept[:, None], res_t, res)
@@ -205,7 +226,7 @@ def _solve_lockstep(starts, meas, px, py, h_sq, inv_std, gamma):
         )
         short = accept & (step_norm < _STEP_TOL)
         stop = ~solved | short | (ok & ~accept & (damping > 1e15))
-        if stop.any():
+        if row_any(stop):
             done = rows[stop]
             out_xy[done], out_cost[done], iterations[done] = xy[stop], cost[stop], it
             flat = h00 + h11 < _DAMPING_MIN
@@ -271,7 +292,7 @@ def _model_roots(meas, px, py, h_sq, prior, gamma):
     return np.where(np.all(ok, axis=2, keepdims=True), roots, prior[:, None, :])
 
 
-def _laplace_scores(xy, cost, prior, px, py, h_sq, inv_std, gamma, prior_std):
+def _laplace_scores(xy, cost, prior, px, py, h_sq, model, prior_std):
     """(S,) -2 log posterior mass of each refined start, up to a constant.
 
     The Laplace approximation under a Gaussian prior of std prior_std about
@@ -283,7 +304,7 @@ def _laplace_scores(xy, cost, prior, px, py, h_sq, inv_std, gamma, prior_std):
     """
     with np.errstate(all="ignore"):
         d_sq = _dist_sq(xy, px, py, h_sq)
-        jx, jy = _jacobian(xy, px, py, inv_std, gamma, d_sq)
+        jx, jy = _jacobian(xy, px, py, model, d_sq)
         inv_var = np.float64(prior_std) ** -2
         h00 = np.sum(jx * jx, axis=1) + inv_var
         h11 = np.sum(jy * jy, axis=1) + inv_var
@@ -342,7 +363,7 @@ def mle_estimate_many(
     prior_std = float(prior_std)
     if not (math.isfinite(prior_std) and prior_std >= 0):
         raise ValueError(f"prior_std must be finite and >= 0, got {prior_std!r}")
-    inv_std = 1.0 / sigma_eff
+    model = _cost_model(1.0 / sigma_eff, gamma)
     init_xy = np.array([init.position for init in inits], dtype=float).reshape(-1, 2)
     k = 3 if prior_std > 0 else 1
     per_block = _BLOCK_ROWS // k
@@ -361,25 +382,26 @@ def mle_estimate_many(
             starts = np.concatenate([starts, _model_roots(meas, px, py, h_sq, prior, gamma)], 1)
         meas, px, py, h_sq, prior = (np.repeat(a, k, axis=0) for a in (meas, px, py, h_sq, prior))
         xy, cost, conv, iters = _solve_lockstep(
-            starts.reshape(-1, 2), meas, px, py, h_sq, inv_std, gamma
+            starts.reshape(-1, 2), meas, px, py, h_sq, model
         )
         best = np.zeros(n_block, dtype=int)
         if k > 1:
-            scores = _laplace_scores(xy, cost, prior, px, py, h_sq, inv_std, gamma, prior_std)
+            scores = _laplace_scores(xy, cost, prior, px, py, h_sq, model, prior_std)
             best = np.argmin(scores.reshape(n_block, k), axis=1)
         rows = np.arange(n_block) * k + best
         # recomputed, an iterate's squared distances are the bits the loop held
         d_sq = _dist_sq(xy[rows], px[rows], py[rows], h_sq[rows])
-        _, p0, _ = _profiled_residual(d_sq, meas[rows], inv_std, gamma)
-        iters = iters.reshape(n_block, k)
+        _, p0, _ = _profiled_residual(d_sq, meas[rows], model)
+        theta = np.column_stack([p0, xy[rows]])
+        converged = conv[rows] & np.logical_and.reduce(np.isfinite(theta), axis=1)
+        n_iters = np.add.reduce(iters.reshape(n_block, k), axis=1)
         for j in range(n_block):
-            theta = np.array([p0[j], xy[rows[j], 0], xy[rows[j], 1]])
             results.append(
                 MleResult(
-                    theta_hat=theta,
+                    theta_hat=theta[j],
                     residual_norm=math.sqrt(cost[rows[j]]),
-                    converged=bool(conv[rows[j]]) and bool(np.all(np.isfinite(theta))),
-                    iterations=int(np.sum(iters[j])),
+                    converged=bool(converged[j]),
+                    iterations=int(n_iters[j]),
                 )
             )
     return results

@@ -129,8 +129,10 @@ def _design_rows(designs, results, seed: int) -> list:
 
     results are the (placement, trace) pairs of the designs, in order. The
     scenario hash covers the design the row describes: the input scenario
-    with the row's sensor count and spread bound. write_csv keeps only the
-    columns of the mode's header.
+    with the row's sensor count and spread bound. improvement_pct is nan
+    where the uniform placement's LB-RMSE is not finite: no gain can be
+    measured against it. write_csv keeps only the columns of the mode's
+    header.
     """
     rows = []
     for sc, (placement, trace) in zip(designs, results):
@@ -141,7 +143,9 @@ def _design_rows(designs, results, seed: int) -> list:
                 "beta_max_deg": math.degrees(sc.beta_max),
                 "lb_rmse_uniform_m": lb_u,
                 "lb_rmse_opt_m": lb_o,
-                "improvement_pct": 100.0 * (1.0 - lb_o / lb_u),
+                "improvement_pct": (
+                    100.0 * (1.0 - lb_o / lb_u) if math.isfinite(lb_u) else math.nan
+                ),
                 "iterations": trace.outer_iters,
                 "converged": trace.converged,
                 "mean_inner_iters": trace.mean_inner,
@@ -266,12 +270,14 @@ def run_practical(
     through one array pass: their (T, N) sensor offsets from the true source
     give every trial's LB-RMSE in one fim.reduced_scores call, and (when
     refine is set) their (T, N, 3) sensor positions feed one
-    simulate_measurements_many call, trial t seeded from (seed, (t, 1)), and
-    one lockstep maximum-likelihood refinement. The refinement takes
-    prior_std as the std of its Gaussian prior about each trial's prior: it
-    starts from the prior and from the two closed-form candidates of the
-    model, the source and its circle-inversion mirror, and keeps the start
-    with the most posterior mass (see estimator.mle_estimate_many). A final
+    simulate_measurements_many call and one lockstep maximum-likelihood
+    refinement. Trial t's measurement noise comes from one generator, seeded
+    with the int that the stream (seed, (t, 1)) generates, which draws every
+    sensor's samples of that trial. The refinement takes prior_std as the
+    std of its Gaussian prior about each trial's prior: it starts from the
+    prior and from the two closed-form candidates of the model, the source
+    and its circle-inversion mirror, and keeps the start with the most
+    posterior mass (see estimator.mle_estimate_many). A final
     aggregate row (trial = -1) carries the means and the empirical
     refinement RMSE. The true reference power is 0 dB: the MLE profiles P0
     out, so no value of it would change the refined position beyond the

@@ -228,10 +228,13 @@ def simulate_measurements(
 
     Each sensor draws samples_per_position independent Gaussian samples around
     its noiseless value (distance taken to the true source) and reports their
-    mean. Sensor i consumes its own RNG substream (seed, i), spawned as
-    SeedSequence(seed).spawn(N)[i], so results are reproducible and
-    per-sensor independent. This is the one-trial call of
-    simulate_measurements_many, which adds a leading trial axis.
+    mean. The seed starts one generator, np.random.default_rng(seed), which
+    draws an (N, samples_per_position) block of standard normals in row
+    order; row i, scaled by sensor i's noise std, is sensor i's samples. So
+    sensor i's samples depend only on the seed, i and its own std, not on
+    the other sensors' stds or on how many sensors follow it. This is the
+    one-trial call of simulate_measurements_many, which adds a leading trial
+    axis.
     """
     pos = sensor_positions(scenario, placement)
     return simulate_measurements_many(scenario, pos[None], truth, [seed])[0]
@@ -243,11 +246,12 @@ def simulate_measurements_many(
     """(T, N) averaged noisy RSS measurements of T trials at once.
 
     positions holds the (T, N, 3) sensor positions of each trial and seeds
-    its T seeds. Sensor i of trial t draws its samples_per_position samples
-    from SeedSequence(seeds[t]).spawn(N)[i], the substream (seeds[t], i) of
-    simulate_measurements; all samples land in one (T, N, m) array, averaged
-    along its last axis. Row t equals bit for bit simulate_measurements of
-    that trial alone.
+    its T seeds. Trial t starts one generator, np.random.default_rng(seeds[t]),
+    and fills its (N, m) block of one (T, N, m) array with standard normals,
+    m = samples_per_position; row i of the block, scaled by sensor i's noise
+    std, holds sensor i's samples, as in simulate_measurements. The samples
+    are averaged along the last axis. Row t equals bit for bit
+    simulate_measurements of that trial alone.
     """
     pos = np.asarray(positions, dtype=float)
     seeds = list(seeds)
@@ -263,9 +267,8 @@ def simulate_measurements_many(
     m = scenario.samples_per_position
     samples = np.empty((len(seeds), n, m))
     for t, seed in enumerate(seeds):
-        for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n)):
-            rng = np.random.default_rng(stream)
-            samples[t, i] = rng.normal(0.0, scenario.noise_std[i], size=m)
+        np.random.default_rng(seed).standard_normal(out=samples[t])
+    samples *= scenario.noise_std[:, None]
     return clean + np.add.reduce(samples, axis=2) / m
 
 

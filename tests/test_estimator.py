@@ -104,8 +104,8 @@ class TestShiftInvariance:
     def test_constant_shift_over_many_seeds(self, prior_std):
         # a shift changes the cost's rounding, not its minimum; counting a
         # rounding-level cost tie as a rise stalls a start short of its fixed
-        # point, by up to 1.85e-6 m on these seeds with no tie allowance, and
-        # by up to 4.7e-8 m with an allowance relative to the cost
+        # point, by up to 5.7e-8 m on these seeds with no tie allowance, and
+        # by up to 2.6e-7 m with an allowance relative to the cost
         sc, placement, pos, sigma_eff = setup_problem()
         truth = SourceParams(p0=0.0, position=[0.0, 0.0])
         init = SourceParams(p0=0.0, position=[90.0, 40.0])
@@ -805,13 +805,13 @@ class TestConvergedFlag:
         monkeypatch.setattr(estimator, "_solve_lockstep", recording)
         experiments.run_practical(case_a(), prior_std=1e6, trials=21, seed=1)
         assert len(runs) == 1
-        (meas, px, py, h_sq, inv_std, gamma), (xy, cost, converged, _) = runs[0]
+        (meas, px, py, h_sq, model), (xy, cost, converged, _) = runs[0]
         centre = np.column_stack([px.mean(axis=1), py.mean(axis=1)])
         far = np.linalg.norm(xy - centre, axis=1) > 5000.0
         assert np.all(np.any((converged & far).reshape(-1, 3), axis=1))
         d_sq = estimator._dist_sq(xy, px, py, h_sq)
-        res, _, _ = estimator._profiled_residual(d_sq, meas, inv_std, gamma)
-        jac = np.stack(estimator._jacobian(xy, px, py, inv_std, gamma, d_sq), axis=-1)
+        res, _, _ = estimator._profiled_residual(d_sq, meas, model)
+        jac = np.stack(estimator._jacobian(xy, px, py, model, d_sq), axis=-1)
         grad = (jac.transpose(0, 2, 1) @ res[:, :, None])[:, :, 0]
         step = np.linalg.solve(jac.transpose(0, 2, 1) @ jac, grad[:, :, None])[:, :, 0]
         ratio = np.sum(grad * step, axis=1) / cost

@@ -262,6 +262,24 @@ class TestSweepN:
             assert row["lb_rmse_uniform_m"] == trace.records[0].lb_rmse
             assert row["placement_deg"] == experiments.placement_to_field(placement.angles)
 
+    def test_no_improvement_against_an_infinite_uniform_bound(self, tmp_path):
+        # two antipodal RSS sensors, the uniform start on the full circle,
+        # have an infinite bound; a finite design is no 100 % gain over it
+        template = replace(case_a(), variant=Variant.RSS)
+        result = run_sweep_n(template, [2], [2.0 * math.pi, math.radians(120.0)])
+        full, arc = result.rows
+        assert full["lb_rmse_uniform_m"] == math.inf
+        assert math.isfinite(full["lb_rmse_opt_m"])
+        assert math.isnan(full["improvement_pct"])
+        assert math.isfinite(arc["lb_rmse_uniform_m"])
+        want = 100.0 * (1.0 - arc["lb_rmse_opt_m"] / arc["lb_rmse_uniform_m"])
+        assert arc["improvement_pct"] == want
+        out = tmp_path / "sweep.csv"
+        write_csv(result, out)
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("improvement_pct")
+        assert lines[1].split(",")[column] == "nan"
+
 
 class TestSweepAngle:
     def test_optimized_never_worse(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,19 +269,17 @@ class TestSimulateMeasurements:
         np.testing.assert_allclose(var, 0.4, rtol=0.05)
 
 
-def per_sensor_measurements(scenario, placement, truth, seed):
-    """simulate_measurements as one generator and one mean per sensor, the reference."""
+def per_trial_measurements(scenario, placement, truth, seed):
+    """simulate_measurements as one generator and one (N, m) block, the reference."""
     pos = sensor_positions(scenario, placement)
     dx = pos[:, 0] - truth.position[0]
     dy = pos[:, 1] - truth.position[1]
     d = np.sqrt(dx**2 + dy**2 + pos[:, 2] ** 2)
     clean = truth.p0 - 10.0 * scenario.gamma * np.log10(d)
     m = scenario.samples_per_position
-    out = np.empty(scenario.n_sensors)
-    for i in range(scenario.n_sensors):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        out[i] = clean[i] + rng.normal(0.0, scenario.noise_std[i], size=m).mean()
-    return out
+    rng = np.random.default_rng(seed)
+    block = rng.normal(0.0, scenario.noise_std[:, None], size=(scenario.n_sensors, m))
+    return clean + block.mean(axis=1)
 
 
 class TestSimulateMeasurementsMany:
@@ -301,8 +300,35 @@ class TestSimulateMeasurementsMany:
             moved = sc.with_source(center)
             one = simulate_measurements(moved, placement, truth, seed)
             assert got[t].tobytes() == one.tobytes()
-            want = per_sensor_measurements(moved, placement, truth, seed)
+            want = per_trial_measurements(moved, placement, truth, seed)
             assert one.tobytes() == want.tobytes()
+
+    def test_one_sensors_noise_leaves_the_others_bits(self):
+        sc = case_a()
+        placement = Placement.from_angles(np.linspace(0.0, 5.0, sc.n_sensors))
+        truth = SourceParams(p0=0.0, position=[30.0, -40.0])
+        pos = swarm_positions(sc, placement, [[0.0, 0.0], [250.0, 80.0]])
+        base = simulate_measurements_many(sc, pos, truth, [5, 6])
+        for i in range(sc.n_sensors):
+            sigma = sc.noise_std.copy()
+            sigma[i] *= 3.0
+            got = simulate_measurements_many(replace(sc, noise_std=sigma), pos, truth, [5, 6])
+            others = np.arange(sc.n_sensors) != i
+            assert got[:, others].tobytes() == base[:, others].tobytes()
+            assert not np.any(got[:, i] == base[:, i])
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_a_sensors_samples_do_not_depend_on_the_swarm_size(self, n):
+        # sensor i's measurement is the same bits in swarms of n and n + 1
+        sigma = np.linspace(0.5, 3.0, n + 1)
+        wide = small_scenario(n=n + 1, sigma=sigma, m=10)
+        narrow = small_scenario(n=n, sigma=sigma[:n], m=10)
+        angles = np.linspace(0.2, 6.0, n + 1)
+        truth = SourceParams(p0=-7.0, position=[12.0, 3.0])
+        for seed in (0, 17, 2**40):
+            big = simulate_measurements(wide, Placement.from_angles(angles), truth, seed)
+            small = simulate_measurements(narrow, Placement.from_angles(angles[:n]), truth, seed)
+            assert small.tobytes() == big[:n].tobytes()
 
     def test_rejects_mismatched_seeds(self):
         sc = small_scenario()
