@@ -70,7 +70,7 @@ from .fim import (
     sensor_offsets,
     t_scores,
 )
-from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, wrap_angles
+from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, spread_bound, wrap_angles
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 # fim_full is not called here, but it stays importable as admm.fim_full:
@@ -183,9 +183,7 @@ def uniform_init(n: int, beta_max: float) -> Placement:
     """Evenly spread angles i * beta_max / n, i = 1..n (the baseline strategy)."""
     if n < 2:
         raise ValueError(f"need at least 2 sensors, got {n}")
-    if not 0.0 < beta_max <= TWO_PI + 1e-12:
-        raise ValueError(f"beta_max must lie in (0, 2*pi], got {beta_max!r}")
-    angles = beta_max * np.arange(1, n + 1) / n
+    angles = spread_bound(beta_max) * np.arange(1, n + 1) / n
     return Placement.from_angles(angles)
 
 

@@ -9,6 +9,7 @@ and a warning on stderr says so).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -35,21 +36,24 @@ DEFAULT_N_LIST = "4,8,12,16"
 DEFAULT_ANGLE_GRID_DEG = "60,75,90,97.5,105,120,150,180,210,240,270,300,330,360"
 
 
-def _parse_float_list(text: str):
+def _parse_list(text: str, integer: bool = False) -> list:
+    """The numbers of a comma-separated list flag; integer=True requires whole numbers."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ScenarioError(f"expected a comma-separated number list, got {text!r}") from exc
     if not values:
         raise ScenarioError("empty list argument")
-    return values
-
-
-def _parse_int_list(text: str):
-    values = _parse_float_list(text)
+    if not integer:
+        return values
     if not all(v.is_integer() for v in values):
         raise ScenarioError(f"expected a comma-separated integer list, got {text!r}")
     return [int(v) for v in values]
+
+
+def _radians(text: str) -> list:
+    """A comma-separated list of angles in degrees, in radians."""
+    return [math.radians(b) for b in _parse_list(text)]
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -61,7 +65,14 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use.
+
+    Each run mode's ``run(scenario, args, options)`` default parses the
+    mode's list flags and calls its ``run_*`` function by module-level name
+    at call time, so a replaced ``cli.run_*`` is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="rssdgeom",
         description="Information-optimal measuring geometry for RSSD source localization.",
@@ -70,11 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimize one scenario and write a summary row")
     _add_common(p)
+    p.set_defaults(run=lambda scenario, args, options: run_optimize(
+        scenario, options=options, seed=args.seed))
 
     p = sub.add_parser("convergence", help="per-iteration traces for several spread bounds")
     _add_common(p)
     p.add_argument("--beta-max-deg", default=DEFAULT_ANGLES_DEG,
                    help=f"comma list of bounds in degrees (default {DEFAULT_ANGLES_DEG})")
+    p.set_defaults(run=lambda scenario, args, options: run_convergence(
+        scenario, _radians(args.beta_max_deg), options=options, seed=args.seed))
 
     p = sub.add_parser("sweep-n", help="uniform vs optimized across swarm sizes")
     _add_common(p)
@@ -82,11 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list of swarm sizes (default {DEFAULT_N_LIST})")
     p.add_argument("--beta-max-deg", default=DEFAULT_ANGLES_DEG,
                    help=f"comma list of bounds in degrees (default {DEFAULT_ANGLES_DEG})")
+    p.set_defaults(run=lambda scenario, args, options: run_sweep_n(
+        scenario, _parse_list(args.n_list, integer=True), _radians(args.beta_max_deg),
+        options=options, seed=args.seed))
 
     p = sub.add_parser("sweep-angle", help="uniform vs optimized across a bound grid")
     _add_common(p)
     p.add_argument("--beta-grid-deg", default=DEFAULT_ANGLE_GRID_DEG,
                    help="comma list of bounds in degrees")
+    p.set_defaults(run=lambda scenario, args, options: run_sweep_angle(
+        scenario, _radians(args.beta_grid_deg), options=options, seed=args.seed))
 
     p = sub.add_parser("practical", help="prior-error trials scored against the truth")
     _add_common(p)
@@ -95,6 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
     p.add_argument("--no-refine", action="store_true",
                    help="skip the measurement simulation + ML refinement step")
+    p.set_defaults(run=lambda scenario, args, options: run_practical(
+        scenario, prior_std=args.prior_std, trials=args.trials, seed=args.seed,
+        options=options, refine=not args.no_refine))
 
     p = sub.add_parser("validate", help="check a scenario file and print derived quantities")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
@@ -129,8 +152,7 @@ def _out_problem(path: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "validate":
         report = validate_scenario(args.scenario)
@@ -145,29 +167,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         options = AdmmOptions(max_outer=args.max_outer)
         t0 = time.perf_counter()
-        if args.command == "optimize":
-            result = run_optimize(scenario, options=options, seed=args.seed)
-        elif args.command == "convergence":
-            angles = [math.radians(b) for b in _parse_float_list(args.beta_max_deg)]
-            result = run_convergence(scenario, angles, options=options, seed=args.seed)
-        elif args.command == "sweep-n":
-            angles = [math.radians(b) for b in _parse_float_list(args.beta_max_deg)]
-            n_list = _parse_int_list(args.n_list)
-            result = run_sweep_n(scenario, n_list, angles, options=options, seed=args.seed)
-        elif args.command == "sweep-angle":
-            grid = [math.radians(b) for b in _parse_float_list(args.beta_grid_deg)]
-            result = run_sweep_angle(scenario, grid, options=options, seed=args.seed)
-        elif args.command == "practical":
-            result = run_practical(
-                scenario,
-                prior_std=args.prior_std,
-                trials=args.trials,
-                seed=args.seed,
-                options=options,
-                refine=not args.no_refine,
-            )
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
+        result = args.run(scenario, args, options)
         elapsed_s = time.perf_counter() - t0
     except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fim import loss_slope
 from .model import SourceParams
 
 _DAMPING_START = 1e-3
@@ -103,7 +104,7 @@ class _CostModel(NamedTuple):
 
 def _cost_model(inv_std, gamma) -> _CostModel:
     w2 = inv_std**2
-    return _CostModel(inv_std, w2, np.add.reduce(w2), gamma, 10.0 * gamma / math.log(10.0))
+    return _CostModel(inv_std, w2, np.add.reduce(w2), gamma, loss_slope(gamma))
 
 
 def _profiled_residual(d_sq, measurements, model):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TWO_PI, Placement, Scenario, SourceParams, Variant, direction_angles
+from .model import Placement, Scenario, SourceParams, Variant, spread_bound
 
 
 def loss_slope(gamma: float) -> float:
@@ -232,9 +232,11 @@ def apply_orthogonal(placement: Placement, u: np.ndarray) -> Placement:
     LB-RMSE) is invariant under this transform.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (2, 2) or np.max(np.abs(u.T @ u - np.eye(2))) > 1e-10:
+    if (u.shape != (2, 2) or not np.all(np.isfinite(u))
+            or np.max(np.abs(u.T @ u - np.eye(2))) > 1e-10):
         raise ValueError("expected an orthogonal 2x2 matrix")
-    return Placement.from_angles(direction_angles(placement.directions @ u.T))
+    g = placement.directions @ u.T
+    return Placement.from_angles(np.arctan2(g[:, 1], g[:, 0]))
 
 
 @dataclass
@@ -261,9 +263,7 @@ class ConstraintBound:
 
 
 def g0_bound(beta_max: float) -> ConstraintBound:
-    if not 0.0 < beta_max <= TWO_PI + 1e-12:
-        raise ValueError(f"beta_max must lie in (0, 2*pi], got {beta_max!r}")
-    return ConstraintBound(beta_max=min(float(beta_max), TWO_PI))
+    return ConstraintBound(beta_max=spread_bound(beta_max))
 
 
 @dataclass

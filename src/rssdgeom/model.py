@@ -42,6 +42,13 @@ class ScenarioError(ValueError):
     """Raised when a scenario violates its invariants."""
 
 
+def spread_bound(beta_max) -> float:
+    """The spread bound as a float in (0, 2*pi]; up to 1e-12 above 2*pi is clamped."""
+    if not 0.0 < beta_max <= TWO_PI + 1e-12:
+        raise ScenarioError(f"beta_max: must lie in (0, 2*pi], got {beta_max!r}")
+    return min(float(beta_max), TWO_PI)
+
+
 def _as_vector(values, n: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
@@ -121,9 +128,7 @@ class Scenario:
                 f"got {self.samples_per_position!r}"
             )
         self.samples_per_position = int(m)
-        if not (0.0 < self.beta_max <= TWO_PI + 1e-12):
-            raise ScenarioError("beta_max: must lie in (0, 2*pi]")
-        self.beta_max = min(float(self.beta_max), TWO_PI)
+        self.beta_max = spread_bound(self.beta_max)
         self.variant = Variant(self.variant)
 
     @property
@@ -157,18 +162,6 @@ def wrap_angles(beta) -> np.ndarray:
     wrapped = np.fmod(beta, TWO_PI)
     wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
     return np.where(wrapped < TWO_PI, wrapped, 0.0)
-
-
-def direction_angles(g) -> np.ndarray:
-    """Wrapped angles of (..., 2) unit direction rows, the inverse of Placement.directions.
-
-    Each row goes through math.atan2, which can differ from np.arctan2 in
-    the last bit.
-    """
-    g = np.asarray(g, dtype=float)
-    rows = g.reshape(-1, 2)
-    raw = np.fromiter(map(math.atan2, rows[:, 1].tolist(), rows[:, 0].tolist()), float, len(rows))
-    return wrap_angles(raw.reshape(g.shape[:-1]))
 
 
 @dataclass

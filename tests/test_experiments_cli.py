@@ -1,5 +1,6 @@
 """Experiment harness and CLI tests: CSV formats, audits, exit codes."""
 
+import argparse
 import json
 import math
 import pathlib
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from rssdgeom import experiments
-from rssdgeom.admm import AdmmTrace, optimize, uniform_init
+from rssdgeom.admm import AdmmOptions, AdmmTrace, optimize, uniform_init
 from rssdgeom import cli
 from rssdgeom.cli import main
 from rssdgeom.estimator import mle_estimate
@@ -610,6 +611,56 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, "1"])
         assert exc.value.code == 2
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "rssdgeom":
+                built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["validate", "--scenario", str(CASE_A)]) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "mode, extra, name, lists",
+        [
+            ("optimize", [], "run_optimize", []),
+            ("convergence", ["--beta-max-deg", "90,180"], "run_convergence",
+             [[math.pi / 2, math.pi]]),
+            ("sweep-n", ["--n-list", "4,6", "--beta-max-deg", "360"], "run_sweep_n",
+             [[4, 6], [2 * math.pi]]),
+            ("sweep-angle", ["--beta-grid-deg", "45"], "run_sweep_angle", [[math.pi / 4]]),
+            ("practical", ["--trials", "3", "--no-refine"], "run_practical", []),
+        ],
+    )
+    def test_each_mode_calls_the_current_run_function(
+        self, tmp_path, monkeypatch, mode, extra, name, lists
+    ):
+        # perfbench/spans.py times a mode by replacing cli.run_*, so main must
+        # look the name up when it runs: build the parser first, then replace
+        main(["validate", "--scenario", str(CASE_A)])
+        calls = []
+        for other in ("run_optimize", "run_convergence", "run_sweep_n", "run_sweep_angle",
+                      "run_practical"):
+            real = getattr(cli, other)
+
+            def recording(*args, _name=other, _real=real, **kwargs):
+                calls.append((_name, args, kwargs))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, other, recording)
+        argv = [mode, "--scenario", str(CASE_A), "--seed", "5", *extra]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert [c[0] for c in calls] == [name]
+        _, args, kwargs = calls[0]
+        assert args[0].n_sensors == 8 and list(args[1:]) == lists
+        assert kwargs["seed"] == 5 and kwargs["options"].max_outer == AdmmOptions.max_outer
 
     def test_config_error_exit_code(self, tmp_path):
         proc = run_cli(

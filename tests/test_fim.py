@@ -30,6 +30,7 @@ from rssdgeom.model import (
     Variant,
     sensor_positions,
     wrap_angle,
+    wrap_angles,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -393,6 +394,40 @@ class TestApplyOrthogonal:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
             apply_orthogonal(Placement.from_angles([0.0]), np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so the orthogonality test alone lets it through
+        u = np.full((2, 2), bad)
+        with pytest.raises(ValueError, match="expected an orthogonal 2x2 matrix"):
+            apply_orthogonal(Placement.from_angles([0.3, 1.0, 2.0]), u)
+        u = np.eye(2)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="expected an orthogonal 2x2 matrix"):
+            apply_orthogonal(Placement.from_angles([0.3, 1.0, 2.0]), u)
+
+    def test_identity_round_trips_angles(self):
+        beta = np.random.default_rng(2).uniform(0, TWO_PI, 1000)
+        back = apply_orthogonal(Placement.from_angles(beta), np.eye(2)).angles
+        np.testing.assert_allclose(back, beta, rtol=0, atol=1e-12)
+        third = apply_orthogonal(Placement.from_angles([5 * math.pi / 4]), np.eye(2)).angles
+        assert third[0] == pytest.approx(5 * math.pi / 4, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.4, math.pi / 2, math.pi, 4.0, -2.5])
+    def test_rotation_and_reflection_move_angles(self, phi):
+        # third-quadrant directions (pi, 3*pi/2) on both sides of the map
+        beta = np.concatenate(
+            [np.random.default_rng(7).uniform(0, TWO_PI, 200), [3.5, 4.0, 5 * math.pi / 4]]
+        )
+        placement = Placement.from_angles(beta)
+        c, s = math.cos(phi), math.sin(phi)
+        reflect = np.array([[c, s], [s, -c]])  # mirror in the line at angle phi / 2
+        for u, want in ((rotation(phi), beta + phi), (reflect, phi - beta)):
+            got = apply_orthogonal(placement, u).angles
+            assert np.all((got >= 0.0) & (got < TWO_PI))
+            # distance on the circle, so 2*pi - 1e-15 and 0 count as equal
+            gap = np.abs(np.angle(np.exp(1j * (got - wrap_angles(want)))))
+            assert np.max(gap) <= 1e-12
 
 
 class TestG0Bound:

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rssdgeom.admm import uniform_init
+from rssdgeom.fim import g0_bound
 from rssdgeom.model import (
     Placement,
     Scenario,
@@ -15,7 +17,6 @@ from rssdgeom.model import (
     Variant,
     case_a,
     case_b,
-    direction_angles,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -180,35 +181,6 @@ class TestAngleDirection:
         g = Placement.from_angles([0.0, math.pi / 2]).directions
         np.testing.assert_allclose(g, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
-    def test_third_quadrant_wrap(self):
-        g = np.array([-math.sqrt(2) / 2, -math.sqrt(2) / 2])
-        assert direction_angles(g) == pytest.approx(5 * math.pi / 4, abs=1e-12)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(2)
-        beta = rng.uniform(0, TWO_PI, 1000)
-        back = direction_angles(Placement.from_angles(beta).directions)
-        np.testing.assert_allclose(back, beta, rtol=0, atol=1e-12)
-
-    def test_rows_equal_scalar_atan2_bitwise(self):
-        rng = np.random.default_rng(5)
-        g = rng.normal(size=(3, 40, 2))
-        g /= np.linalg.norm(g, axis=-1, keepdims=True)
-        g[0, :4] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [1.0, -0.0]]
-        # exactly +pi and -pi, signed zeros, and a tiny negative angle that
-        # wraps to 2*pi in rounding and so to 0.0
-        g[1, :7] = [
-            [-1.0, 0.0], [-1.0, -0.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0],
-            [-0.0, 0.0], [1.0, -1e-300],
-        ]
-        got = direction_angles(g)
-        assert got.shape == (3, 40)
-        want = [wrap_angle(math.atan2(y, x)) for x, y in g.reshape(-1, 2).tolist()]
-        assert got.tobytes() == np.array(want).reshape(3, 40).tobytes()
-        assert got[1, 0] == got[1, 1] == math.pi
-        assert got[1, 6] == 0.0 and math.copysign(1.0, got[1, 6]) == 1.0
-        assert math.copysign(1.0, got[0, 3]) == -1.0  # atan2(-0.0, 1.0) stays -0.0
-
 
 class TestPlacement:
     def test_angles_normalized(self):
@@ -353,6 +325,31 @@ class TestScenarioValidation:
     def test_rejects_bad_beta_max(self):
         with pytest.raises(ScenarioError, match="beta_max"):
             small_scenario(beta_max=7.0)
+
+
+# Every site that takes a spread bound, each returning the bound it kept.
+# uniform_init(2, b) places its first sensor at exactly b / 2.
+SPREAD_BOUND_SITES = {
+    "Scenario": lambda b: small_scenario(beta_max=b).beta_max,
+    "uniform_init": lambda b: 2.0 * uniform_init(2, b).angles[0],
+    "g0_bound": lambda b: g0_bound(b).beta_max,
+}
+
+
+class TestSpreadBound:
+    @pytest.mark.parametrize("site", SPREAD_BOUND_SITES)
+    @pytest.mark.parametrize(
+        "beta_max, kept",
+        [(1e-9, 1e-9), (math.pi, math.pi), (TWO_PI, TWO_PI), (TWO_PI + 1e-12, TWO_PI)],
+    )
+    def test_accepted_and_clamped(self, site, beta_max, kept):
+        assert SPREAD_BOUND_SITES[site](beta_max) == kept
+
+    @pytest.mark.parametrize("site", SPREAD_BOUND_SITES)
+    @pytest.mark.parametrize("beta_max", [0.0, -0.1, math.nan, math.inf, TWO_PI + 1e-9])
+    def test_rejected_naming_beta_max(self, site, beta_max):
+        with pytest.raises(ScenarioError, match=r"beta_max: must lie in \(0, 2\*pi\]"):
+            SPREAD_BOUND_SITES[site](beta_max)
 
     def test_rejects_nonzero_source_height(self):
         with pytest.raises(ScenarioError, match="height"):
