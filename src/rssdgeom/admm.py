@@ -30,15 +30,15 @@ fim.t_scores, the rule fim.reduced_scores applies too; the solver
 state never reads a score, so the block only decides how far a design
 runs past its stop before it leaves the batch. The MM sweeps carry each
 row's angle along, so no iterate is turned back from directions to angles.
-Each design keeps its own penalty, bound, LB budget, best record and stop
-test, keeps only the records up to its stop, and leaves the batch at the
-end of the block in which it stops. Record 0 is scored before the first
-step and the returned best record at the end, both through
-fim.reduced_scores with one call per sensor count, so the reported numbers
-are those of fim_full. A design's result is bit for bit the serial loop
-run on its zero-padded arrays: what it would be alone when its group holds
-one size, and within rounding of that otherwise (the padded sums round
-differently). optimize is optimize_many on one scenario. x_update,
+Each design keeps its own penalty, bound and AdmmTrace, which applies the
+stop test and the best-record rule, keeps only the records up to its stop,
+and leaves the batch at the end of the block in which it stops. Record 0
+is scored before the first step and the returned best record at the end,
+both through fim.reduced_scores with one call per sensor count, so the
+reported numbers are those of fim_full. A design's result is bit for bit
+the serial loop run on its zero-padded arrays: what it would be alone when
+its group holds one size, and within rounding of that otherwise (the padded
+sums round differently). optimize is optimize_many on one scenario. x_update,
 g_update_mm and _mm_rows take the design axis or a single design, and
 give a single design the same bits either way.
 
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -150,19 +150,56 @@ class TraceRecord:
 
 @dataclass
 class AdmmTrace:
-    """Per-iteration records of a run; best is the record of the returned placement.
+    """One design's run: one record per outer iteration, record 0 the uniform start.
 
+    best, the record of the returned placement, has the largest det T among
+    the records whose LB-RMSE is at most lb_budget, record 0's plus 1e-9 m.
     stop_reason is "lb_stall" (relative LB-RMSE change below _ADMM_TOL),
     "step" (iterate step below _ADMM_TOL) or "max_outer" (iteration cap);
     when both tolerance tests hold at the last iteration it is "lb_stall".
+    converged, outer_iters and mean_inner are read off records and stop_reason.
     """
 
     records: list
-    converged: bool
-    outer_iters: int
-    mean_inner: float
     best: TraceRecord
-    stop_reason: str
+    lb_budget: float
+    stop_reason: str = "max_outer"
+    _stall: int = field(default=0, init=False, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_outer"
+
+    @property
+    def outer_iters(self) -> int:
+        return self.records[-1].k
+
+    @property
+    def mean_inner(self) -> float:
+        inner = [rec.inner_iters for rec in self.records[1:]]
+        return float(np.mean(inner)) if inner else 0.0
+
+    def _advance(self, rec: TraceRecord, step: float) -> bool:
+        """Add one outer iteration; True once the run stops, with stop_reason set."""
+        self.records.append(rec)
+        if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
+            self.best = rec
+        # Relative LB-RMSE change against the previous iterate and the one
+        # two steps back: the splitting admits alternating (period-2) limit
+        # cycles whose even/odd subsequences are stationary, and either
+        # situation means the iteration has stopped making progress.
+        rel_lb = math.inf
+        if math.isfinite(rec.lb_rmse) and rec.lb_rmse > 0:
+            for lag in (1, 2):
+                if len(self.records) > lag:
+                    prev = self.records[-1 - lag].lb_rmse
+                    rel_lb = min(rel_lb, abs(rec.lb_rmse - prev) / rec.lb_rmse)
+        lb_stall = rel_lb < _ADMM_TOL
+        self._stall = self._stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
+        if self._stall >= _STALL_ITERATIONS:
+            self.stop_reason = "lb_stall" if lb_stall else "step"
+            return True
+        return False
 
 
 def check_sensor_count(scenario: Scenario) -> None:
@@ -435,57 +472,12 @@ class _Batch:
         return _Batch(**{f.name: getattr(self, f.name)[keep] for f in fields(self)})
 
 
-@dataclass
-class _Run:
-    """Trace bookkeeping of one design: its records, best record, stop test and stop reason."""
-
-    records: list
-    best: TraceRecord
-    lb_budget: float
-    stall: int = 0
-    reason: str = "max_outer"
-
-    def advance(self, rec: TraceRecord, step: float) -> bool:
-        """Add one outer iteration; True once the run stops, with reason set."""
-        self.records.append(rec)
-        if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
-            self.best = rec
-        # Relative LB-RMSE change against the previous iterate and the one
-        # two steps back: the splitting admits alternating (period-2) limit
-        # cycles whose even/odd subsequences are stationary, and either
-        # situation means the iteration has stopped making progress.
-        rel_lb = math.inf
-        if math.isfinite(rec.lb_rmse) and rec.lb_rmse > 0:
-            for lag in (1, 2):
-                if len(self.records) > lag:
-                    prev = self.records[-1 - lag].lb_rmse
-                    rel_lb = min(rel_lb, abs(rec.lb_rmse - prev) / rec.lb_rmse)
-        lb_stall = rel_lb < _ADMM_TOL
-        self.stall = self.stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
-        if self.stall >= _STALL_ITERATIONS:
-            self.reason = "lb_stall" if lb_stall else "step"
-            return True
-        return False
-
-    def result(self):
-        inner = [rec.inner_iters for rec in self.records[1:]]
-        trace = AdmmTrace(
-            records=self.records,
-            converged=self.reason != "max_outer",
-            outer_iters=self.records[-1].k,
-            mean_inner=float(np.mean(inner)) if inner else 0.0,
-            best=self.best,
-            stop_reason=self.reason,
-        )
-        return Placement.from_angles(self.best.angles), trace
-
-
 def _start(scenarios: list, weights: list):
-    """Set up a lockstep group: its _Batch and one _Run per design.
+    """Set up a lockstep group: its _Batch and one AdmmTrace per design.
 
-    Every run starts from the uniform placement, G being its own directions.
+    Every run starts from the uniform placement, G being its directions.
     That placement is record 0 and the first best record, scored once by
-    _certified_scores; its LB-RMSE sets the run's LB budget. Each design's
+    _certified_scores; its LB-RMSE sets the trace's lb_budget. Each design's
     coupling factor, m_tilde and penalty are computed at its own sensor
     count, with one call per kernel for all designs of that count, and
     embedded in zeros up to the group's largest count; m_tilde and the
@@ -496,8 +488,8 @@ def _start(scenarios: list, weights: list):
     count = len(scenarios)
     sizes = np.array([sc.n_sensors for sc in scenarios])
     n_pad = int(sizes.max())
-    uniform = [uniform_init(sc.n_sensors, sc.beta_max).angles for sc in scenarios]
-    det_0, lb_0 = _certified_scores(scenarios, weights, uniform)
+    uniform = [uniform_init(sc.n_sensors, sc.beta_max) for sc in scenarios]
+    det_0, lb_0 = _certified_scores(scenarios, weights, [p.angles for p in uniform])
 
     half_bd = np.zeros((count, n_pad, n_pad))
     m_tilde = np.zeros((count, n_pad, n_pad))
@@ -518,9 +510,8 @@ def _start(scenarios: list, weights: list):
         half_bd[at, :n, :n] = factor
         m_tilde[at, :n, :n] = m_mat - lam_max[:, None, None] * np.eye(n)
         rho[at] = _PENALTY_SCALE / lam_max
-        start = np.stack([uniform[i] for i in at])
-        angles[at, :n] = start
-        g[at, :n] = np.stack([np.cos(start), np.sin(start)], axis=-1)
+        angles[at, :n] = np.stack([uniform[i].angles for i in at])
+        g[at, :n] = np.stack([uniform[i].directions for i in at])
 
     hg = half_bd @ g
     batch = _Batch(
@@ -536,11 +527,11 @@ def _start(scenarios: list, weights: list):
         v=np.zeros_like(g),
         hg=hg,
     )
-    runs = []
-    for objective, det, lb, row in zip(_log_det_inv_gram(hg), det_0, lb_0, uniform):
-        first = TraceRecord(0, objective, det, lb, 0, 0.0, row)
-        runs.append(_Run(records=[first], best=first, lb_budget=lb + 1e-9))
-    return batch, runs
+    traces = []
+    for objective, det, lb, start in zip(_log_det_inv_gram(hg), det_0, lb_0, uniform):
+        first = TraceRecord(0, objective, det, lb, 0, 0.0, start.angles)
+        traces.append(AdmmTrace([first], first, lb + 1e-9))
+    return batch, traces
 
 
 def _lockstep(scenarios: list, max_outer: int) -> list:
@@ -551,19 +542,19 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     call per kernel and no scoring; g_update_mm carries the angles of
     G's rows along. The block's iterates are then stacked step-major to
     (steps * designs, N, 2) and scored with one _iterate_scores call on the
-    S*D*G the steps already hold; each design replays its records through
-    its stop test in step order. A design that stops keeps the records up
-    to its stop, drops the rest of the block and leaves the batch; the
-    others run on. At the end, each design's best record is re-scored by
-    _certified_scores, as record 0 was at the start, so the numbers reported
-    with the uniform and the returned placement are those of fim_full. A
-    best record that scores +inf there (no placement reached has a finite
-    bound, as on an arc far too narrow for the swarm) raises a ScenarioError
-    naming the arc; a degenerate uniform start alone does not, since the
-    run may leave it (two antipodal RSS sensors on the full circle do).
+    S*D*G the steps already hold; each design's AdmmTrace takes its records
+    in step order. A design that stops keeps the records up to its stop,
+    drops the rest of the block and leaves the batch; the others run on. At
+    the end, each design's best record is re-scored by _certified_scores, as
+    record 0 was at the start, so the numbers reported with the uniform and
+    the returned placement are those of fim_full. A best record that scores
+    +inf there (no placement reached has a finite bound, as on an arc far
+    too narrow for the swarm) raises a ScenarioError naming the arc; a
+    degenerate uniform start alone does not, since the run may leave it (two
+    antipodal RSS sensors on the full circle do).
     """
     weights = [noise_weights(sc) for sc in scenarios]
-    batch, runs = _start(scenarios, weights)
+    batch, traces = _start(scenarios, weights)
     k = 0
     while k < max_outer:
         steps = min(_SCORE_BLOCK, max_outer - k)
@@ -603,7 +594,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             for s in range(steps):
                 objective, det, lb, sweeps, primal, step = columns[s * width + j]
                 rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, user[s, j, :n])
-                stopped = runs[i].advance(rec, step)
+                stopped = traces[i]._advance(rec, step)
                 if stopped:
                     break
             running.append(not stopped)
@@ -612,7 +603,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             if not any(running):
                 break
             batch = batch.take(np.array(running))
-    best = [run.best for run in runs]
+    best = [trace.best for trace in traces]
     certified = _certified_scores(scenarios, weights, [rec.angles for rec in best])
     for sc, rec, det, lb in zip(scenarios, best, *certified):
         if lb == math.inf:
@@ -622,7 +613,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
                 "singular information matrix"
             )
         rec.det_t, rec.lb_rmse = det, lb
-    return [run.result() for run in runs]
+    return [(Placement.from_angles(trace.best.angles), trace) for trace in traces]
 
 
 def optimize_many(scenarios, options: AdmmOptions = None) -> list:
@@ -657,12 +648,14 @@ def optimize(scenario: Scenario, options: AdmmOptions = None):
     """Run the full optimizer and return (placement, trace).
 
     The placement is the feasible iterate with the largest reduced-information
-    determinant seen during the run, restricted to iterates that do not score
-    worse than the uniform baseline (the baseline itself is a candidate, so
-    the result never loses to it). The trace carries one record per outer
-    iteration, record 0 being the uniform initialization, keeps the record
-    of the returned placement as trace.best, and says in trace.stop_reason
-    why the run stopped.
+    determinant seen during the run, restricted to iterates whose LB-RMSE is
+    at most trace.lb_budget, the uniform baseline's plus 1e-9 m (the baseline
+    itself is a candidate, so the result never loses to it). The trace
+    carries one record per outer iteration, record 0 being the uniform
+    initialization, keeps the record of the returned placement as
+    trace.best, and says in trace.stop_reason why the run stopped;
+    trace.converged, trace.outer_iters and trace.mean_inner are read off
+    the records and the stop reason.
 
     Every iterate is scored at the scenario's own source. The design depends
     only on the distances, noise, arc and variant: moving the source moves

@@ -147,7 +147,9 @@ class Scenario:
 
 
 def wrap_angle(beta: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
+    """Normalize an angle to [0, 2*pi); a NaN or infinite angle raises ValueError."""
+    if not math.isfinite(beta):
+        raise ValueError(f"angle must be finite, got {beta!r}")
     wrapped = math.fmod(beta, TWO_PI)
     if wrapped < 0.0:
         wrapped += TWO_PI
@@ -157,8 +159,8 @@ def wrap_angle(beta: float) -> float:
 def wrap_angles(beta) -> np.ndarray:
     """Array form of wrap_angle, equal to it bit for bit on every entry."""
     beta = np.asarray(beta, dtype=float)
-    if np.any(np.isinf(beta)):
-        raise ValueError("angles must not be infinite")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("angles must be finite, not NaN or infinite")
     wrapped = np.fmod(beta, TWO_PI)
     wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
     return np.where(wrapped < TWO_PI, wrapped, 0.0)

@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rssdgeom import experiments
-from rssdgeom.admm import AdmmOptions, AdmmTrace, optimize, uniform_init
+from rssdgeom import admm, experiments
+from rssdgeom.admm import AdmmOptions, AdmmTrace, optimize, optimize_many, uniform_init
 from rssdgeom import cli
 from rssdgeom.cli import main
 from rssdgeom.estimator import mle_estimate
@@ -162,7 +162,10 @@ def serial_optimize_many(designs, options=None):
         placement, records, converged, outer_iters, mean_inner, best, reason = reference_optimize(
             sc, options
         )
-        trace = AdmmTrace(records, converged, outer_iters, mean_inner, best, reason)
+        trace = AdmmTrace(records, best, records[0].lb_rmse + 1e-9, reason)
+        assert trace.converged == converged
+        assert trace.outer_iters == outer_iters
+        assert trace.mean_inner == mean_inner
         results.append((placement, trace))
     return results
 
@@ -179,6 +182,44 @@ class TestLockstepCsvs:
         monkeypatch.setattr(experiments, "optimize_many", serial_optimize_many)
         assert main([mode, "--scenario", str(scenario), "--out", str(serial)]) == 0
         assert lockstep.read_bytes() == serial.read_bytes()
+
+
+def replay_best(trace):
+    """The record the best-record rule picks from trace.records under trace.lb_budget."""
+    best = trace.records[0]
+    for rec in trace.records[1:]:
+        if rec.det_t > best.det_t and rec.lb_rmse <= trace.lb_budget:
+            best = rec
+    return best
+
+
+class TestBestRecordRule:
+    @pytest.mark.parametrize("mode", ["optimize", "convergence", "sweep-n", "sweep-angle"])
+    @pytest.mark.parametrize("scenario", [CASE_A, CASE_B])
+    def test_best_is_the_largest_det_t_within_the_budget(
+        self, tmp_path, monkeypatch, mode, scenario
+    ):
+        traces = []
+
+        def capture(designs, options=None):
+            results = optimize_many(designs, options)
+            traces.extend(trace for _, trace in results)
+            return results
+
+        # optimize reaches optimize_many through admm's own name
+        monkeypatch.setattr(admm, "optimize_many", capture)
+        monkeypatch.setattr(experiments, "optimize_many", capture)
+        assert main([mode, "--scenario", str(scenario), "--out", str(tmp_path / "out.csv")]) == 0
+        assert traces
+        for trace in traces:
+            assert trace.lb_budget == trace.records[0].lb_rmse + 1e-9
+            assert trace.best.lb_rmse <= trace.lb_budget
+            # the best record carries its certified re-score, which may move
+            # det T in the last bits against the other records' scores
+            picked = replay_best(trace)
+            assert picked is trace.best or picked.det_t == pytest.approx(
+                trace.best.det_t, rel=1e-12
+            )
 
 
 class TestSweepNOneBatch:

@@ -189,11 +189,20 @@ class TestPlacement:
 
     def test_array_wrap_equals_scalar_wrap_bitwise(self):
         rng = np.random.default_rng(4)
-        edge = [0.0, -0.0, -1e-20, -1e-300, TWO_PI, -TWO_PI, TWO_PI - 1e-16, 3 * TWO_PI, math.nan]
+        edge = [0.0, -0.0, -1e-20, -1e-300, TWO_PI, -TWO_PI, TWO_PI - 1e-16, 3 * TWO_PI]
         beta = np.concatenate([rng.uniform(-30.0, 30.0, 500), edge])
         want = np.array([wrap_angle(b) for b in beta])
         assert wrap_angles(beta).tobytes() == want.tobytes()
         assert Placement.from_angles(beta).angles.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, bad):
+        with pytest.raises(ValueError):
+            wrap_angle(bad)
+        with pytest.raises(ValueError):
+            wrap_angles([0.5, bad])
+        with pytest.raises(ValueError):
+            Placement.from_angles([bad, 1.0])
 
     def test_directions_unit_rows(self):
         p = Placement.from_angles(np.linspace(0, 6, 13))
