@@ -56,7 +56,6 @@ Two conventions worth knowing:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -70,7 +69,9 @@ from .fim import (
     sensor_offsets,
     t_scores,
 )
-from .model import TWO_PI, Placement, Scenario, ScenarioError, Variant, spread_bound, wrap_angles
+from .model import (
+    TWO_PI, Placement, Scenario, ScenarioError, Variant, as_count, spread_bound, wrap_angles,
+)
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
 # fim_full is not called here, but it stays importable as admm.fim_full:
@@ -122,17 +123,15 @@ _PAD_LIMIT = 32
 class AdmmOptions:
     """Optimizer settings: max_outer caps the outer iterations.
 
-    It must be an integer of at least 1; booleans are not. The penalty and
-    the tolerances are constants of the solver (_PENALTY_SCALE, _ADMM_TOL
-    and the g_update_mm defaults).
+    It must be an integer of at least 1 (model.as_count); anything else is
+    a ScenarioError. The penalty and the tolerances are constants of the
+    solver (_PENALTY_SCALE, _ADMM_TOL and the g_update_mm defaults).
     """
 
     max_outer: int = 1000
 
     def __post_init__(self):
-        value = self.max_outer
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"max_outer must be an integer >= 1, got {value!r}")
+        as_count(self.max_outer, "max_outer", 1)
 
 
 @dataclass
@@ -218,8 +217,7 @@ def check_sensor_count(scenario: Scenario) -> None:
 
 def uniform_init(n: int, beta_max: float) -> Placement:
     """Evenly spread angles i * beta_max / n, i = 1..n (the baseline strategy)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 sensors, got {n}")
+    n = as_count(n, "n", 2)
     angles = spread_bound(beta_max) * np.arange(1, n + 1) / n
     return Placement.from_angles(angles)
 
@@ -678,8 +676,4 @@ def optimal_distance(r_range, h_range):
         raise ValueError("need 0 < r_min <= r_max")
     if not 0.0 <= h_min <= h_max:
         raise ValueError("need 0 <= h_min <= h_max")
-    if h_min > 0.0:
-        r_star = min(max(h_min, r_min), r_max)
-    else:
-        r_star = r_min
-    return r_star, h_min
+    return min(max(h_min, r_min), r_max), h_min

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fim import loss_slope
-from .model import SourceParams
+from .model import SourceParams, as_real
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
@@ -361,9 +361,7 @@ def mle_estimate_many(
         raise ValueError("measurements must be finite")
     if not np.all(np.isfinite(pos)):
         raise ValueError("sensor_positions must be finite")
-    prior_std = float(prior_std)
-    if not (math.isfinite(prior_std) and prior_std >= 0):
-        raise ValueError(f"prior_std must be finite and >= 0, got {prior_std!r}")
+    prior_std = as_real(prior_std, "prior_std", 0.0)
     model = _cost_model(1.0 / sigma_eff, gamma)
     init_xy = np.array([init.position for init in inits], dtype=float).reshape(-1, 2)
     k = 3 if prior_std > 0 else 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +46,8 @@ from .model import (
     Scenario,
     ScenarioError,
     SourceParams,
+    as_count,
+    as_real,
     load_scenario,
     scenario_to_dict,
     simulate_measurements_many,
@@ -134,6 +135,7 @@ def _design_rows(designs, results, seed: int) -> list:
     measured against it. write_csv keeps only the columns of the mode's
     header.
     """
+    as_count(seed, "seed")
     rows = []
     for sc, (placement, trace) in zip(designs, results):
         lb_u, lb_o = trace.records[0].lb_rmse, trace.best.lb_rmse
@@ -200,8 +202,7 @@ def resize_sensors(template: Scenario, n: int) -> Scenario:
     keep their fifty-fifty split; fully constant vectors broadcast; anything
     else is tiled cyclically. Distances follow the same rule.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise ScenarioError(f"resize_sensors: n must be an integer >= 2, got {n!r}")
+    as_count(n, "n", 2)
 
     def stretch(vec: np.ndarray) -> np.ndarray:
         m = len(vec)
@@ -284,16 +285,8 @@ def run_practical(
     Gauss-Newton step tolerance. A prior_std so large that the sensor
     distances overflow is a ScenarioError.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ScenarioError(f"practical: trials must be an integer >= 1, got {trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ScenarioError(f"practical: seed must be an integer >= 0, got {seed!r}")
-    if (
-        isinstance(prior_std, bool)
-        or not isinstance(prior_std, numbers.Real)
-        or not (math.isfinite(prior_std) and prior_std >= 0)
-    ):
-        raise ScenarioError(f"practical: prior_std must be finite and >= 0, got {prior_std!r}")
+    as_count(trials, "trials", 1)
+    as_real(prior_std, "prior_std", 0.0)
     truth = SourceParams(p0=0.0, position=scenario.source[:2])
 
     results = [optimize(scenario, options=options)]

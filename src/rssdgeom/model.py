@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -39,12 +40,42 @@ class Variant(str, Enum):
 
 
 class ScenarioError(ValueError):
-    """Raised when a scenario violates its invariants."""
+    """Raised when a scenario violates its invariants, or when a value a caller
+    supplies (a count, a seed, a real such as prior_std) breaks its rule."""
+
+
+def as_count(value, name: str, minimum: int = 0) -> int:
+    """The rule for every count or seed a caller supplies, returning an int.
+
+    value must be a numbers.Integral other than bool and at least minimum;
+    anything else is a ScenarioError that names the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ScenarioError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str, minimum: float = -math.inf) -> float:
+    """The rule for every real a caller supplies, returning a finite float.
+
+    value must be a numbers.Real other than bool whose float() is finite and
+    at least minimum, so an int too large for a float fails too; anything
+    else is a ScenarioError that names the field.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if math.isfinite(x) and x >= minimum:
+            return x
+    bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+    raise ScenarioError(f"{name}: must be a finite number{bound}, got {value!r}")
 
 
 def spread_bound(beta_max) -> float:
     """The spread bound as a float in (0, 2*pi]; up to 1e-12 above 2*pi is clamped."""
-    if not 0.0 < beta_max <= TWO_PI + 1e-12:
+    if isinstance(beta_max, bool) or not 0.0 < beta_max <= TWO_PI + 1e-12:
         raise ScenarioError(f"beta_max: must lie in (0, 2*pi], got {beta_max!r}")
     return min(float(beta_max), TWO_PI)
 
@@ -103,10 +134,7 @@ class Scenario:
             raise ScenarioError("source: contains non-finite entries")
         if self.source[2] != 0.0:
             raise ScenarioError("source: height must be zero")
-        n = int(self.n_sensors)
-        if n < 1:
-            raise ScenarioError("n_sensors: must be positive")
-        self.n_sensors = n
+        n = self.n_sensors = as_count(self.n_sensors, "n_sensors", 1)
         self.horiz_dist = _as_vector(self.horiz_dist, n, "horiz_dist")
         self.vert_dist = _as_vector(self.vert_dist, n, "vert_dist")
         self.noise_std = _as_vector(self.noise_std, n, "noise_std")
@@ -119,14 +147,11 @@ class Scenario:
         if np.any(self.noise_std <= 0):
             bad = int(np.argmax(self.noise_std <= 0))
             raise ScenarioError(f"noise_std[{bad}]: must be > 0")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
+        if as_real(self.gamma, "gamma") <= 0:
             raise ScenarioError("gamma: must be positive and finite")
-        m = float(self.samples_per_position)
-        if not (m.is_integer() and m >= 1):
-            raise ScenarioError(
-                "samples_per_position: must be a positive integer, "
-                f"got {self.samples_per_position!r}"
-            )
+        m = as_real(self.samples_per_position, "samples_per_position", 1.0)
+        if not m.is_integer():
+            raise ScenarioError(f"samples_per_position: must be a whole number, got {m!r}")
         self.samples_per_position = int(m)
         self.beta_max = spread_bound(self.beta_max)
         self.variant = Variant(self.variant)
@@ -285,20 +310,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _as_number(name: str, value) -> float:
-    """A JSON number as a float; booleans and strings are not numbers here."""
-    if isinstance(value, (bool, str)):
-        raise ScenarioError(f"{name}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{name}: missing or malformed ({exc})") from exc
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse the dict form, reporting the offending field on failure."""
     try:
-        source = [_as_number("source", c) for c in data["source"]]
+        source = [as_real(c, "source") for c in data["source"]]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"source: missing or malformed ({exc})") from exc
     if len(source) == 2:
@@ -311,12 +326,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     r, h, sigma = [], [], []
     for idx, row in enumerate(sensors):
         try:
-            r.append(_as_number(f"sensors[{idx}].r", row["r"]))
-            h.append(_as_number(f"sensors[{idx}].h", row["h"]))
-            sigma.append(_as_number(f"sensors[{idx}].sigma", row["sigma"]))
+            r.append(as_real(row["r"], f"sensors[{idx}].r"))
+            h.append(as_real(row["h"], f"sensors[{idx}].h"))
+            sigma.append(as_real(row["sigma"], f"sensors[{idx}].sigma"))
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"sensors[{idx}]: expected numeric r, h, sigma ({exc})") from exc
-    beta_max_deg = _as_number("beta_max_deg", data.get("beta_max_deg"))
+    beta_max_deg = as_real(data.get("beta_max_deg"), "beta_max_deg")
     if not 0.0 < beta_max_deg <= 360.0:
         raise ScenarioError(f"beta_max_deg: must lie in (0, 360], got {beta_max_deg}")
     variant = str(data.get("variant", "rssd")).lower()
@@ -325,13 +340,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(
         source=source,
         n_sensors=len(sensors),
-        gamma=_as_number("gamma", data.get("gamma", 2.0)),
+        gamma=as_real(data.get("gamma", 2.0), "gamma"),
         horiz_dist=r,
         vert_dist=h,
         noise_std=sigma,
-        samples_per_position=_as_number(
-            "samples_per_position", data.get("samples_per_position", 10)
-        ),
+        samples_per_position=data.get("samples_per_position", 10),
         beta_max=math.radians(beta_max_deg),
         variant=Variant(variant),
     )

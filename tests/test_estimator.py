@@ -13,6 +13,7 @@ from rssdgeom.admm import optimize, uniform_init
 from rssdgeom.estimator import MleResult, mle_estimate, mle_estimate_many
 from rssdgeom.fim import fim_full
 from rssdgeom.model import (
+    ScenarioError,
     SourceParams,
     case_a,
     case_b,
@@ -179,6 +180,14 @@ class TestInputValidation:
         ]:
             with pytest.raises(ValueError, match="dimensions"):
                 mle_estimate_many(args[0], args[1], args[2], 2.0, args[3])
+
+    @pytest.mark.parametrize("prior_std", [True, "100", 10**400])
+    def test_prior_std_must_be_a_finite_number(self, prior_std):
+        # True would run with a 1 m prior
+        meas, pos, sigma = random_problem(np.random.default_rng(3), 6)
+        init = SourceParams(0.0, [10.0, -20.0])
+        with pytest.raises(ScenarioError, match="prior_std"):
+            mle_estimate(meas, pos, sigma, 2.0, init, prior_std=prior_std)
 
 
 class TestCrlbConsistency:

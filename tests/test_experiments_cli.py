@@ -417,6 +417,26 @@ class TestPractical:
             agg["lb_rmse_theoretical_m"], rel=0.10
         )
 
+    @pytest.mark.parametrize("prior_std", [10**400, -(10**400)])
+    def test_rejects_a_prior_std_beyond_float_range(self, prior_std):
+        with pytest.raises(ScenarioError, match="prior_std"):
+            run_practical(case_a(), prior_std, 2, refine=False)
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "0"])
+    def test_optimize_rejects_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(ScenarioError, match="seed"):
+            run_optimize(case_a(), seed=seed)
+
+    @pytest.mark.parametrize("mode", ["optimize", "convergence", "sweep-angle", "sweep-n"])
+    def test_every_design_mode_rejects_a_negative_seed(self, tmp_path, capsys, mode):
+        out = tmp_path / "x.csv"
+        argv = [mode, "--scenario", str(CASE_A), "--seed", "-1", "--max-outer", "5"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_benchmark_a_derived_quantities(self):

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rssdgeom.model import (
     ScenarioError,
     SourceParams,
     Variant,
+    as_count,
+    as_real,
     case_a,
     case_b,
     load_scenario,
@@ -334,6 +337,44 @@ class TestScenarioValidation:
     def test_rejects_bad_beta_max(self):
         with pytest.raises(ScenarioError, match="beta_max"):
             small_scenario(beta_max=7.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_sensors", 8.9),  # would run 8 sensors
+            ("n_sensors", "8"),
+            ("n_sensors", True),
+            ("gamma", True),
+            ("gamma", "2"),
+            ("samples_per_position", True),
+            ("samples_per_position", "10"),
+            ("beta_max", True),  # would be a 1 rad arc
+        ],
+    )
+    def test_number_rules_name_the_field(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            replace(case_a(), **{field: value})
+
+
+class TestNumberRules:
+    def test_accepted_values_keep_their_bits(self):
+        count = as_count(np.int64(5), "n")
+        assert type(count) is int and count == 5
+        for value in (np.float32(0.1), 10, np.int64(7), Fraction(1, 3), 1e308):
+            got = as_real(value, "x")
+            assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [-1, True, 2.0, "3", None, np.float64(4.0)])
+    def test_count_rule_rejects(self, value):
+        with pytest.raises(ScenarioError, match="^count: must be an integer >= 0"):
+            as_count(value, "count")
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), math.nan, -math.inf, True, "1", None, np.float64(-1.0)]
+    )
+    def test_real_rule_rejects(self, value):
+        with pytest.raises(ScenarioError, match="^x: must be a finite number >= -0.5"):
+            as_real(value, "x", -0.5)
 
 
 # Every site that takes a spread bound, each returning the bound it kept.
