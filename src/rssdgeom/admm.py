@@ -243,9 +243,9 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)). A design whose K is
     singular or too ill-conditioned for that (det K at most _GRAM_RCOND
     times the product of its diagonal) takes the thin SVD instead, which
-    then runs on the whole stack. J may be a (B, N, 2) stack of designs
-    with one rho each; a design's path and bits depend on its own J and
-    rho only.
+    then runs on the whole stack (its closed form, taken with det K set to
+    1, is discarded). J may be a (B, N, 2) stack of designs with one rho
+    each; a design's path and bits depend on its own J and rho only.
     """
     j = np.asarray(j_k, dtype=float)
     one = j.ndim == 2
@@ -257,11 +257,10 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     diagonal = k00 * k11
     det = diagonal - k01 * k01
     closed = det > _GRAM_RCOND * diagonal
-    all_closed = np.count_nonzero(closed) == len(closed)
     # A = I + c adj(K) with c = 8 rho / det K; det A = 1 + c tr K + 8 rho c
     # is a sum of positive terms, so it is formed without cancellation
     eight_rho = 8.0 * rho
-    c = eight_rho / (det if all_closed else np.where(closed, det, 1.0))
+    c = eight_rho / np.where(closed, det, 1.0)
     one_ct = 1.0 + c * (k00 + k11)
     root_det = np.sqrt(one_ct + eight_rho * c)
     root_trace = np.sqrt(one_ct + 1.0 + 2.0 * root_det)
@@ -274,14 +273,14 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     adjugate = k[:, ::-1, ::-1] * _ADJUGATE_SIGNS
     m = diag[:, None, None] * _IDENTITY + cross[:, None, None] * adjugate
     x = j @ m
-    if not all_closed:
+    if not closed.all():
         u, sigma, vh = thin_svd(j)
         lam = singular_value_map(sigma, rho[:, None])
         x = np.where(closed[:, None, None], x, (u * lam[..., None, :]) @ vh)
     return x[0] if one else x
 
 
-def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angles=None):
+def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angles: np.ndarray):
     """Minimize g_i.T q_i over unit vectors on the arc [0, beta_max], for every row i.
 
     Along the circle g_i.T q_i = -|q_i| cos(t - t_i), t_i the angle of -q_i,
@@ -290,10 +289,10 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angle
     beta_max / 2, wrapped to [-pi, pi) (-q_i opposite the centre ties to the
     lower end), clips it to the half-width beta_max / 2 and adds the centre
     back: that is the row's angle in [0, beta_max], turned into a unit row.
-    Rows with q_i = 0 keep prev_i: every feasible point is optimal there.
-    q and prev are (N, 2), or (B, N, 2) with a bound carrying one beta_max
-    per design. Given prev_angles, the angles of prev's rows, it returns the
-    new rows and their angles.
+    Rows with q_i = 0 keep prev_i and its angle: every feasible point is
+    optimal there. q and prev are (N, 2), or (B, N, 2) with a bound carrying
+    one beta_max per design, and prev_angles holds prev's row angles, (N,)
+    or (B, N). Returns the new rows and their angles.
     """
     half = 0.5 * np.asarray(bound.beta_max, dtype=float)[..., None]
     away = -q
@@ -306,20 +305,18 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angle
     np.cos(angle, out=rows[..., 0])
     np.sin(angle, out=rows[..., 1])
     moved = np.logical_or(x, y)
-    rows = np.where(moved[..., None], rows, prev)
-    if prev_angles is None:
-        return rows
-    return rows, np.where(moved, angle, prev_angles)
+    return np.where(moved[..., None], rows, prev), np.where(moved, angle, prev_angles)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
     """Minimize g.T q over unit vectors in the feasible arc (one row of _mm_rows).
 
     For q = 0 every feasible point is optimal, and the previous row prev is
-    kept for determinism.
+    kept for determinism. Angles play no part: prev's is passed as zero.
     """
     q = np.asarray(q, dtype=float).reshape(1, 2)
-    return _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2))[0]
+    rows, _ = _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2), np.zeros(1))
+    return rows[0]
 
 
 def _design_sums(a: np.ndarray) -> np.ndarray:
@@ -358,9 +355,10 @@ def g_update_mm(
     (G, sweeps, angles of G's rows).
 
     Every array may carry a leading design axis (B, ...), with one rho and
-    one bound row per design; each design then stops on its own test, every
-    sweep keeps the new G only for the designs still running, and the sweep
-    counts come back as a list of B.
+    one bound row per design. Each design stops on its own test, taken for
+    all at once; a boolean array marks those still running, and each sweep
+    zeroes the q of the others, which keeps their rows and angles. The
+    sweep counts come back as a list of B, or an int for a single design.
     """
     one = np.ndim(g_start) == 2
     if one:
@@ -380,25 +378,23 @@ def g_update_mm(
     g = g_start
     arc = np.zeros(g.shape[:-1]) if angles is None else np.reshape(angles, g.shape[:-1])
     q = base + rho_3d * (m_tilde @ g)
-    prev_obj = (0.5 * _design_sums(g * (q + base)) + shift).tolist()
-    inner = [max_inner] * len(g)
-    running = [True] * len(g)
-    # a zero q keeps a row, so a stopped design's q is multiplied by zero
-    live = np.ones((len(g), 1, 1))
-    for sweep in range(1, max_inner + 1):
-        g_next, arc = _mm_rows(q if all(running) else q * live, bound, g, arc)
-        delta = _design_norms(g_next - g).tolist()
+    prev_obj = 0.5 * _design_sums(g * (q + base)) + shift
+    inner = np.zeros(len(g), dtype=int)
+    running = np.ones(len(g), dtype=bool)
+    q_mask = running[:, None, None]  # a view: zeroes the q of the stopped designs
+    for _ in range(max_inner):
+        g_next, arc = _mm_rows(q * q_mask, bound, g, arc)
+        delta = _design_norms(g_next - g)
         g = g_next
         q = base + rho_3d * (m_tilde @ g)
-        obj = (0.5 * _design_sums(g * (q + base)) + shift).tolist()
-        for b, (p, o, d) in enumerate(zip(prev_obj, obj, delta)):
-            if running[b] and (abs(p - o) < mm_tol * max(1.0, abs(o)) or d < mm_tol):
-                running[b] = False
-                live[b] = 0.0
-                inner[b] = sweep
-        if not any(running):
+        obj = 0.5 * _design_sums(g * (q + base)) + shift
+        inner += running  # a design's count is the sweeps it ran
+        stall = np.abs(prev_obj - obj) < mm_tol * np.maximum(1.0, np.abs(obj))
+        running &= ~(stall | (delta < mm_tol))
+        if not np.count_nonzero(running):
             break
         prev_obj = obj
+    inner = inner.tolist()
     if one:
         g, inner, arc = g[0], inner[0], arc[0]
     return (g, inner) if angles is None else (g, inner, arc)
@@ -587,20 +583,19 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             _design_norms(np.concatenate(residuals)).tolist(),
             _design_norms(np.concatenate(moves)).tolist(),
         ))
-        running = []
+        running = np.ones(width, dtype=bool)
         for j, (i, n) in enumerate(zip(batch.index.tolist(), batch.n.tolist())):
             for s in range(steps):
                 objective, det, lb, sweeps, primal, step = columns[s * width + j]
                 rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, user[s, j, :n])
-                stopped = traces[i]._advance(rec, step)
-                if stopped:
+                if traces[i]._advance(rec, step):
+                    running[j] = False
                     break
-            running.append(not stopped)
         k += steps
-        if not all(running):
-            if not any(running):
+        if not running.all():
+            if not running.any():
                 break
-            batch = batch.take(np.array(running))
+            batch = batch.take(running)
     best = [trace.best for trace in traces]
     certified = _certified_scores(scenarios, weights, [rec.angles for rec in best])
     for sc, rec, det, lb in zip(scenarios, best, *certified):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fim import loss_slope
-from .model import SourceParams, as_real
+from .model import ScenarioError, SourceParams, as_real
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
@@ -329,7 +329,7 @@ def mle_estimate_many(
         sensor_positions: (T, N, 3) sensor positions (m) of each problem.
         sigma_eff: length-N noise std of the averaged measurements (dB),
             shared by every problem.
-        gamma: path-loss exponent.
+        gamma: path-loss exponent, finite and > 0, else a ScenarioError.
         inits: T initial guesses (SourceParams; each position seeds its
             problem's iteration, each p0 is ignored since the power is
             profiled out).
@@ -362,6 +362,9 @@ def mle_estimate_many(
     if not np.all(np.isfinite(pos)):
         raise ValueError("sensor_positions must be finite")
     prior_std = as_real(prior_std, "prior_std", 0.0)
+    gamma = as_real(gamma, "gamma")
+    if gamma <= 0:
+        raise ScenarioError("gamma: must be positive and finite")
     model = _cost_model(1.0 / sigma_eff, gamma)
     init_xy = np.array([init.position for init in inits], dtype=float).reshape(-1, 2)
     k = 3 if prior_std > 0 else 1
@@ -420,7 +423,7 @@ def mle_estimate(
         measurements: length-N averaged RSS values (dB).
         sensor_positions: (N, 3) sensor positions (m).
         sigma_eff: length-N noise std of the averaged measurements (dB).
-        gamma: path-loss exponent.
+        gamma: path-loss exponent, checked as in mle_estimate_many.
         init: initial guess (its position seeds the iteration; its p0 is
             ignored since the power is profiled out).
         prior_std: std (m) of the init's error as a prior on the position;

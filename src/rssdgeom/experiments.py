@@ -199,22 +199,18 @@ def resize_sensors(template: Scenario, n: int) -> Scenario:
     """Scale a scenario's sensor count, preserving its noise structure.
 
     Two-level noise patterns (constant first half / constant second half)
-    keep their fifty-fifty split; fully constant vectors broadcast; anything
-    else is tiled cyclically. Distances follow the same rule.
+    keep their fifty-fifty split when both counts are even; anything else,
+    a constant vector included, is tiled cyclically (np.resize). Distances
+    follow the same rule. So an odd n loses the split: caseA's variances
+    become [8, 8, 8] at n = 3 and [8, 8, 8, 8, 2] at n = 5, and a sweep over
+    odd sizes compares swarms with different noise mixes.
     """
     as_count(n, "n", 2)
 
     def stretch(vec: np.ndarray) -> np.ndarray:
-        m = len(vec)
-        if np.all(vec == vec[0]):
-            return np.full(n, vec[0])
-        half = m // 2
-        if (
-            m % 2 == 0
-            and n % 2 == 0
-            and np.all(vec[:half] == vec[0])
-            and np.all(vec[half:] == vec[half])
-        ):
+        m, half = len(vec), len(vec) // 2
+        two_level = np.all(vec[:half] == vec[0]) and np.all(vec[half:] == vec[half])
+        if m % 2 == 0 and n % 2 == 0 and two_level:
             return np.array([vec[0]] * (n // 2) + [vec[half]] * (n // 2))
         return np.resize(vec, n)
 

@@ -80,12 +80,17 @@ def spread_bound(beta_max) -> float:
     return min(float(beta_max), TWO_PI)
 
 
-def _as_vector(values, n: int, name: str) -> np.ndarray:
+def _as_vector(values, n: int, name: str, zero_ok: bool = False) -> np.ndarray:
+    """The rule for a per-sensor vector: n finite floats, each > 0 (>= 0 if
+    zero_ok); else a ScenarioError naming the field and the first bad entry."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise ScenarioError(f"{name}: expected length-{n} vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{name}: contains non-finite entries")
+    bad = arr < 0 if zero_ok else arr <= 0
+    if bad.any():
+        raise ScenarioError(f"{name}[{int(np.argmax(bad))}]: must be {'>=' if zero_ok else '>'} 0")
     return arr
 
 
@@ -136,17 +141,8 @@ class Scenario:
             raise ScenarioError("source: height must be zero")
         n = self.n_sensors = as_count(self.n_sensors, "n_sensors", 1)
         self.horiz_dist = _as_vector(self.horiz_dist, n, "horiz_dist")
-        self.vert_dist = _as_vector(self.vert_dist, n, "vert_dist")
+        self.vert_dist = _as_vector(self.vert_dist, n, "vert_dist", zero_ok=True)
         self.noise_std = _as_vector(self.noise_std, n, "noise_std")
-        if np.any(self.horiz_dist <= 0):
-            bad = int(np.argmax(self.horiz_dist <= 0))
-            raise ScenarioError(f"horiz_dist[{bad}]: must be > 0")
-        if np.any(self.vert_dist < 0):
-            bad = int(np.argmax(self.vert_dist < 0))
-            raise ScenarioError(f"vert_dist[{bad}]: must be >= 0")
-        if np.any(self.noise_std <= 0):
-            bad = int(np.argmax(self.noise_std <= 0))
-            raise ScenarioError(f"noise_std[{bad}]: must be > 0")
         if as_real(self.gamma, "gamma") <= 0:
             raise ScenarioError("gamma: must be positive and finite")
         m = as_real(self.samples_per_position, "samples_per_position", 1.0)
@@ -366,37 +362,34 @@ def load_scenario(path) -> Scenario:
 # -- bundled benchmark scenarios ---------------------------------------------
 
 
+def _bundled(noise_std: np.ndarray, beta_max) -> Scenario:
+    """The fields the bundled scenarios share; one sensor per noise_std entry."""
+    n = len(noise_std)
+    return Scenario(
+        source=[0.0, 0.0, 0.0],
+        n_sensors=n,
+        gamma=2.0,
+        horiz_dist=np.full(n, 1000.0),
+        vert_dist=np.full(n, 100.0),
+        noise_std=noise_std,
+        samples_per_position=10,
+        beta_max=beta_max,
+    )
+
+
 def case_a(n_sensors: int = 8, beta_max: float = TWO_PI) -> Scenario:
     """Benchmark scenario with heterogeneous sensors.
 
     Half of the swarm measures with noise variance 8 dB^2, the other half with
     2 dB^2; distances are 1000 m horizontal / 100 m vertical for everyone.
+    n_sensors follows model.as_count with a minimum of 2, and must be even.
     """
-    if n_sensors % 2 != 0:
-        raise ScenarioError("case_a: n_sensors must be even")
-    half = n_sensors // 2
-    var = np.array([8.0] * half + [2.0] * half)
-    return Scenario(
-        source=[0.0, 0.0, 0.0],
-        n_sensors=n_sensors,
-        gamma=2.0,
-        horiz_dist=np.full(n_sensors, 1000.0),
-        vert_dist=np.full(n_sensors, 100.0),
-        noise_std=np.sqrt(var),
-        samples_per_position=10,
-        beta_max=beta_max,
-    )
+    half = as_count(n_sensors, "n_sensors", 2) // 2
+    if 2 * half != n_sensors:
+        raise ScenarioError(f"n_sensors: case_a needs an even count, got {n_sensors!r}")
+    return _bundled(np.sqrt([8.0] * half + [2.0] * half), beta_max)
 
 
 def case_b(n_sensors: int = 8, beta_max: float = TWO_PI) -> Scenario:
-    """Benchmark scenario with identical sensors (noise variance 4 dB^2 each)."""
-    return Scenario(
-        source=[0.0, 0.0, 0.0],
-        n_sensors=n_sensors,
-        gamma=2.0,
-        horiz_dist=np.full(n_sensors, 1000.0),
-        vert_dist=np.full(n_sensors, 100.0),
-        noise_std=np.full(n_sensors, 2.0),
-        samples_per_position=10,
-        beta_max=beta_max,
-    )
+    """Benchmark scenario with N >= 1 identical sensors (noise variance 4 dB^2 each)."""
+    return _bundled(np.full(as_count(n_sensors, "n_sensors", 1), 2.0), beta_max)

@@ -189,6 +189,20 @@ class TestInputValidation:
         with pytest.raises(ScenarioError, match="prior_std"):
             mle_estimate(meas, pos, sigma, 2.0, init, prior_std=prior_std)
 
+    @pytest.mark.parametrize("gamma", [True, math.nan, math.inf, -2.0, 0.0, "2"])
+    def test_gamma_must_be_a_positive_finite_number(self, gamma):
+        # unchecked, True ran as gamma = 1, nan and inf gave a non-finite P0,
+        # -2.0 converged on a fit with the path loss reversed and 0.0 returned
+        # the origin; the rejection comes before any arithmetic
+        meas, pos, sigma = random_problem(np.random.default_rng(3), 6)
+        init = SourceParams(0.0, [10.0, -20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="gamma"):
+                mle_estimate(meas, pos, sigma, gamma, init, prior_std=100.0)
+            with pytest.raises(ScenarioError, match="gamma"):
+                mle_estimate_many(meas[None], pos[None], sigma, gamma, [init])
+
 
 class TestCrlbConsistency:
     def test_monte_carlo_rmse_respects_bound(self):

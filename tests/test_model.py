@@ -355,6 +355,49 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=field):
             replace(case_a(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("horiz_dist", -1.0, r"^horiz_dist\[2\]: must be > 0$"),
+            ("horiz_dist", 0.0, r"^horiz_dist\[2\]: must be > 0$"),
+            ("vert_dist", -0.5, r"^vert_dist\[2\]: must be >= 0$"),
+            ("noise_std", 0.0, r"^noise_std\[2\]: must be > 0$"),
+        ],
+    )
+    def test_sign_rule_names_the_first_bad_sensor(self, field, bad, message):
+        values = getattr(case_b(4), field).copy()
+        values[2:] = bad
+        with pytest.raises(ScenarioError, match=message):
+            replace(case_b(4), **{field: values})
+
+
+class TestBundledBuilders:
+    @pytest.mark.parametrize(
+        "builder, value, message",
+        [
+            (case_a, 8.0, "^n_sensors: must be an integer >= 2"),
+            (case_a, True, "^n_sensors: must be an integer >= 2"),  # not "must be even"
+            (case_a, 7, "^n_sensors: case_a needs an even count"),
+            (case_a, 0, "^n_sensors: must be an integer >= 2"),
+            (case_b, 8.5, "^n_sensors: must be an integer >= 1"),
+            (case_b, "8", "^n_sensors: must be an integer >= 1"),
+            (case_b, 0, "^n_sensors: must be an integer >= 1"),
+        ],
+    )
+    def test_count_rule_names_n_sensors(self, builder, value, message):
+        with pytest.raises(ScenarioError, match=message):
+            builder(value)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_shared_fields_and_noise_layouts(self, n):
+        a, b = case_a(n), case_b(n)
+        assert a.noise_std.tobytes() == np.sqrt([8.0] * (n // 2) + [2.0] * (n // 2)).tobytes()
+        assert b.noise_std.tobytes() == np.full(n, 2.0).tobytes()
+        for sc in (a, b):
+            assert sc.n_sensors == n and sc.gamma == 2.0 and sc.samples_per_position == 10
+            assert not sc.source.any()
+            assert (sc.horiz_dist == 1000.0).all() and (sc.vert_dist == 100.0).all()
+
 
 class TestNumberRules:
     def test_accepted_values_keep_their_bits(self):
