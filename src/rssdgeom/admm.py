@@ -13,6 +13,13 @@ beta_max, and the sweep's objective is read off the same q the rows are
 computed from. A sweep updates all N rows in one array expression
 (_mm_rows); mm_row_update is the same kernel applied to a single row.
 
+The kernels keep the (B, N, .) arrays in NumPy and run the per-design
+scalars (the X-update's 2x2 multiplier, the MM objective and stop test) on
+Python floats after one tolist, in the order of operations of the serial
+one-design loop, so with its bits: most outer steps run on a few designs,
+where a NumPy call on a few dozen numbers costs more than one design's
+whole float chain.
+
 Designs run in lockstep along a leading design axis. optimize_many groups
 its scenarios by variant, all swarms of at most _PAD_LIMIT sensors in one
 group and larger swarms by exact size, and advances each group as one
@@ -106,9 +113,6 @@ _SCORE_BLOCK = 8
 # (measured against 40-digit arithmetic), and the J of the bundled studies
 # stay above 0.048.
 _GRAM_RCOND = 1e-2
-
-_IDENTITY = np.eye(2)
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # Designs with at most this many sensors share one lockstep group, padded to
 # its largest sensor count; larger swarms keep one group per exact size. A
@@ -232,6 +236,12 @@ def singular_value_map(sigma, rho):
     return (sigma + np.sqrt(np.float_power(sigma, 2) + 8.0 * rho)) / (2.0 * rho)
 
 
+def _per_design(rho, count: int) -> np.ndarray:
+    """rho as a (count,) array: one value per design, or one value for all."""
+    rho = np.asarray(rho, dtype=float).reshape(-1)
+    return rho if len(rho) == count else np.full(count, rho)
+
+
 def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     """Global minimizer of the X subproblem for the current J = V + rho*S*G.
 
@@ -240,47 +250,64 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     singular_value_map. With the 2x2 Gram matrix K = J^T J that is
     X = J (I + (I + 8 rho K^-1)^(1/2)) / (2 rho), evaluated in closed form:
     a 2x2 positive definite A has the square root
-    (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)). A design whose K is
-    singular or too ill-conditioned for that (det K at most _GRAM_RCOND
-    times the product of its diagonal) takes the thin SVD instead, which
-    then runs on the whole stack (its closed form, taken with det K set to
-    1, is discarded). J may be a (B, N, 2) stack of designs with one rho
-    each; a design's path and bits depend on its own J and rho only.
+    (A + sqrt(det A) I) / sqrt(tr A + 2 sqrt(det A)), each design's 2x2
+    multiplier computed on floats from one tolist of the Gram matrices. A
+    design whose K is singular or too ill-conditioned for that (det K at
+    most _GRAM_RCOND times the product of its diagonal) takes the thin SVD
+    instead, which then runs on the whole stack. J may be a (B, N, 2) stack
+    of designs with one rho each, or one for all; a design's path and bits
+    depend on its own J and rho only. A rho that is not finite and positive
+    is a ValueError.
     """
     j = np.asarray(j_k, dtype=float)
     one = j.ndim == 2
     if one:
         j = j[None]
-    rho = np.asarray(rho, dtype=float).reshape(-1)
+    rho = _per_design(rho, len(j))
     k = j.swapaxes(-1, -2) @ j
-    k00, k01, k11 = k[:, 0, 0], k[:, 0, 1], k[:, 1, 1]
-    diagonal = k00 * k11
-    det = diagonal - k01 * k01
-    closed = det > _GRAM_RCOND * diagonal
-    # A = I + c adj(K) with c = 8 rho / det K; det A = 1 + c tr K + 8 rho c
-    # is a sum of positive terms, so it is formed without cancellation
-    eight_rho = 8.0 * rho
-    c = eight_rho / np.where(closed, det, 1.0)
-    one_ct = 1.0 + c * (k00 + k11)
-    root_det = np.sqrt(one_ct + eight_rho * c)
-    root_trace = np.sqrt(one_ct + 1.0 + 2.0 * root_det)
-    scale = 0.5 / rho
-    per_trace = scale / root_trace
-    diag = scale + (1.0 + root_det) * per_trace
-    cross = c * per_trace
-    # (I + A^(1/2)) / (2 rho) = diag I + cross adj(K), adj(K) being K with
-    # its diagonal swapped and its off-diagonal negated
-    adjugate = k[:, ::-1, ::-1] * _ADJUGATE_SIGNS
-    m = diag[:, None, None] * _IDENTITY + cross[:, None, None] * adjugate
-    x = j @ m
-    if not closed.all():
+    entries = k.ravel().tolist()
+    m, svd = [], []
+    for k00, k01, k11, r in zip(entries[0::4], entries[1::4], entries[3::4], rho.tolist()):
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"x_update needs a finite rho > 0, got {r}")
+        diagonal = k00 * k11
+        det = diagonal - k01 * k01
+        if not det > _GRAM_RCOND * diagonal:
+            svd.append(len(m) // 4)
+            m += (0.0, 0.0, 0.0, 0.0)  # its closed-form rows are discarded
+            continue
+        # A = I + c adj(K) with c = 8 rho / det K; det A = 1 + c tr K + 8 rho c
+        # is a sum of positive terms, so it is formed without cancellation
+        eight_rho = 8.0 * r
+        c = eight_rho / det
+        one_ct = 1.0 + c * (k00 + k11)
+        root_det = math.sqrt(one_ct + eight_rho * c)
+        root_trace = math.sqrt(one_ct + 1.0 + 2.0 * root_det)
+        scale = 0.5 / r
+        per_trace = scale / root_trace
+        diag = scale + (1.0 + root_det) * per_trace
+        cross = c * per_trace
+        # (I + A^(1/2)) / (2 rho) = diag I + cross adj(K), adj(K) being K with
+        # its diagonal swapped and its off-diagonal negated
+        off = -cross * k01
+        m += (diag + cross * k11, off, off, diag + cross * k00)
+    x = j @ np.array(m, dtype=float).reshape(-1, 2, 2)
+    if svd:
+        closed = np.ones(len(j), dtype=bool)
+        closed[svd] = False
         u, sigma, vh = thin_svd(j)
         lam = singular_value_map(sigma, rho[:, None])
         x = np.where(closed[:, None, None], x, (u * lam[..., None, :]) @ vh)
     return x[0] if one else x
 
 
-def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angles: np.ndarray):
+def _half_width(bound: ConstraintBound):
+    """The arc's (-beta_max / 2, beta_max / 2), shaped to broadcast over the rows."""
+    half = 0.5 * np.asarray(bound.beta_max, dtype=float)[..., None]
+    return -half, half
+
+
+def _mm_rows(away: np.ndarray, half_width, prev: np.ndarray, prev_angles: np.ndarray):
     """Minimize g_i.T q_i over unit vectors on the arc [0, beta_max], for every row i.
 
     Along the circle g_i.T q_i = -|q_i| cos(t - t_i), t_i the angle of -q_i,
@@ -290,16 +317,16 @@ def _mm_rows(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray, prev_angle
     lower end), clips it to the half-width beta_max / 2 and adds the centre
     back: that is the row's angle in [0, beta_max], turned into a unit row.
     Rows with q_i = 0 keep prev_i and its angle: every feasible point is
-    optimal there. q and prev are (N, 2), or (B, N, 2) with a bound carrying
-    one beta_max per design, and prev_angles holds prev's row angles, (N,)
-    or (B, N). Returns the new rows and their angles.
+    optimal there. away holds the rows -q_i, (N, 2) or (B, N, 2) like prev,
+    half_width is _half_width of the bound (one beta_max per design for a
+    stack), and prev_angles holds prev's row angles, (N,) or (B, N).
+    Returns the new rows and their angles.
     """
-    half = 0.5 * np.asarray(bound.beta_max, dtype=float)[..., None]
-    away = -q
+    low, half = half_width
     x, y = away[..., 0], away[..., 1]
     turn = np.arctan2(y, x) - half
     np.add(turn, TWO_PI, out=turn, where=turn < -math.pi)
-    np.minimum(np.maximum(turn, -half, out=turn), half, out=turn)
+    np.minimum(np.maximum(turn, low, out=turn), half, out=turn)
     angle = half + turn
     rows = np.empty_like(away)
     np.cos(angle, out=rows[..., 0])
@@ -314,20 +341,28 @@ def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np
     For q = 0 every feasible point is optimal, and the previous row prev is
     kept for determinism. Angles play no part: prev's is passed as zero.
     """
-    q = np.asarray(q, dtype=float).reshape(1, 2)
-    rows, _ = _mm_rows(q, bound, np.asarray(prev, dtype=float).reshape(1, 2), np.zeros(1))
+    away = -np.asarray(q, dtype=float).reshape(1, 2)
+    prev = np.asarray(prev, dtype=float).reshape(1, 2)
+    rows, _ = _mm_rows(away, _half_width(bound), prev, np.zeros(1))
     return rows[0]
-
-
-def _design_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of every entry of each design's block, as np.sum of the block."""
-    return a.reshape(len(a), -1).sum(axis=1)
 
 
 def _design_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each design's block, the square root of its flat self-dot."""
     flat = a.reshape(len(a), -1)
     return np.sqrt(row_dots(flat, flat))
+
+
+def _mm_shift(half_bd: np.ndarray, m_tilde: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The constant of g_update_mm's objective, one per design of a (B, N, N) stack.
+
+    The objective rho/2 ||S G||^2 + <C, S G> is read off each sweep's own
+    q = S^T C + rho m_tilde G: every row of G is a unit row or a zero
+    (padded) row, so rho/2 ||S G||^2 = rho/2 <G, m_tilde G> + lambda_max(M)
+    times the real rows, which is rho/2 (||S||_F^2 - tr m_tilde).
+    """
+    flat = half_bd.reshape(len(half_bd), -1)
+    return 0.5 * rho * (row_dots(flat, flat) - np.trace(m_tilde, axis1=-2, axis2=-1))
 
 
 def g_update_mm(
@@ -341,6 +376,8 @@ def g_update_mm(
     mm_tol: float = 1e-3,
     max_inner: int = 50,
     angles=None,
+    *,
+    shift=None,
 ):
     """Solve the constrained G subproblem by majorize-minimize sweeps.
 
@@ -352,12 +389,15 @@ def g_update_mm(
     below mm_tol (relative) or the iterate moves less than mm_tol in
     Frobenius norm. Returns (G, sweeps performed); given angles, the angles
     of g_start's rows on [0, beta_max] (see _mm_rows), it returns
-    (G, sweeps, angles of G's rows).
+    (G, sweeps, angles of G's rows). shift, the objective's constant per
+    design, is _mm_shift of half_bd, m_tilde and rho, and is computed here
+    unless the caller holds it.
 
     Every array may carry a leading design axis (B, ...), with one rho and
-    one bound row per design. Each design stops on its own test, taken for
-    all at once; a boolean array marks those still running, and each sweep
-    zeroes the q of the others, which keeps their rows and angles. The
+    one bound row per design, or one rho for all. Each sweep takes every
+    design's stop test on floats, after one tolist of its objective sums
+    and one of its step norms. _mm_rows reads -q, formed as q times -1.0,
+    or -0.0 once the design stops: a zero q keeps its rows and angles. The
     sweep counts come back as a list of B, or an int for a single design.
     """
     one = np.ndim(g_start) == 2
@@ -365,36 +405,43 @@ def g_update_mm(
         x_next, v, g_start, half_bd, m_tilde = (
             np.asarray(a, dtype=float)[None] for a in (x_next, v, g_start, half_bd, m_tilde)
         )
-    rho = np.asarray(rho, dtype=float).reshape(-1)
+    count = len(g_start)
+    rho = _per_design(rho, count)
     rho_3d = rho[:, None, None]
     c = v - rho_3d * x_next
     base = half_bd.swapaxes(-1, -2) @ c
-    # The objective rho/2 ||S G||^2 + <C, S G> read off the sweep's own
-    # q = S^T C + rho m_tilde G: every row of G is a unit row or a zero
-    # (padded) row, so rho/2 ||S G||^2 = rho/2 <G, m_tilde G> + lambda_max(M)
-    # times the real rows, which is rho/2 (||S||_F^2 - tr m_tilde).
-    flat = half_bd.reshape(len(half_bd), -1)
-    shift = 0.5 * rho * (row_dots(flat, flat) - np.trace(m_tilde, axis1=-2, axis2=-1))
+    if shift is None:
+        shift = _mm_shift(half_bd, m_tilde, rho)
+    shift = shift.tolist()
+    half_width = _half_width(bound)
     g = g_start
     arc = np.zeros(g.shape[:-1]) if angles is None else np.reshape(angles, g.shape[:-1])
     q = base + rho_3d * (m_tilde @ g)
-    prev_obj = 0.5 * _design_sums(g * (q + base)) + shift
-    inner = np.zeros(len(g), dtype=int)
-    running = np.ones(len(g), dtype=bool)
-    q_mask = running[:, None, None]  # a view: zeroes the q of the stopped designs
-    for _ in range(max_inner):
-        g_next, arc = _mm_rows(q * q_mask, bound, g, arc)
-        delta = _design_norms(g_next - g)
+    sums = (g * (q + base)).reshape(count, -1).sum(axis=1).tolist()
+    prev_obj = [0.5 * total + constant for total, constant in zip(sums, shift)]
+    inner = [max_inner] * count  # a design's count is the sweep it stopped at
+    running = range(count)
+    negate = np.full((count, 1, 1), -1.0)
+    for sweep in range(1, max_inner + 1):
+        g_next, arc = _mm_rows(q * negate, half_width, g, arc)
+        steps = _design_norms(g_next - g).tolist()
         g = g_next
         q = base + rho_3d * (m_tilde @ g)
-        obj = 0.5 * _design_sums(g * (q + base)) + shift
-        inner += running  # a design's count is the sweeps it ran
-        stall = np.abs(prev_obj - obj) < mm_tol * np.maximum(1.0, np.abs(obj))
-        running &= ~(stall | (delta < mm_tol))
-        if not np.count_nonzero(running):
+        sums = (g * (q + base)).reshape(count, -1).sum(axis=1).tolist()
+        still = []
+        for b in running:
+            obj = 0.5 * sums[b] + shift[b]
+            size = abs(obj)
+            tol = mm_tol * (size if size > 1.0 else 1.0)  # mm_tol * max(1, |obj|)
+            if abs(prev_obj[b] - obj) < tol or steps[b] < mm_tol:
+                inner[b] = sweep
+                negate[b] = -0.0
+            else:
+                prev_obj[b] = obj
+                still.append(b)
+        running = still
+        if not running:
             break
-        prev_obj = obj
-    inner = inner.tolist()
     if one:
         g, inner, arc = g[0], inner[0], arc[0]
     return (g, inner) if angles is None else (g, inner, arc)
@@ -455,6 +502,7 @@ class _Batch:
     half_bd: np.ndarray
     m_tilde: np.ndarray
     rho: np.ndarray
+    shift: np.ndarray  # _mm_shift, fixed for the whole run
     beta_max: np.ndarray
     lb_scale: np.ndarray
     g: np.ndarray
@@ -514,6 +562,7 @@ def _start(scenarios: list, weights: list):
         half_bd=half_bd,
         m_tilde=m_tilde,
         rho=rho,
+        shift=_mm_shift(half_bd, m_tilde, rho),
         beta_max=np.array([sc.beta_max for sc in scenarios]),
         lb_scale=np.array([wt.lb_scale for wt in weights]),
         g=g,
@@ -536,7 +585,8 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     call per kernel and no scoring; g_update_mm carries the angles of
     G's rows along. The block's iterates are then stacked step-major to
     (steps * designs, N, 2) and scored with one _iterate_scores call on the
-    S*D*G the steps already hold; each design's AdmmTrace takes its records
+    S*D*G the steps already hold, and their steps G - G_prev are formed in
+    one subtraction; each design's AdmmTrace takes its records
     in step order. A design that stops keeps the records up to its stop,
     drops the rest of the block and leaves the batch; the others run on. At
     the end, each design's best record is re-scored by _certified_scores, as
@@ -554,12 +604,12 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
         steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
         bound = ConstraintBound(batch.beta_max)
-        xs, hgs, arcs, residuals, moves, inner = [], [], [], [], [], []
+        xs, gs, hgs, arcs, residuals, inner = [], [batch.g], [], [], [], []
         for _ in range(steps):
             x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
             g, sweeps, arc = g_update_mm(
                 x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound,
-                angles=batch.angles,
+                angles=batch.angles, shift=batch.shift,
             )
             hg = batch.half_bd @ g
             residual = hg - x
@@ -567,12 +617,14 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             hgs.append(hg)
             arcs.append(arc)
             residuals.append(residual)
-            moves.append(g - batch.g)
+            gs.append(g)
             inner += sweeps
             batch.g, batch.angles, batch.hg = g, arc, hg
             batch.v = batch.v + rho_3d * residual
 
         width = len(batch.index)
+        path = np.stack(gs)
+        moves = (path[1:] - path[:-1]).reshape(steps * width, -1)
         det_t, lbs = _iterate_scores(np.concatenate(hgs), np.tile(batch.lb_scale, steps))
         user = wrap_angles(np.stack(arcs))
         columns = list(zip(
@@ -581,7 +633,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             lbs,
             inner,
             _design_norms(np.concatenate(residuals)).tolist(),
-            _design_norms(np.concatenate(moves)).tolist(),
+            _design_norms(moves).tolist(),
         ))
         running = np.ones(width, dtype=bool)
         for j, (i, n) in enumerate(zip(batch.index.tolist(), batch.n.tolist())):

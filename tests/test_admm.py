@@ -13,6 +13,7 @@ from rssdgeom import admm, cli
 from rssdgeom.admm import (
     AdmmOptions,
     TraceRecord,
+    _half_width,
     _mm_rows,
     check_sensor_count,
     g_update_mm,
@@ -262,6 +263,40 @@ class TestClosedFormXUpdate:
         x_update(np.stack(tilted), np.array([1.0, 1.0]))
         assert svd_rows == [2]
 
+    @pytest.mark.parametrize("size", [17, 64])
+    def test_wide_stacks_equal_one_design_calls(self, size, monkeypatch):
+        # wider than any studies batch: closed-form designs mixed with
+        # near-parallel ones (columns 0.5 to 4 degrees apart), which take
+        # the thin SVD, and every design has the bits of its one-design call
+        svd_rows = []
+        thin_svd = admm.thin_svd
+        monkeypatch.setattr(admm, "thin_svd", lambda a: svd_rows.append(len(a)) or thin_svd(a))
+        rng = np.random.default_rng(size)
+        n = int(rng.integers(3, 17))
+        j_k = rng.normal(size=(size, n, 2)) * rng.lognormal(0.0, 3.0, (size, 1, 1))
+        parallel = rng.permutation(size)[: size // 4]
+        for b in parallel:
+            a, w = j_k[b].T
+            w = w - (a @ w) / (a @ a) * a
+            w *= np.linalg.norm(a) / np.linalg.norm(w)
+            tilt = math.radians(float(rng.uniform(0.5, 4.0)))
+            j_k[b, :, 1] = math.cos(tilt) * a + math.sin(tilt) * w
+        rho = rng.uniform(1e-4, 5.0, size)
+        x = x_update(j_k, rho)
+        assert svd_rows[0] == size
+        for b in range(size):
+            assert x[b].tobytes() == x_update(j_k[b], rho[b]).tobytes()
+            if b not in parallel:
+                assert x[b].tobytes() == ref_x_update_closed(j_k[b], rho[b]).tobytes()
+        assert len(svd_rows) == 1 + len(parallel)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_rho_that_is_not_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            x_update(np.ones((3, 2)), rho)
+        with pytest.raises(ValueError, match="rho"):
+            x_update(np.ones((2, 3, 2)), np.array([1.0, rho]))
+
 
 class TestMmRowUpdate:
     def test_interior_case(self):
@@ -298,8 +333,13 @@ class TestMmRowUpdate:
                 if beta_max <= math.pi:
                     assert np.all(g >= bound.g0 - 1e-12)
             if beta_max > math.pi:
-                rows, angles = _mm_rows(qs, bound, np.zeros_like(qs), np.zeros(len(qs)))
+                rows, angles = mm_rows(qs, bound, np.zeros_like(qs), np.zeros(len(qs)))
                 assert_on_arc(rows, angles, beta_max)
+
+
+def mm_rows(q, bound, prev, prev_angles):
+    """admm._mm_rows on the rows q of one design or a stack, as g_update_mm calls it."""
+    return _mm_rows(-q, _half_width(bound), prev, prev_angles)
 
 
 def assert_on_arc(rows, angles, beta_max):
@@ -381,7 +421,7 @@ class TestBatchedRowUpdate:
             angles = rng.uniform(0.0, TWO_PI, len(q))
             prev = np.column_stack([np.cos(angles), np.sin(angles)])
 
-            got, got_angles = _mm_rows(q, bound, prev, angles)
+            got, got_angles = mm_rows(q, bound, prev, angles)
             for i in range(len(q)):
                 want, want_angle = reference_arc_row(q[i], bound, prev[i], angles[i])
                 assert got[i].tobytes() == want.tobytes()
@@ -408,7 +448,7 @@ class TestBatchedRowUpdate:
             bound = g0_bound(beta_max)
             q = rng.normal(size=(2000, 2)) * rng.lognormal(0.0, 3.0, (2000, 1))
             prev = np.zeros_like(q)
-            got, angles = _mm_rows(q, bound, prev, np.zeros(len(q)))
+            got, angles = mm_rows(q, bound, prev, np.zeros(len(q)))
             want = np.stack([reference_row_update(row, bound, prev[0]) for row in q])
             worst = max(worst, float(np.abs(got - want).max()) / ulp)
             if beta_max <= math.pi:
@@ -431,7 +471,7 @@ class TestBatchedRowUpdate:
         q[:, 9:] = 0.0
         prev[:, 9:] = 0.0
         prev_angles[:, 9:] = 0.0
-        rows, angles = _mm_rows(q, stacked, prev, prev_angles)
+        rows, angles = mm_rows(q, stacked, prev, prev_angles)
         for i in (3, 7, 9, 10, 11):
             assert rows[:, i].tobytes() == prev[:, i].tobytes()
             assert angles[:, i].tobytes() == prev_angles[:, i].tobytes()
@@ -445,7 +485,7 @@ class TestBatchedRowUpdate:
         q = np.array([1.0, 1.0])
         np.testing.assert_array_equal(mm_row_update(q, bound, prev=np.zeros(2)), [1.0, 0.0])
         np.testing.assert_array_equal(
-            _mm_rows(q[None, :], bound, np.zeros((1, 2)), np.zeros(1))[0][0], [1.0, 0.0]
+            mm_rows(q[None, :], bound, np.zeros((1, 2)), np.zeros(1))[0][0], [1.0, 0.0]
         )
 
 
@@ -463,7 +503,7 @@ class TestArcAngles:
             user = np.concatenate([rng.uniform(0.0, TWO_PI, 200), special])
             scale = rng.uniform(0.1, 10.0, (len(user), 1))
             q = -np.column_stack([np.cos(user), np.sin(user)]) * scale
-            rows, angles = _mm_rows(q, bound, np.zeros_like(q), np.zeros(len(q)))
+            rows, angles = mm_rows(q, bound, np.zeros_like(q), np.zeros(len(q)))
             assert_on_arc(rows, angles, beta_max)
             inside = (user <= beta_max) & (user > 0.0)
             np.testing.assert_allclose(angles[inside], user[inside], rtol=0, atol=4e-15)
@@ -1227,6 +1267,23 @@ class TestLockstepMatchesSerialReference:
                 )
                 assert one_g.tobytes() == want_g.tobytes() and one_inner == want_inner
                 assert one_arc.tobytes() == want_arc.tobytes()
+
+    def test_one_rho_for_a_stack_applies_to_every_design(self):
+        # a scalar rho over a (B, ...) stack is every design's rho
+        rng = np.random.default_rng(44)
+        rho = 0.7
+        j_k = rng.normal(size=(3, 6, 2))
+        x = x_update(j_k, rho)
+        instances = [random_mm_instance(rng, n=6, beta_max=b) for b in (1.0, 2.5, 5.0)]
+        bounds, half_bd, m_tilde, _, x_next, v, g_start = (list(f) for f in zip(*instances))
+        stacked = admm.ConstraintBound(beta_max=np.array([b.beta_max for b in bounds]))
+        arrays = [np.stack(a) for a in (x_next, v, g_start, half_bd, m_tilde)]
+        g, inner = g_update_mm(*arrays, rho, stacked, mm_tol=1e-6)
+        for b in range(3):
+            assert x[b].tobytes() == x_update(j_k[b], rho).tobytes()
+            args = (x_next[b], v[b], g_start[b], half_bd[b], m_tilde[b], rho, bounds[b])
+            one_g, one_inner = g_update_mm(*args, mm_tol=1e-6)
+            assert g[b].tobytes() == one_g.tobytes() and inner[b] == one_inner
 
     def test_too_small_swarm_rejected_before_any_work(self, monkeypatch):
         started = []
