@@ -254,7 +254,7 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
     multiplier computed on floats from one tolist of the Gram matrices. A
     design whose K is singular or too ill-conditioned for that (det K at
     most _GRAM_RCOND times the product of its diagonal) takes the thin SVD
-    instead, which then runs on the whole stack. J may be a (B, N, 2) stack
+    instead, on those designs only. J may be a (B, N, 2) stack
     of designs with one rho each, or one for all; a design's path and bits
     depend on its own J and rho only. A rho that is not finite and positive
     is a ValueError.
@@ -274,7 +274,7 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
         det = diagonal - k01 * k01
         if not det > _GRAM_RCOND * diagonal:
             svd.append(len(m) // 4)
-            m += (0.0, 0.0, 0.0, 0.0)  # its closed-form rows are discarded
+            m += (0.0, 0.0, 0.0, 0.0)  # its rows are overwritten below
             continue
         # A = I + c adj(K) with c = 8 rho / det K; det A = 1 + c tr K + 8 rho c
         # is a sum of positive terms, so it is formed without cancellation
@@ -293,11 +293,8 @@ def x_update(j_k: np.ndarray, rho) -> np.ndarray:
         m += (diag + cross * k11, off, off, diag + cross * k00)
     x = j @ np.array(m, dtype=float).reshape(-1, 2, 2)
     if svd:
-        closed = np.ones(len(j), dtype=bool)
-        closed[svd] = False
-        u, sigma, vh = thin_svd(j)
-        lam = singular_value_map(sigma, rho[:, None])
-        x = np.where(closed[:, None, None], x, (u * lam[..., None, :]) @ vh)
+        u, sigma, vh = thin_svd(j[svd])
+        x[svd] = (u * singular_value_map(sigma, rho[svd, None])[..., None, :]) @ vh
     return x[0] if one else x
 
 

@@ -198,28 +198,20 @@ def run_convergence(
 def resize_sensors(template: Scenario, n: int) -> Scenario:
     """Scale a scenario's sensor count, preserving its noise structure.
 
-    Two-level noise patterns (constant first half / constant second half)
-    keep their fifty-fifty split when both counts are even; anything else,
-    a constant vector included, is tiled cyclically (np.resize). Distances
-    follow the same rule. So an odd n loses the split: caseA's variances
-    become [8, 8, 8] at n = 3 and [8, 8, 8, 8, 2] at n = 5, and a sweep over
-    odd sizes compares swarms with different noise mixes.
+    Sensor i of the n takes template sensor i * m // n (m template sensors):
+    its distances and its noise std. Each template sensor thus keeps its
+    share of the swarm as nearly as n allows, in template order, so caseA's
+    variances become [8, 8, 2] at n = 3 and [8, 8, 8, 2, 2] at n = 5, and an
+    even n splits them in half.
     """
     as_count(n, "n", 2)
-
-    def stretch(vec: np.ndarray) -> np.ndarray:
-        m, half = len(vec), len(vec) // 2
-        two_level = np.all(vec[:half] == vec[0]) and np.all(vec[half:] == vec[half])
-        if m % 2 == 0 and n % 2 == 0 and two_level:
-            return np.array([vec[0]] * (n // 2) + [vec[half]] * (n // 2))
-        return np.resize(vec, n)
-
+    pick = np.arange(n) * template.n_sensors // n
     return replace(
         template,
         n_sensors=n,
-        horiz_dist=stretch(template.horiz_dist),
-        vert_dist=stretch(template.vert_dist),
-        noise_std=stretch(template.noise_std),
+        horiz_dist=template.horiz_dist[pick],
+        vert_dist=template.vert_dist[pick],
+        noise_std=template.noise_std[pick],
     )
 
 

@@ -216,8 +216,8 @@ class TestClosedFormXUpdate:
         assert worst <= 1e-12, worst
 
     def test_singular_gram_takes_the_svd_rows_without_warnings(self, monkeypatch):
-        # J = 0 and a rank-1 J have a singular J^T J: those designs take
-        # the thin SVD (run on the whole stack), with no RuntimeWarning
+        # J = 0 and a rank-1 J have a singular J^T J: those designs, and
+        # only those, take the thin SVD, with no RuntimeWarning
         rng = np.random.default_rng(48)
         svd_rows = []
         thin_svd = admm.thin_svd
@@ -239,7 +239,7 @@ class TestClosedFormXUpdate:
             warnings.simplefilter("error")
             x = x_update(j_k, rho)
             one = x_update(j_k[1], rho[1])
-        assert svd_rows == [4, 1]
+        assert svd_rows == [2, 1]
         for b in (1, 2):
             assert x[b].tobytes() == ref_x_update(j_k[b], rho[b]).tobytes()
         assert one.tobytes() == x[1].tobytes()
@@ -261,13 +261,13 @@ class TestClosedFormXUpdate:
         a /= np.linalg.norm(a)
         tilted = [np.column_stack([a, math.cos(t) * a + math.sin(t) * b]) for t in (0.09, 0.11)]
         x_update(np.stack(tilted), np.array([1.0, 1.0]))
-        assert svd_rows == [2]
+        assert svd_rows == [1]
 
     @pytest.mark.parametrize("size", [17, 64])
     def test_wide_stacks_equal_one_design_calls(self, size, monkeypatch):
         # wider than any studies batch: closed-form designs mixed with
-        # near-parallel ones (columns 0.5 to 4 degrees apart), which take
-        # the thin SVD, and every design has the bits of its one-design call
+        # near-parallel ones (columns 0.5 to 4 degrees apart), which alone
+        # take the thin SVD, and every design has the bits of its one-design call
         svd_rows = []
         thin_svd = admm.thin_svd
         monkeypatch.setattr(admm, "thin_svd", lambda a: svd_rows.append(len(a)) or thin_svd(a))
@@ -283,7 +283,7 @@ class TestClosedFormXUpdate:
             j_k[b, :, 1] = math.cos(tilt) * a + math.sin(tilt) * w
         rho = rng.uniform(1e-4, 5.0, size)
         x = x_update(j_k, rho)
-        assert svd_rows[0] == size
+        assert svd_rows[0] == len(parallel)
         for b in range(size):
             assert x[b].tobytes() == x_update(j_k[b], rho[b]).tobytes()
             if b not in parallel:

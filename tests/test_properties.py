@@ -77,7 +77,10 @@ def test_x_update_ignores_singular_pair_signs(case):
 
     def flipped_svd(a):
         u, sigma, vh = thin_svd(a)
-        return u * sign[:, None, :], sigma, vh * sign[:, :, None]
+        # x_update hands over only the designs that need the SVD, so flip
+        # the pairs of as many designs as it passes
+        rows = sign[: len(a)]
+        return u * rows[:, None, :], sigma, vh * rows[:, :, None]
 
     plain = x_update(j, rho)
     with mock.patch.object(admm, "thin_svd", flipped_svd):
