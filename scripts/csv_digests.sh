@@ -74,6 +74,12 @@ runs=(
   # caps that end each run on its first step, and on a mid-run step of caseB
   "convergence-1|3|convergence --scenario scenarios/caseA.json --max-outer 1"
   "convergence-B17|3|convergence --scenario scenarios/caseB.json --max-outer 17"
+  # configuration errors exit 2 and write no CSV: a removed solver flag, a
+  # list flag that is not a list of whole numbers, and a negative seed,
+  # which every mode rejects before any design work
+  "optimize-rho|2|optimize --scenario scenarios/caseA.json --max-outer 1 --rho 1"
+  "sweep-n-fraction|2|sweep-n --scenario scenarios/caseA.json --n-list 4.7"
+  "optimize-seed|2|optimize --scenario scenarios/caseA.json --seed -1"
 )
 
 status=0

@@ -35,14 +35,16 @@ _SCORE_BLOCK outer steps, with one call over every step and design of the
 block on T = (S D G)^T S D G, which the steps already hold, through
 fim.t_scores, the rule fim.reduced_scores applies too; the solver
 state never reads a score, so the block only decides how far a design
-runs past its stop before it leaves the batch. The MM sweeps carry each
-row's angle along, so no iterate is turned back from directions to angles.
-Each design keeps its own penalty, bound and AdmmTrace, which applies the
-stop test and the best-record rule, keeps only the records up to its stop,
-and leaves the batch at the end of the block in which it stops. Record 0
-is scored before the first step and the returned best record at the end,
-both through fim.reduced_scores with one call per sensor count, so the
-reported numbers are those of fim_full. A design's result is bit for bit
+runs past its stop before it leaves the batch. The block's record angles
+are read off its iterates the same way, with one np.arctan2 over every
+step and design, wrapped and clipped at beta_max (the angle of a row on
+the arc's upper end can round 1 ulp past it). Each design keeps its own
+penalty, bound and AdmmTrace, which applies the stop test and the
+best-record rule, keeps only the records up to its stop, and leaves the
+batch at the end of the block in which it stops. Record 0 is scored before
+the first step and the returned best record at the end, both through
+fim.reduced_scores with one call per sensor count, so the reported
+numbers are those of fim_full. A design's result is bit for bit
 the serial loop run on its zero-padded arrays: what it would be alone when
 its group holds one size, and within rounding of that otherwise (the padded
 sums round differently). optimize is optimize_many on one scenario. x_update,
@@ -304,7 +306,7 @@ def _half_width(bound: ConstraintBound):
     return -half, half
 
 
-def _mm_rows(away: np.ndarray, half_width, prev: np.ndarray, prev_angles: np.ndarray):
+def _mm_rows(away: np.ndarray, half_width, prev: np.ndarray) -> np.ndarray:
     """Minimize g_i.T q_i over unit vectors on the arc [0, beta_max], for every row i.
 
     Along the circle g_i.T q_i = -|q_i| cos(t - t_i), t_i the angle of -q_i,
@@ -313,11 +315,9 @@ def _mm_rows(away: np.ndarray, half_width, prev: np.ndarray, prev_angles: np.nda
     beta_max / 2, wrapped to [-pi, pi) (-q_i opposite the centre ties to the
     lower end), clips it to the half-width beta_max / 2 and adds the centre
     back: that is the row's angle in [0, beta_max], turned into a unit row.
-    Rows with q_i = 0 keep prev_i and its angle: every feasible point is
-    optimal there. away holds the rows -q_i, (N, 2) or (B, N, 2) like prev,
-    half_width is _half_width of the bound (one beta_max per design for a
-    stack), and prev_angles holds prev's row angles, (N,) or (B, N).
-    Returns the new rows and their angles.
+    Rows with q_i = 0 keep prev_i: every feasible point is optimal there.
+    away holds the rows -q_i, (N, 2) or (B, N, 2) like prev, and half_width
+    is _half_width of the bound (one beta_max per design for a stack).
     """
     low, half = half_width
     x, y = away[..., 0], away[..., 1]
@@ -329,19 +329,18 @@ def _mm_rows(away: np.ndarray, half_width, prev: np.ndarray, prev_angles: np.nda
     np.cos(angle, out=rows[..., 0])
     np.sin(angle, out=rows[..., 1])
     moved = np.logical_or(x, y)
-    return np.where(moved[..., None], rows, prev), np.where(moved, angle, prev_angles)
+    return np.where(moved[..., None], rows, prev)
 
 
 def mm_row_update(q: np.ndarray, bound: ConstraintBound, prev: np.ndarray) -> np.ndarray:
     """Minimize g.T q over unit vectors in the feasible arc (one row of _mm_rows).
 
     For q = 0 every feasible point is optimal, and the previous row prev is
-    kept for determinism. Angles play no part: prev's is passed as zero.
+    kept for determinism.
     """
     away = -np.asarray(q, dtype=float).reshape(1, 2)
     prev = np.asarray(prev, dtype=float).reshape(1, 2)
-    rows, _ = _mm_rows(away, _half_width(bound), prev, np.zeros(1))
-    return rows[0]
+    return _mm_rows(away, _half_width(bound), prev)[0]
 
 
 def _design_norms(a: np.ndarray) -> np.ndarray:
@@ -372,7 +371,6 @@ def g_update_mm(
     bound: ConstraintBound,
     mm_tol: float = 1e-3,
     max_inner: int = 50,
-    angles=None,
     *,
     shift=None,
 ):
@@ -384,17 +382,15 @@ def g_update_mm(
     surrogate splits into independent per-row problems, all solved at once
     by _mm_rows. Sweeps stop when the subproblem objective change falls
     below mm_tol (relative) or the iterate moves less than mm_tol in
-    Frobenius norm. Returns (G, sweeps performed); given angles, the angles
-    of g_start's rows on [0, beta_max] (see _mm_rows), it returns
-    (G, sweeps, angles of G's rows). shift, the objective's constant per
-    design, is _mm_shift of half_bd, m_tilde and rho, and is computed here
-    unless the caller holds it.
+    Frobenius norm. Returns (G, sweeps performed). shift, the objective's
+    constant per design, is _mm_shift of half_bd, m_tilde and rho, and is
+    computed here unless the caller holds it.
 
     Every array may carry a leading design axis (B, ...), with one rho and
     one bound row per design, or one rho for all. Each sweep takes every
     design's stop test on floats, after one tolist of its objective sums
     and one of its step norms. _mm_rows reads -q, formed as q times -1.0,
-    or -0.0 once the design stops: a zero q keeps its rows and angles. The
+    or -0.0 once the design stops: a zero q keeps its rows. The
     sweep counts come back as a list of B, or an int for a single design.
     """
     one = np.ndim(g_start) == 2
@@ -412,7 +408,6 @@ def g_update_mm(
     shift = shift.tolist()
     half_width = _half_width(bound)
     g = g_start
-    arc = np.zeros(g.shape[:-1]) if angles is None else np.reshape(angles, g.shape[:-1])
     q = base + rho_3d * (m_tilde @ g)
     sums = (g * (q + base)).reshape(count, -1).sum(axis=1).tolist()
     prev_obj = [0.5 * total + constant for total, constant in zip(sums, shift)]
@@ -420,7 +415,7 @@ def g_update_mm(
     running = range(count)
     negate = np.full((count, 1, 1), -1.0)
     for sweep in range(1, max_inner + 1):
-        g_next, arc = _mm_rows(q * negate, half_width, g, arc)
+        g_next = _mm_rows(q * negate, half_width, g)
         steps = _design_norms(g_next - g).tolist()
         g = g_next
         q = base + rho_3d * (m_tilde @ g)
@@ -440,8 +435,8 @@ def g_update_mm(
         if not running:
             break
     if one:
-        g, inner, arc = g[0], inner[0], arc[0]
-    return (g, inner) if angles is None else (g, inner, arc)
+        return g[0], inner[0]
+    return g, inner
 
 
 def _log_det_inv_gram(x: np.ndarray):
@@ -491,7 +486,7 @@ class _Batch:
     """Solver arrays of the designs still running in a lockstep group, one row each.
 
     Sensor axes are padded with zeros to the group's largest sensor count;
-    n holds each design's own count, and angles the angles of g's rows.
+    n holds each design's own count.
     """
 
     index: np.ndarray  # position of each design in its group
@@ -503,7 +498,6 @@ class _Batch:
     beta_max: np.ndarray
     lb_scale: np.ndarray
     g: np.ndarray
-    angles: np.ndarray
     v: np.ndarray
     hg: np.ndarray  # half_bd @ g
 
@@ -533,7 +527,6 @@ def _start(scenarios: list, weights: list):
     half_bd = np.zeros((count, n_pad, n_pad))
     m_tilde = np.zeros((count, n_pad, n_pad))
     rho = np.empty(count)
-    angles = np.zeros((count, n_pad))
     g = np.zeros((count, n_pad, 2))
     for n in sorted(set(sizes.tolist())):
         at = np.flatnonzero(sizes == n)
@@ -549,7 +542,6 @@ def _start(scenarios: list, weights: list):
         half_bd[at, :n, :n] = factor
         m_tilde[at, :n, :n] = m_mat - lam_max[:, None, None] * np.eye(n)
         rho[at] = _PENALTY_SCALE / lam_max
-        angles[at, :n] = np.stack([uniform[i].angles for i in at])
         g[at, :n] = np.stack([uniform[i].directions for i in at])
 
     hg = half_bd @ g
@@ -563,7 +555,6 @@ def _start(scenarios: list, weights: list):
         beta_max=np.array([sc.beta_max for sc in scenarios]),
         lb_scale=np.array([wt.lb_scale for wt in weights]),
         g=g,
-        angles=angles,
         v=np.zeros_like(g),
         hg=hg,
     )
@@ -579,16 +570,17 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
-    call per kernel and no scoring; g_update_mm carries the angles of
-    G's rows along. The block's iterates are then stacked step-major to
-    (steps * designs, N, 2) and scored with one _iterate_scores call on the
-    S*D*G the steps already hold, and their steps G - G_prev are formed in
-    one subtraction; each design's AdmmTrace takes its records
-    in step order. A design that stops keeps the records up to its stop,
-    drops the rest of the block and leaves the batch; the others run on. At
-    the end, each design's best record is re-scored by _certified_scores, as
-    record 0 was at the start, so the numbers reported with the uniform and
-    the returned placement are those of fim_full. A best record that scores
+    call per kernel and no scoring. The block's iterates are then stacked
+    step-major to (steps * designs, N, 2) and scored with one
+    _iterate_scores call on the S*D*G the steps already hold; their steps
+    G - G_prev are formed in one subtraction, and their record angles in
+    one np.arctan2 over the stacked G, wrapped and clipped at each design's
+    beta_max. Each design's AdmmTrace takes its records in step order. A
+    design that stops keeps the records up to its stop, drops the rest of
+    the block and leaves the batch; the others run on. At the end, each
+    design's best record is re-scored by _certified_scores, as record 0 was
+    at the start, so the numbers reported with the uniform and the returned
+    placement are those of fim_full. A best record that scores
     +inf there (no placement reached has a finite bound, as on an arc far
     too narrow for the swarm) raises a ScenarioError naming the arc; a
     degenerate uniform start alone does not, since the run may leave it (two
@@ -601,29 +593,30 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
         steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
         bound = ConstraintBound(batch.beta_max)
-        xs, gs, hgs, arcs, residuals, inner = [], [batch.g], [], [], [], []
+        xs, gs, hgs, residuals, inner = [], [batch.g], [], [], []
         for _ in range(steps):
             x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
-            g, sweeps, arc = g_update_mm(
+            g, sweeps = g_update_mm(
                 x, batch.v, batch.g, batch.half_bd, batch.m_tilde, batch.rho, bound,
-                angles=batch.angles, shift=batch.shift,
+                shift=batch.shift,
             )
             hg = batch.half_bd @ g
             residual = hg - x
             xs.append(x)
             hgs.append(hg)
-            arcs.append(arc)
             residuals.append(residual)
             gs.append(g)
             inner += sweeps
-            batch.g, batch.angles, batch.hg = g, arc, hg
+            batch.g, batch.hg = g, hg
             batch.v = batch.v + rho_3d * residual
 
         width = len(batch.index)
         path = np.stack(gs)
         moves = (path[1:] - path[:-1]).reshape(steps * width, -1)
         det_t, lbs = _iterate_scores(np.concatenate(hgs), np.tile(batch.lb_scale, steps))
-        user = wrap_angles(np.stack(arcs))
+        user = np.minimum(
+            wrap_angles(np.arctan2(path[1:, ..., 1], path[1:, ..., 0])), batch.beta_max[:, None]
+        )
         columns = list(zip(
             _log_det_inv_gram(np.concatenate(xs)),
             det_t,

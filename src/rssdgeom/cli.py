@@ -36,24 +36,29 @@ DEFAULT_N_LIST = "4,8,12,16"
 DEFAULT_ANGLE_GRID_DEG = "60,75,90,97.5,105,120,150,180,210,240,270,300,330,360"
 
 
-def _parse_list(text: str, integer: bool = False) -> list:
-    """The numbers of a comma-separated list flag; integer=True requires whole numbers."""
+def _parse_list(flag: str, text: str, integer: bool = False) -> list:
+    """The numbers of the list flag's text; integer=True requires whole numbers.
+
+    A malformed or empty list is a ScenarioError that names the flag.
+    """
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ScenarioError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise ScenarioError(
+            f"{flag}: expected a comma-separated number list, got {text!r}"
+        ) from exc
     if not values:
-        raise ScenarioError("empty list argument")
+        raise ScenarioError(f"{flag}: expected at least one number, got {text!r}")
     if not integer:
         return values
     if not all(v.is_integer() for v in values):
-        raise ScenarioError(f"expected a comma-separated integer list, got {text!r}")
+        raise ScenarioError(f"{flag}: expected a comma-separated integer list, got {text!r}")
     return [int(v) for v in values]
 
 
-def _radians(text: str) -> list:
-    """A comma-separated list of angles in degrees, in radians."""
-    return [math.radians(b) for b in _parse_list(text)]
+def _radians(flag: str, text: str) -> list:
+    """The list flag's angles in degrees, in radians."""
+    return [math.radians(b) for b in _parse_list(flag, text)]
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -89,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max-deg", default=DEFAULT_ANGLES_DEG,
                    help=f"comma list of bounds in degrees (default {DEFAULT_ANGLES_DEG})")
     p.set_defaults(run=lambda scenario, args, options: run_convergence(
-        scenario, _radians(args.beta_max_deg), options=options, seed=args.seed))
+        scenario, _radians("--beta-max-deg", args.beta_max_deg), options=options,
+        seed=args.seed))
 
     p = sub.add_parser("sweep-n", help="uniform vs optimized across swarm sizes")
     _add_common(p)
@@ -98,15 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max-deg", default=DEFAULT_ANGLES_DEG,
                    help=f"comma list of bounds in degrees (default {DEFAULT_ANGLES_DEG})")
     p.set_defaults(run=lambda scenario, args, options: run_sweep_n(
-        scenario, _parse_list(args.n_list, integer=True), _radians(args.beta_max_deg),
-        options=options, seed=args.seed))
+        scenario, _parse_list("--n-list", args.n_list, integer=True),
+        _radians("--beta-max-deg", args.beta_max_deg), options=options, seed=args.seed))
 
     p = sub.add_parser("sweep-angle", help="uniform vs optimized across a bound grid")
     _add_common(p)
     p.add_argument("--beta-grid-deg", default=DEFAULT_ANGLE_GRID_DEG,
                    help="comma list of bounds in degrees")
     p.set_defaults(run=lambda scenario, args, options: run_sweep_angle(
-        scenario, _radians(args.beta_grid_deg), options=options, seed=args.seed))
+        scenario, _radians("--beta-grid-deg", args.beta_grid_deg), options=options,
+        seed=args.seed))
 
     p = sub.add_parser("practical", help="prior-error trials scored against the truth")
     _add_common(p)

@@ -135,7 +135,6 @@ def _design_rows(designs, results, seed: int) -> list:
     measured against it. write_csv keeps only the columns of the mode's
     header.
     """
-    as_count(seed, "seed")
     rows = []
     for sc, (placement, trace) in zip(designs, results):
         lb_u, lb_o = trace.records[0].lb_rmse, trace.best.lb_rmse
@@ -176,6 +175,7 @@ def run_convergence(
     scenario: Scenario, beta_max_list, options: AdmmOptions = None, seed: int = 0
 ) -> RunResult:
     """Per-iteration LB-RMSE trace for each spread bound in the list."""
+    seed = as_count(seed, "seed")
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_max_list]
     results = optimize_many(designs, options)
     design_rows = _design_rows(designs, results, seed)
@@ -223,6 +223,7 @@ def run_sweep_n(
     seed: int = 0,
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across swarm sizes and spread bounds."""
+    seed = as_count(seed, "seed")
     designs = []
     for n in n_list:
         sc = resize_sensors(scenario_template, n)
@@ -236,6 +237,7 @@ def run_sweep_angle(
     scenario: Scenario, beta_grid, options: AdmmOptions = None, seed: int = 0
 ) -> RunResult:
     """Uniform vs optimized LB-RMSE across a grid of spread bounds."""
+    seed = as_count(seed, "seed")
     designs = [replace(scenario, beta_max=float(beta_max)) for beta_max in beta_grid]
     results = optimize_many(designs, options)
     return _result("sweep-angle", _design_rows(designs, results, seed), results)
@@ -275,6 +277,7 @@ def run_practical(
     """
     as_count(trials, "trials", 1)
     as_real(prior_std, "prior_std", 0.0)
+    seed = as_count(seed, "seed")
     truth = SourceParams(p0=0.0, position=scenario.source[:2])
 
     results = [optimize(scenario, options=options)]
@@ -366,6 +369,7 @@ def run_practical(
 
 def run_optimize(scenario: Scenario, options: AdmmOptions = None, seed: int = 0) -> RunResult:
     """Single optimization run summarized as one row."""
+    seed = as_count(seed, "seed")
     results = [optimize(scenario, options=options)]
     return _result("optimize", _design_rows([scenario], results, seed), results)
 

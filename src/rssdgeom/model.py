@@ -143,7 +143,8 @@ class Scenario:
         self.horiz_dist = _as_vector(self.horiz_dist, n, "horiz_dist")
         self.vert_dist = _as_vector(self.vert_dist, n, "vert_dist", zero_ok=True)
         self.noise_std = _as_vector(self.noise_std, n, "noise_std")
-        if as_real(self.gamma, "gamma") <= 0:
+        self.gamma = as_real(self.gamma, "gamma")
+        if self.gamma <= 0:
             raise ScenarioError("gamma: must be positive and finite")
         m = as_real(self.samples_per_position, "samples_per_position", 1.0)
         if not m.is_integer():
@@ -336,7 +337,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(
         source=source,
         n_sensors=len(sensors),
-        gamma=as_real(data.get("gamma", 2.0), "gamma"),
+        gamma=data.get("gamma", 2.0),
         horiz_dist=r,
         vert_dist=h,
         noise_std=sigma,

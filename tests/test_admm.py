@@ -333,23 +333,29 @@ class TestMmRowUpdate:
                 if beta_max <= math.pi:
                     assert np.all(g >= bound.g0 - 1e-12)
             if beta_max > math.pi:
-                rows, angles = mm_rows(qs, bound, np.zeros_like(qs), np.zeros(len(qs)))
-                assert_on_arc(rows, angles, beta_max)
+                assert_on_arc(mm_rows(qs, bound, np.zeros_like(qs)), beta_max)
 
 
-def mm_rows(q, bound, prev, prev_angles):
+def mm_rows(q, bound, prev):
     """admm._mm_rows on the rows q of one design or a stack, as g_update_mm calls it."""
-    return _mm_rows(-q, _half_width(bound), prev, prev_angles)
+    return _mm_rows(-q, _half_width(bound), prev)
 
 
-def assert_on_arc(rows, angles, beta_max):
-    """Exact arc membership: every angle in [0, beta_max], every row (cos, sin) of it.
+def row_angles(rows):
+    """The angles in [0, 2*pi) of unit rows, the lockstep's record rule before its clip."""
+    return wrap_angles(np.arctan2(rows[..., 1], rows[..., 0]))
+
+
+def assert_on_arc(rows, beta_max):
+    """Arc membership: unit rows whose angles lie in [0, beta_max], up to 1 ulp at beta_max.
 
     The check for arcs wider than pi, whose vector bound g >= g0 describes
-    the arc turned by pi/2 - beta_max/2 rather than [0, beta_max].
+    the arc turned by pi/2 - beta_max/2 rather than [0, beta_max]. A row on
+    the upper end is (cos, sin) of beta_max, whose angle can round 1 ulp
+    past it (and to 0 at 2*pi).
     """
-    assert ((angles >= 0.0) & (angles <= beta_max)).all()
-    assert rows.tobytes() == np.stack([np.cos(angles), np.sin(angles)], axis=-1).tobytes()
+    assert (row_angles(rows) <= beta_max + np.spacing(beta_max)).all()
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=-1), 1.0, rtol=0, atol=4e-16)
 
 
 def on_arc(direction, bound):
@@ -381,23 +387,23 @@ def reference_row_update(q, bound, prev):
     return best
 
 
-def reference_arc_row(q, bound, prev, prev_angle):
-    """The arc-angle MM rule written out for one row: (new row, its arc angle).
+def reference_arc_row(q, bound, prev):
+    """The arc-angle MM rule written out for one row.
 
     The angle of -q is measured from the arc centre beta_max / 2, wrapped to
     [-pi, pi) and clipped to the half-width beta_max / 2; the arc angle is
     the centre plus that clipped angle, and the row is the unit vector at
-    it. q = 0 keeps the previous row and angle.
+    it. q = 0 keeps the previous row.
     """
     if q[0] == 0.0 and q[1] == 0.0:
-        return np.array(prev, dtype=float), prev_angle
+        return np.array(prev, dtype=float)
     half = 0.5 * bound.beta_max
     turn = float(np.arctan2(-q[1], -q[0])) - half
     if turn < -math.pi:
         turn += TWO_PI
     turn = min(max(turn, -half), half)
     angle = half + turn
-    return np.array([np.cos(angle), np.sin(angle)]), angle
+    return np.array([np.cos(angle), np.sin(angle)])
 
 
 class TestBatchedRowUpdate:
@@ -421,11 +427,10 @@ class TestBatchedRowUpdate:
             angles = rng.uniform(0.0, TWO_PI, len(q))
             prev = np.column_stack([np.cos(angles), np.sin(angles)])
 
-            got, got_angles = mm_rows(q, bound, prev, angles)
+            got = mm_rows(q, bound, prev)
             for i in range(len(q)):
-                want, want_angle = reference_arc_row(q[i], bound, prev[i], angles[i])
+                want = reference_arc_row(q[i], bound, prev[i])
                 assert got[i].tobytes() == want.tobytes()
-                assert _bits(got_angles[i]) == _bits(want_angle)
                 assert mm_row_update(q[i], bound, prev=prev[i]).tobytes() == want.tobytes()
                 nq = float(np.linalg.norm(q[i]))
                 if nq == 0.0:
@@ -448,34 +453,31 @@ class TestBatchedRowUpdate:
             bound = g0_bound(beta_max)
             q = rng.normal(size=(2000, 2)) * rng.lognormal(0.0, 3.0, (2000, 1))
             prev = np.zeros_like(q)
-            got, angles = mm_rows(q, bound, prev, np.zeros(len(q)))
+            got = mm_rows(q, bound, prev)
             want = np.stack([reference_row_update(row, bound, prev[0]) for row in q])
             worst = max(worst, float(np.abs(got - want).max()) / ulp)
             if beta_max <= math.pi:
                 assert (got >= bound.g0 - 4 * ulp).all()
             else:
-                assert_on_arc(got, angles, beta_max)
+                assert_on_arc(got, beta_max)
         assert worst <= 8.0, worst
 
-    def test_zero_rows_keep_previous_rows_and_angles(self):
+    def test_zero_rows_keep_previous_rows(self):
         # q = 0 keeps prev bit for bit; a padded row (zero q, zero prev)
-        # stays exactly zero with its angle, in a stack of designs
+        # stays exactly zero, in a stack of designs
         rng = np.random.default_rng(34)
         betas = np.array(self.BETAS)
         stacked = admm.ConstraintBound(beta_max=betas)
         q = rng.normal(size=(len(betas), 12, 2))
         prev = rng.normal(size=q.shape)
-        prev_angles = rng.uniform(0.0, TWO_PI, q.shape[:-1])
         q[:, 3] = 0.0
         q[:, 7] = [-0.0, 0.0]
         q[:, 9:] = 0.0
         prev[:, 9:] = 0.0
-        prev_angles[:, 9:] = 0.0
-        rows, angles = mm_rows(q, stacked, prev, prev_angles)
+        rows = mm_rows(q, stacked, prev)
         for i in (3, 7, 9, 10, 11):
             assert rows[:, i].tobytes() == prev[:, i].tobytes()
-            assert angles[:, i].tobytes() == prev_angles[:, i].tobytes()
-        assert not rows[:, 9:].any() and not angles[:, 9:].any()
+        assert not rows[:, 9:].any()
         moved = [0, 1, 2, 4, 5, 6, 8]
         np.testing.assert_allclose(np.linalg.norm(rows[:, moved], axis=-1), 1.0, atol=1e-15)
 
@@ -484,16 +486,14 @@ class TestBatchedRowUpdate:
         bound = g0_bound(math.pi / 2)
         q = np.array([1.0, 1.0])
         np.testing.assert_array_equal(mm_row_update(q, bound, prev=np.zeros(2)), [1.0, 0.0])
-        np.testing.assert_array_equal(
-            mm_rows(q[None, :], bound, np.zeros((1, 2)), np.zeros(1))[0][0], [1.0, 0.0]
-        )
+        np.testing.assert_array_equal(mm_rows(q[None, :], bound, np.zeros((1, 2)))[0], [1.0, 0.0])
 
 
 class TestArcAngles:
     def test_equal_per_row_rule_and_hit_the_ends(self):
-        # the arc angles are the user-frame angles: in [0, beta_max], the
-        # angles of the rows, within rounding of the angle of -q inside the
-        # arc, and exactly 0 and beta_max at the ends without any snapping
+        # the rows lie on the arc [0, beta_max], at angles within rounding
+        # of the angle of -q inside the arc, and a row clipped to an arc end
+        # is (cos, sin) of 0 or beta_max exactly, without any snapping
         rng = np.random.default_rng(32)
         for beta_max in (0.4, 2.0, math.pi, 3.9, 5.5, TWO_PI - 1e-3):
             bound = g0_bound(beta_max)
@@ -503,15 +503,17 @@ class TestArcAngles:
             user = np.concatenate([rng.uniform(0.0, TWO_PI, 200), special])
             scale = rng.uniform(0.1, 10.0, (len(user), 1))
             q = -np.column_stack([np.cos(user), np.sin(user)]) * scale
-            rows, angles = mm_rows(q, bound, np.zeros_like(q), np.zeros(len(q)))
-            assert_on_arc(rows, angles, beta_max)
+            rows = mm_rows(q, bound, np.zeros_like(q))
+            assert_on_arc(rows, beta_max)
             inside = (user <= beta_max) & (user > 0.0)
+            angles = row_angles(rows)
             np.testing.assert_allclose(angles[inside], user[inside], rtol=0, atol=4e-15)
-            ends = angles[-6:]
-            assert ends[0] == beta_max  # just past beta_max: the upper end
-            assert ends[1] == 0.0  # just below 2*pi: the lower end
-            assert ends[2] == beta_max  # 1e-6 past beta_max: the upper end too
-            assert ends[3] <= 4e-15 and beta_max - ends[4] <= 4e-15
+            lower, upper = np.array([1.0, 0.0]), np.array([np.cos(beta_max), np.sin(beta_max)])
+            ends = rows[-6:]
+            assert ends[0].tobytes() == upper.tobytes()  # just past beta_max: the upper end
+            assert ends[1].tobytes() == lower.tobytes()  # just below 2*pi: the lower end
+            assert ends[2].tobytes() == upper.tobytes()  # 1e-6 past beta_max: the upper end too
+            assert angles[-3] <= 4e-15 and abs(beta_max - angles[-2]) <= 4e-15
 
 
 def random_mm_instance(rng, n=5, beta_max=math.radians(140)):
@@ -889,12 +891,11 @@ def ref_x_update_closed(j_k, rho):
     return j_k @ m
 
 
-def ref_mm_rows(q, bound, prev, prev_angles, frame=0.0):
+def ref_mm_rows(q, bound, prev, frame=0.0):
     """The MM rows of one design, on the arc [0, beta_max] turned by frame.
 
-    The angle of -q is measured from the arc centre beta_max / 2 + frame;
-    the returned arc angles are measured from the arc's lower end, so they
-    are the user-frame angles in any frame. frame = 0 is the solver's rule.
+    The angle of -q is measured from the arc centre beta_max / 2 + frame.
+    frame = 0 is the solver's rule.
     """
     half = 0.5 * bound.beta_max
     centre = half + frame
@@ -903,7 +904,7 @@ def ref_mm_rows(q, bound, prev, prev_angles, frame=0.0):
     turn = np.clip(turn, -half, half)
     rows = np.column_stack([np.cos(centre + turn), np.sin(centre + turn)])
     moved = (q != 0.0).any(axis=1)
-    return np.where(moved[:, None], rows, prev), np.where(moved, half + turn, prev_angles)
+    return np.where(moved[:, None], rows, prev)
 
 
 def ref_g_objective(g, q, base, shift):
@@ -912,11 +913,9 @@ def ref_g_objective(g, q, base, shift):
 
 
 def ref_g_update_mm(
-    x_next, v, g_start, half_bd, m_tilde, rho, bound, mm_tol=1e-3, max_inner=50, angles=None,
-    frame=0.0,
+    x_next, v, g_start, half_bd, m_tilde, rho, bound, mm_tol=1e-3, max_inner=50, frame=0.0,
 ):
     g = np.array(g_start, dtype=float)
-    a = np.zeros(len(g)) if angles is None else np.array(angles, dtype=float)
     c = v - rho * x_next
     base = half_bd.T @ c
     flat = half_bd.ravel()
@@ -925,7 +924,7 @@ def ref_g_update_mm(
     prev_obj = ref_g_objective(g, q, base, shift)
     inner = 0
     for _ in range(max_inner):
-        g_next, a = ref_mm_rows(q, bound, g, a, frame)
+        g_next = ref_mm_rows(q, bound, g, frame)
         inner += 1
         delta = float(np.linalg.norm(g_next - g))
         g = g_next
@@ -934,7 +933,7 @@ def ref_g_update_mm(
         if abs(prev_obj - obj) < mm_tol * max(1.0, abs(obj)) or delta < mm_tol:
             break
         prev_obj = obj
-    return (g, inner) if angles is None else (g, inner, a)
+    return g, inner
 
 
 def ref_log_det_inv_gram(x):
@@ -991,11 +990,12 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
     The uniform start is scored the way fim_full scores a placement, and
     sets the LB budget; every later iterate is scored from S*D*G while the
     run goes, and at the end the best record is re-scored like the start.
-    With n_pad, half_bd, m_tilde, the start G, its angles and V are embedded
-    in zeros up to n_pad sensors after the set-up, as in a padded lockstep
-    group, and every record keeps the angles of its first N rows. frame
-    turns G and the MM arc by that angle (ref_mm_rows); the angles recorded
-    stay user-frame angles, and the solver runs at frame = 0.
+    With n_pad, half_bd, m_tilde, the start G and V are embedded in zeros
+    up to n_pad sensors after the set-up, as in a padded lockstep group.
+    Every record keeps the angles of G's first N rows, less frame, wrapped
+    and clipped at beta_max. frame turns G and the MM arc by that angle
+    (ref_mm_rows), so the angles recorded stay user-frame angles; the
+    solver runs at frame = 0.
     """
     check_sensor_count(scenario)
     options = options if options is not None else AdmmOptions()
@@ -1016,14 +1016,12 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
 
     uniform = uniform_init(n, beta_max)
     det_0, lb_0 = ref_score(scenario, uniform, source)
-    angles = uniform.angles.copy()
     turned = uniform.angles + frame
     g = np.column_stack([np.cos(turned), np.sin(turned)])
     v = np.zeros((n, 2))
     if n_pad is not None:
         half_bd, m_tilde = (zero_padded(a, (n_pad, n_pad)) for a in (half_bd, m_tilde))
         g, v = (zero_padded(a, (n_pad, 2)) for a in (g, v))
-        angles = zero_padded(angles, (n_pad,))
     x = half_bd @ g
 
     records = [
@@ -1047,9 +1045,8 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
     for k in range(1, options.max_outer + 1):
         j_k = v + rho * (half_bd @ g)
         x = ref_x_update_closed(j_k, rho)
-        g_next, inner, angles = ref_g_update_mm(
-            x, v, g, half_bd, m_tilde, rho, bound,
-            mm_tol=1e-3, max_inner=50, angles=angles, frame=frame,
+        g_next, inner = ref_g_update_mm(
+            x, v, g, half_bd, m_tilde, rho, bound, mm_tol=1e-3, max_inner=50, frame=frame,
         )
         hg = half_bd @ g_next
         v = v + rho * (hg - x)
@@ -1067,7 +1064,9 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
                 lb_rmse=lb_k,
                 inner_iters=inner,
                 primal_residual=primal,
-                angles=wrap_angles(angles[:n]),
+                angles=np.minimum(
+                    wrap_angles(np.arctan2(g[:n, 1], g[:n, 0]) - frame), beta_max
+                ),
             )
         )
         if det_t_k > best.det_t and lb_k <= lb_budget:
@@ -1243,30 +1242,17 @@ class TestLockstepMatchesSerialReference:
                 list(field) for field in zip(*instances)
             )
             stacked = admm.ConstraintBound(beta_max=np.array([b.beta_max for b in bounds]))
-            angles = rng.uniform(0.0, TWO_PI, (size, n))
             arrays = [np.stack(a) for a in (x_next, v, g_start, half_bd, m_tilde)]
             g, inner = g_update_mm(*arrays, np.array(rhos), stacked, mm_tol=1e-6, max_inner=30)
-            g_a, inner_a, arc = g_update_mm(
-                *arrays, np.array(rhos), stacked, mm_tol=1e-6, max_inner=30, angles=angles
-            )
-            assert g_a.tobytes() == g.tobytes() and inner_a == inner
             for b in range(size):
                 want_x = ref_x_update_closed(j_k[b], rho[b])
                 assert x[b].tobytes() == want_x.tobytes()
                 assert x_update(j_k[b], rho[b]).tobytes() == want_x.tobytes()
                 args = (x_next[b], v[b], g_start[b], half_bd[b], m_tilde[b], rhos[b], bounds[b])
-                want_g, want_inner, want_arc = ref_g_update_mm(
-                    *args, mm_tol=1e-6, max_inner=30, angles=angles[b]
-                )
+                want_g, want_inner = ref_g_update_mm(*args, mm_tol=1e-6, max_inner=30)
                 assert g[b].tobytes() == want_g.tobytes() and inner[b] == want_inner
-                assert arc[b].tobytes() == want_arc.tobytes()
                 one_g, one_inner = g_update_mm(*args, mm_tol=1e-6, max_inner=30)
                 assert one_g.tobytes() == want_g.tobytes() and one_inner == want_inner
-                one_g, one_inner, one_arc = g_update_mm(
-                    *args, mm_tol=1e-6, max_inner=30, angles=angles[b]
-                )
-                assert one_g.tobytes() == want_g.tobytes() and one_inner == want_inner
-                assert one_arc.tobytes() == want_arc.tobytes()
 
     def test_one_rho_for_a_stack_applies_to_every_design(self):
         # a scalar rho over a (B, ...) stack is every design's rho
@@ -1323,14 +1309,12 @@ class TestInertPadding:
             g_start = np.vstack([g_start, rng.normal(size=(n_pad - n, 2))])
             half_bd, m_tilde = (zero_padded(a, (n_pad, n_pad)) for a in (half_bd, m_tilde))
             x_next, v = (zero_padded(a, (n_pad, 2)) for a in (x_next, v))
-            g, _, angles = g_update_mm(
-                x_next, v, g_start, half_bd, m_tilde, rho, bound, angles=np.zeros(n_pad)
-            )
+            g, _ = g_update_mm(x_next, v, g_start, half_bd, m_tilde, rho, bound)
             assert g[n:].tobytes() == g_start[n:].tobytes()
             if beta_max <= math.pi:
                 assert (g[:n] >= bound.g0 - 1e-12).all()
             else:
-                assert_on_arc(g[:n], angles[:n], beta_max)
+                assert_on_arc(g[:n], beta_max)
 
 
 class TestSolverFrame:
@@ -1359,6 +1343,29 @@ class TestSolverFrame:
                 assert trace.best.lb_rmse == pytest.approx(best.lb_rmse, rel=1e-9, abs=0)
                 moved += placement.angles.tobytes() != ref_placement.angles.tobytes()
         assert moved > 0  # the rotated reference did run a different path
+
+
+class TestRecordAngles:
+    def test_records_and_placements_stay_on_the_arc(self):
+        # record angles are read off the rows of G; a row on the arc's upper
+        # end can read 1 ulp past beta_max (331 later records and 6 returned
+        # placements of this grid do), so the lockstep clips at beta_max.
+        # Only the uniform start's i * beta_max / N may round past it.
+        arcs = [float(d) for d in range(5, 360, 5)] + [97.5, 179.5, 180.5, 359.5, 360.0]
+        designs = [case(beta_max=math.radians(d)) for case in (case_a, case_b) for d in arcs]
+        designs += [
+            replace(resize_sensors(case(), n), beta_max=math.radians(d))
+            for case in (case_a, case_b)
+            for n in (3, 4, 5, 9, 12, 16)
+            for d in (60, 120, 200, 280, 360)
+        ]
+        assert len(designs) == 212
+        count = 0
+        for sc, (placement, trace) in zip(designs, optimize_many(designs)):
+            for angles in [placement.angles] + [rec.angles for rec in trace.records[1:]]:
+                assert ((angles >= 0.0) & (angles <= sc.beta_max)).all()
+                count += len(angles)
+        assert count > 100_000
 
 
 def counting(monkeypatch, name):
@@ -1464,14 +1471,14 @@ class TestIterateScores:
     def test_sdg_gram_is_the_reduced_matrix(self, monkeypatch):
         # every iterate is scored on T = (S D G)^T S D G, the product the
         # step already holds; it is the T of fim.reduced_scores at the
-        # iterate's angles, entry by entry
+        # angles of G's rows, entry by entry
         seen = []
         g_update_mm = admm.g_update_mm
 
         def recording(*args, **kwargs):
             out = g_update_mm(*args, **kwargs)
-            seen.append((args[3], args[2], kwargs["angles"]))
-            seen.append((args[3], out[0], out[2]))
+            seen.append((args[3], args[2]))
+            seen.append((args[3], out[0]))
             return out
 
         monkeypatch.setattr(admm, "g_update_mm", recording)
@@ -1481,10 +1488,10 @@ class TestIterateScores:
             optimize(sc)
             weights = noise_weights(sc)
             center = sc.source[:2]
-            for half_bd, g, angles in seen:
+            for half_bd, g in seen:
                 hg = (half_bd @ g)[0]
                 dx, dy, d_sq = sensor_offsets(
-                    center, sc.horiz_dist, sc.vert_dist, angles[0], center
+                    center, sc.horiz_dist, sc.vert_dist, row_angles(g[0]), center
                 )
                 t, _, _, _ = reduced_scores(
                     dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale], sc.variant

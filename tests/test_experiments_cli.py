@@ -486,6 +486,34 @@ class TestSeed:
         with pytest.raises(ScenarioError, match="seed"):
             run_optimize(case_a(), seed=seed)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_optimize(case_a(), seed=-1),
+            lambda: run_convergence(case_a(), [math.radians(120.0)], seed=-1),
+            lambda: run_sweep_n(case_a(), [4, 8], [math.radians(120.0)], seed=-1),
+            lambda: run_sweep_angle(case_b(), [math.radians(d) for d in (60, 120)], seed=-1),
+            lambda: run_practical(case_a(), 50.0, 2, seed=-1, refine=False),
+        ],
+        ids=["optimize", "convergence", "sweep-n", "sweep-angle", "practical"],
+    )
+    def test_seed_is_checked_before_any_design(self, monkeypatch, run):
+        # a bad seed stops the mode before any design work
+        calls = []
+
+        def counted(inner):
+            def wrapper(*args, **kwargs):
+                calls.append(inner.__name__)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("optimize", "optimize_many"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        with pytest.raises(ScenarioError, match="^seed: must be an integer >= 0"):
+            run()
+        assert calls == []
+
     @pytest.mark.parametrize("mode", ["optimize", "convergence", "sweep-angle", "sweep-n"])
     def test_every_design_mode_rejects_a_negative_seed(self, tmp_path, capsys, mode):
         out = tmp_path / "x.csv"
@@ -584,6 +612,15 @@ class TestCli:
                 case_a_with(), "sweep-n", ["--n-list", "4.7", "--beta-max-deg", "120"], "integer",
                 id="n-list-fraction",
             ),
+            pytest.param(
+                case_a_with(), "sweep-n", ["--n-list", ","], "--n-list: expected at least one",
+                id="n-list-empty",
+            ),
+            pytest.param(
+                case_a_with(), "sweep-angle", ["--beta-grid-deg", " , "],
+                "--beta-grid-deg: expected at least one", id="beta-grid-empty",
+            ),
+            pytest.param(case_a_with(gamma=0.0), "validate", [], "gamma", id="gamma-zero"),
             pytest.param(case_a_with(gamma=True), "validate", [], "gamma", id="gamma-bool"),
             pytest.param(
                 case_a_with(samples_per_position="10"), "validate", [], "samples_per_position",
@@ -599,6 +636,21 @@ class TestCli:
             ),
             pytest.param(
                 case_a_with(source=[True, "5"]), "validate", [], "source", id="source-bool-text",
+            ),
+            pytest.param(
+                case_a_with(source=[3.0]), "validate", [], "source: expected 2 or 3",
+                id="source-one",
+            ),
+            pytest.param(
+                case_a_with(source=[3.0, -4.0, 0.0, 1.0]), "validate", [],
+                "source: expected 2 or 3", id="source-four",
+            ),
+            pytest.param(
+                case_a_with(sensors=[]), "optimize", [], "sensors: expected a non-empty",
+                id="sensors-empty",
+            ),
+            pytest.param(
+                case_a_with(variant="toa"), "validate", [], "variant", id="variant-unknown",
             ),
             pytest.param(
                 case_a_with(sensors=[{"r": "1000", "h": 100.0, "sigma": 2.0}] * 8),
@@ -656,6 +708,16 @@ class TestCli:
         assert main(argv) == 2
         out = capsys.readouterr()
         assert named in out.out + out.err
+
+    def test_failed_csv_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing(result, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", failing)
+        out = tmp_path / "x.csv"
+        argv = ["optimize", "--scenario", str(CASE_A), "--max-outer", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: --out: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_narrowest_tested_arc_is_accepted(self, tmp_path):
         # 0.001 degrees still has a finite bound, so it runs and is written

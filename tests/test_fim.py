@@ -176,6 +176,19 @@ class TestTMatrix:
 
 
 class TestFimFull:
+    def test_rejects_a_placement_of_the_wrong_size(self):
+        sc = make_scenario(n=4)
+        with pytest.raises(ValueError, match="^placement size does not match scenario"):
+            fim_full(sc, Placement.from_angles([0.0, 1.0, 2.0]), SourceParams(0.0, [0.0, 0.0]))
+
+    def test_rejects_a_sensor_directly_above_the_evaluation_point(self):
+        # the first sensor sits at (0, r_0): tan(beta) = dx / dy, beta = 0
+        sc = make_scenario(n=4)
+        placement = Placement.from_angles([0.0, 1.0, 2.0, 3.0])
+        below = SourceParams(0.0, [0.0, float(sc.horiz_dist[0])])
+        with pytest.raises(ValueError, match="^a sensor sits directly above the evaluation"):
+            fim_full(sc, placement, below)
+
     def test_collinear_placement_is_degenerate(self):
         sc = make_scenario(n=3, sigma_sq=np.full(3, 4.0))
         placement = Placement.from_angles([1.0, 1.0, 1.0])

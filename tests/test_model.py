@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rssdgeom.admm import uniform_init
+from rssdgeom.experiments import scenario_hash
 from rssdgeom.fim import g0_bound
 from rssdgeom.model import (
     Placement,
@@ -154,6 +155,9 @@ class TestSensorPosition:
             want = sensor_positions(sc.with_source(center), placement)
             assert got[t].tobytes() == want.tobytes()
 
+    def test_rejects_a_placement_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="^placement size does not match scenario"):
+            swarm_positions(case_b(), uniform_init(7, TWO_PI), [[0.0, 0.0]])
 
 
 def noiseless_rss(r, h, p0=0.0, at=(0.0, 0.0)):
@@ -346,6 +350,12 @@ class TestScenarioValidation:
             ("n_sensors", True),
             ("gamma", True),
             ("gamma", "2"),
+            ("gamma", 0.0),
+            ("gamma", -2.0),
+            ("source", [math.nan, 0.0, 0.0]),
+            ("horiz_dist", np.ones(3)),  # case_a has 8 sensors
+            ("vert_dist", np.full(8, math.inf)),
+            ("noise_std", np.ones(9)),
             ("samples_per_position", True),
             ("samples_per_position", "10"),
             ("beta_max", True),  # would be a 1 rad arc
@@ -369,6 +379,23 @@ class TestScenarioValidation:
         values[2:] = bad
         with pytest.raises(ScenarioError, match=message):
             replace(case_b(4), **{field: values})
+
+    @pytest.mark.parametrize("gamma", [2, np.int64(2), np.float32(2.0), Fraction(2)])
+    def test_gamma_is_kept_as_the_float_its_rule_returns(self, gamma):
+        # the scenario holds the float of the rule, so it hashes and
+        # serializes as the scenario with gamma = 2.0 does
+        sc = replace(case_a(), gamma=gamma)
+        assert type(sc.gamma) is float and sc.gamma == 2.0
+        assert scenario_hash(sc) == scenario_hash(case_a())
+
+
+class TestSourceParams:
+    @pytest.mark.parametrize(
+        "p0, position", [(math.nan, [0.0, 0.0]), (0.0, [math.inf, 0.0]), (0.0, [0.0, math.nan])]
+    )
+    def test_rejects_a_non_finite_value(self, p0, position):
+        with pytest.raises(ScenarioError, match="^source parameters must be finite"):
+            SourceParams(p0=p0, position=position)
 
 
 class TestBundledBuilders:
@@ -478,6 +505,11 @@ class TestSerialization:
         data["beta_max_deg"] = 400.0
         with pytest.raises(ScenarioError, match="beta_max_deg"):
             scenario_from_dict(data)
+
+    def test_two_coordinate_source_gets_zero_height(self):
+        data = scenario_to_dict(case_b())
+        data["source"] = [3.0, -4.0]
+        assert scenario_from_dict(data).source.tolist() == [3.0, -4.0, 0.0]
 
     def test_bad_sensor_entry_reports_index(self):
         data = scenario_to_dict(case_b())

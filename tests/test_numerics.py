@@ -65,6 +65,13 @@ class TestPsdSqrt:
             psd_sqrt(np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]))
 
 
+@pytest.mark.parametrize("kernel", [psd_sqrt, sym_eig_max])
+@pytest.mark.parametrize("shape", [(2, 3), (4, 3, 2), (5,)])
+def test_symmetric_kernels_reject_a_matrix_that_is_not_square(kernel, shape):
+    with pytest.raises(ValueError, match="^expected a square matrix or a stack of them"):
+        kernel(np.ones(shape))
+
+
 class TestThinSvd:
     def test_orthogonal_columns_give_their_norms(self):
         a = np.zeros((4, 2))
