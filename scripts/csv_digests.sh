@@ -65,6 +65,10 @@ runs=(
   # odd sizes of caseA's two-level noise: each class keeps as near half
   # of the swarm as n allows ([8, 8, 2] at n = 3, [8, 8, 8, 2, 2] at n = 5)
   "sweep-n-oddA|0|sweep-n --scenario scenarios/caseA.json --n-list 3,5,9 --beta-max-deg 120,280"
+  # uniform starts whose last angle i * beta / n rounds 1 ulp past the arc
+  # (n = 3 at 55 and 105 degrees, 5 at 200, 9 at 55, 12 at 105) or past
+  # 2 pi (n = 13 at 360), clipped onto it
+  "sweep-n-clip|0|sweep-n --scenario scenarios/caseB.json --n-list 3,5,9,12,13 --beta-max-deg 55,105,200,360"
   "convergence|0|convergence --scenario scenarios/caseA.json"
   "convergence-B|0|convergence --scenario scenarios/caseB.json"
   "optimize-caseA|0|optimize --scenario scenarios/caseA.json"

@@ -224,8 +224,10 @@ def check_sensor_count(scenario: Scenario) -> None:
 def uniform_init(n: int, beta_max: float) -> Placement:
     """Evenly spread angles i * beta_max / n, i = 1..n (the baseline strategy)."""
     n = as_count(n, "n", 2)
-    angles = spread_bound(beta_max) * np.arange(1, n + 1) / n
-    return Placement.from_angles(angles)
+    bound = spread_bound(beta_max)
+    # n * bound / n can round 1 ulp past the bound (past 2*pi it would wrap
+    # to a tiny angle, not to 0), so clip before Placement wraps
+    return Placement.from_angles(np.minimum(bound * np.arange(1, n + 1) / n, bound))
 
 
 def singular_value_map(sigma, rho):

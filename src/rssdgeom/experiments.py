@@ -22,12 +22,22 @@ calls that hold the interpreter lock, so threads would only contend for it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# CPython's built-in SHA-256, as the random module takes its _sha512: hashlib
+# would map OpenSSL's libcrypto (3.3 MB resident) into every design mode's
+# process for one short digest
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .admm import AdmmOptions, check_sensor_count, optimize, optimize_many, uniform_init
 # mle_estimate is not called here, but it stays importable as
@@ -98,9 +108,15 @@ class RunResult:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Stable 12-hex-digit digest of the scenario content."""
+    """Stable 12-hex-digit digest of the scenario content.
+
+    The first 12 hex digits of the SHA-256 of the scenario's canonical JSON
+    (sorted keys, no spaces), taken with CPython's built-in module (_sha2
+    from Python 3.12, _sha256 before) and with hashlib only on an
+    interpreter that has neither. Every source gives the same digest.
+    """
     canon = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return _sha256(canon.encode()).hexdigest()[:12]
 
 
 def _fmt(value) -> str:

@@ -97,6 +97,19 @@ class TestUniformInit:
         with pytest.raises(ValueError):
             uniform_init(1, math.pi)
 
+    def test_every_angle_stays_on_its_arc(self):
+        # n * beta / n rounds 1 ulp past beta for about 2000 of these pairs
+        # (n = 3 at 55 degrees, n = 13 at 360 degrees, ...)
+        for n in range(2, 65):
+            for beta in np.radians(np.arange(1, 721) / 2):
+                angles = uniform_init(n, beta).angles
+                assert ((angles >= 0.0) & (angles <= beta)).all(), (n, beta)
+
+    @pytest.mark.parametrize("n", [13, 26, 47, 52])
+    def test_full_circle_last_sensor_wraps_to_zero(self, n):
+        # 2*pi * n / n rounds past 2*pi here; unclipped it wraps to 9e-16
+        assert uniform_init(n, TWO_PI).angles[-1] == 0.0
+
     @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0)])
     def test_rejects_a_non_integral_count(self, n):
         # n = 2.5 would put the third sensor at 3.77 rad, outside a pi arc
@@ -1349,8 +1362,8 @@ class TestRecordAngles:
     def test_records_and_placements_stay_on_the_arc(self):
         # record angles are read off the rows of G; a row on the arc's upper
         # end can read 1 ulp past beta_max (331 later records and 6 returned
-        # placements of this grid do), so the lockstep clips at beta_max.
-        # Only the uniform start's i * beta_max / N may round past it.
+        # placements of this grid do), so the lockstep clips at beta_max,
+        # as uniform_init clips the start
         arcs = [float(d) for d in range(5, 360, 5)] + [97.5, 179.5, 180.5, 359.5, 360.0]
         designs = [case(beta_max=math.radians(d)) for case in (case_a, case_b) for d in arcs]
         designs += [
@@ -1362,7 +1375,7 @@ class TestRecordAngles:
         assert len(designs) == 212
         count = 0
         for sc, (placement, trace) in zip(designs, optimize_many(designs)):
-            for angles in [placement.angles] + [rec.angles for rec in trace.records[1:]]:
+            for angles in [placement.angles] + [rec.angles for rec in trace.records]:
                 assert ((angles >= 0.0) & (angles <= sc.beta_max)).all()
                 count += len(angles)
         assert count > 100_000

@@ -1,6 +1,7 @@
 """Experiment harness and CLI tests: CSV formats, audits, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import pathlib
@@ -29,7 +30,16 @@ from rssdgeom.experiments import (
     write_csv,
 )
 from rssdgeom.fim import fim_full
-from rssdgeom.model import Placement, ScenarioError, SourceParams, Variant, case_a, case_b
+from rssdgeom.model import (
+    Placement,
+    ScenarioError,
+    SourceParams,
+    Variant,
+    case_a,
+    case_b,
+    load_scenario,
+    scenario_to_dict,
+)
 from test_admm import reference_optimize
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -153,6 +163,57 @@ class TestScenarioHash:
         result = run_convergence(case_a(), arcs)
         assert hashed == arcs
         assert len(result.rows) > 4 * len(arcs)
+
+    @pytest.mark.parametrize(
+        "scenario, expected",
+        [
+            (load_scenario(CASE_A), "fa19f2860532"),
+            (load_scenario(CASE_B), "451c83de8b4a"),
+            (resize_sensors(case_a(), 5), None),
+            (replace(case_b(), beta_max=math.radians(75.0)), None),
+            (replace(case_a(), variant=Variant.RSS), None),
+            (replace(case_b(), gamma=2), None),
+        ],
+        ids=["caseA", "caseB", "resized", "beta", "rss", "int-gamma"],
+    )
+    def test_digest_is_hashlib_sha256_of_the_canonical_json(self, scenario, expected):
+        canon = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
+        assert experiments.scenario_hash(scenario) == digest
+        assert expected is None or digest == expected
+
+
+def loads_openssl(code):
+    """Whether a fresh interpreter has OpenSSL's _hashlib loaded after running code."""
+    check = code + "\nimport sys\nprint('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()[-1] == "True"
+
+
+class TestFootprint:
+    """The design modes never load OpenSSL: scenario_hash takes CPython's own SHA-256."""
+
+    def test_design_modes_never_load_openssl(self, tmp_path):
+        if loads_openssl("import numpy"):
+            pytest.skip("importing numpy alone loads _hashlib (NumPy 1.x imports numpy.random)")
+        out = tmp_path / "out.csv"
+        runs = [  # (argv, exit code): the capped optimize run exits 3
+            (["validate", "--scenario", CASE_A], 0),
+            (["validate", "--scenario", CASE_B], 0),
+            (["optimize", "--scenario", CASE_A, "--max-outer", "2", "--out", out], 3),
+            (["convergence", "--scenario", CASE_B, "--out", out], 0),
+            (["sweep-n", "--scenario", CASE_A, "--out", out], 0),
+            (["sweep-angle", "--scenario", CASE_B, "--out", out], 0),
+        ]
+        code = f"""
+import sys
+from rssdgeom import cli
+for argv, want in {[([str(a) for a in argv], want) for argv, want in runs]!r}:
+    assert cli.main(argv) == want, argv[0]
+    assert "_hashlib" not in sys.modules, argv[0]
+"""
+        assert not loads_openssl(code)
 
 
 def serial_optimize_many(designs, options=None):
