@@ -20,11 +20,11 @@ one-design loop, so with its bits: most outer steps run on a few designs,
 where a NumPy call on a few dozen numbers costs more than one design's
 whole float chain.
 
-Designs run in lockstep along a leading design axis. optimize_many groups
-its scenarios by variant, all swarms of at most _PAD_LIMIT sensors in one
-group and larger swarms by exact size, and advances each group as one
-batch of (B, N, 2) arrays, N being the group's largest sensor count: every
-outer step is one X-update call, one set of MM sweeps (each design stops
+Designs run in lockstep along a leading design axis. optimize_many puts
+all swarms of at most _PAD_LIMIT sensors in one group and larger swarms in
+one group per exact size, and advances each group as one batch of
+(B, N, 2) arrays, N being the group's largest sensor count: every outer
+step is one X-update call, one set of MM sweeps (each design stops
 sweeping on its own test) and one dual update for all running designs. A
 smaller swarm is padded with zero rows and columns in its coupling factor
 and m_tilde and zero rows in G and V; its padded rows see q = 0 in every
@@ -79,7 +79,7 @@ from .fim import (
     t_scores,
 )
 from .model import (
-    TWO_PI, Placement, Scenario, ScenarioError, Variant, as_count, spread_bound, wrap_angles,
+    TWO_PI, Placement, Scenario, ScenarioError, as_count, spread_bound, wrap_angles,
 )
 from .numerics import psd_sqrt, row_dots, sym_eig_max, thin_svd
 
@@ -211,14 +211,10 @@ def check_sensor_count(scenario: Scenario) -> None:
     """Reject swarms too small to locate the source.
 
     RSSD has three unknowns (P0, x, y), so fewer than three sensors leave
-    the information matrix singular; no variant can place fewer than two.
+    the information matrix singular.
     """
-    need = 3 if scenario.variant is Variant.RSSD else 2
-    if scenario.n_sensors < need:
-        raise ScenarioError(
-            f"{scenario.variant.value} scenarios need at least {need} sensors, "
-            f"got {scenario.n_sensors}"
-        )
+    if scenario.n_sensors < 3:
+        raise ScenarioError(f"rssd scenarios need at least 3 sensors, got {scenario.n_sensors}")
 
 
 def uniform_init(n: int, beta_max: float) -> Placement:
@@ -464,7 +460,6 @@ def _certified_scores(scenarios: list, weights: list, angles: list):
     design's own source, so every value has the bits of fim_full on the
     design alone.
     """
-    variant = scenarios[0].variant
     det_t, lbs = [0.0] * len(scenarios), [0.0] * len(scenarios)
     sizes = [sc.n_sensors for sc in scenarios]
     for n in sorted(set(sizes)):
@@ -475,9 +470,7 @@ def _certified_scores(scenarios: list, weights: list, angles: list):
         a = np.stack([angles[i] for i in at])
         dx, dy, d_sq = sensor_offsets(center, horiz, vert, a, center)
         w = np.stack([weights[i].w for i in at])
-        _, dets, lb, _ = reduced_scores(
-            dx, dy, d_sq, w, [weights[i].lb_scale for i in at], variant
-        )
+        _, dets, lb, _ = reduced_scores(dx, dy, d_sq, w, [weights[i].lb_scale for i in at])
         for i, det, value in zip(at, dets, lb):
             det_t[i], lbs[i] = det, value
     return det_t, lbs
@@ -519,7 +512,6 @@ def _start(scenarios: list, weights: list):
     penalty share one lambda_max(M). The zero rows and columns keep the
     padded sensors inert (see the module docstring).
     """
-    variant = scenarios[0].variant
     count = len(scenarios)
     sizes = np.array([sc.n_sensors for sc in scenarios])
     n_pad = int(sizes.max())
@@ -533,7 +525,7 @@ def _start(scenarios: list, weights: list):
     for n in sorted(set(sizes.tolist())):
         at = np.flatnonzero(sizes == n)
         members = [scenarios[i] for i in at]
-        coupling = np.stack([coupling_matrix(weights[i], variant) for i in at])
+        coupling = np.stack([coupling_matrix(weights[i]) for i in at])
         sens = np.stack([sensitivity_diag(sc) for sc in members])
         factor = psd_sqrt(coupling) * sens[:, None, :]
         m_mat = factor.swapaxes(-1, -2) @ factor
@@ -568,7 +560,7 @@ def _start(scenarios: list, weights: list):
 
 
 def _lockstep(scenarios: list, max_outer: int) -> list:
-    """Run designs of one variant as one padded batch; (placement, trace) each.
+    """Run designs as one padded batch; (placement, trace) each.
 
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
@@ -585,8 +577,8 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     placement are those of fim_full. A best record that scores
     +inf there (no placement reached has a finite bound, as on an arc far
     too narrow for the swarm) raises a ScenarioError naming the arc; a
-    degenerate uniform start alone does not, since the run may leave it (two
-    antipodal RSS sensors on the full circle do).
+    degenerate uniform start alone does not, since the run may leave it (a
+    swarm whose uniform points c_i e(theta_i) are collinear does).
     """
     weights = [noise_weights(sc) for sc in scenarios]
     batch, traces = _start(scenarios, weights)
@@ -656,15 +648,14 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 def optimize_many(scenarios, options: AdmmOptions = None) -> list:
     """Run the optimizer on every scenario; one (placement, trace) each, in input order.
 
-    Designs of one variant with at most _PAD_LIMIT sensors run as one
-    lockstep batch (see _lockstep), padded with inert sensors to the
-    batch's largest sensor count; larger swarms run as one batch per exact
-    size. Each design keeps its own penalty, bound, trajectory and stop
-    test. Its result is bit for bit that of the serial optimize loop run on
-    its zero-padded arrays, and so that of optimize on it alone when the
-    batch holds one size; padding changes only how the solver's padded
-    sums round. Every scenario's sensor count is checked before any work
-    starts.
+    Designs with at most _PAD_LIMIT sensors run as one lockstep batch (see
+    _lockstep), padded with inert sensors to the batch's largest sensor
+    count; larger swarms run as one batch per exact size. Each design keeps
+    its own penalty, bound, trajectory and stop test. Its result is bit for
+    bit that of the serial optimize loop run on its zero-padded arrays, and
+    so that of optimize on it alone when the batch holds one size; padding
+    changes only how the solver's padded sums round. Every scenario's
+    sensor count is checked before any work starts.
     """
     scenarios = list(scenarios)
     for scenario in scenarios:
@@ -673,7 +664,7 @@ def optimize_many(scenarios, options: AdmmOptions = None) -> list:
     groups = {}
     for i, scenario in enumerate(scenarios):
         n = scenario.n_sensors
-        groups.setdefault((scenario.variant, n if n > _PAD_LIMIT else 0), []).append(i)
+        groups.setdefault(n if n > _PAD_LIMIT else 0, []).append(i)
     results = [None] * len(scenarios)
     for members in groups.values():
         for i, result in zip(members, _lockstep([scenarios[i] for i in members], max_outer)):
@@ -695,8 +686,8 @@ def optimize(scenario: Scenario, options: AdmmOptions = None):
     the records and the stop reason.
 
     Every iterate is scored at the scenario's own source. The design depends
-    only on the distances, noise, arc and variant: moving the source moves
-    the sensors with it, and the information matrix sees only their offsets.
+    only on the distances, noise and arc: moving the source moves the
+    sensors with it, and the information matrix sees only their offsets.
     This is optimize_many on a single scenario.
     """
     return optimize_many([scenario], options)[0]

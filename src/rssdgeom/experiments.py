@@ -321,12 +321,7 @@ def run_practical(
         )
     weights = noise_weights(scenario)
     _, _, lb_practical, _ = reduced_scores(
-        dx,
-        dy,
-        d_sq,
-        np.broadcast_to(weights.w, dx.shape),
-        [weights.lb_scale] * trials,
-        scenario.variant,
+        dx, dy, d_sq, np.broadcast_to(weights.w, dx.shape), [weights.lb_scale] * trials
     )
     rows = [
         {
@@ -408,7 +403,7 @@ def validate_scenario(path) -> ValidationReport:
     except ScenarioError as exc:
         return ValidationReport(ok=False, message=str(exc))
     weights = noise_weights(scenario)
-    coupling = coupling_matrix(weights, scenario.variant)
+    coupling = coupling_matrix(weights)
     bound = g0_bound(scenario.beta_max)
     rank = int(np.linalg.matrix_rank(coupling, tol=1e-12))
     uniform = fim_full(

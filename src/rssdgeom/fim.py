@@ -3,13 +3,11 @@
 The estimation parameters are theta = (P0, x, y). For Gaussian measurement
 noise the FIM is F = Jac.T @ N^-1 @ Jac with Jac = [1, a_x, a_y] per sensor,
 where a_x, a_y are the derivatives of the path-loss mean w.r.t. the source
-coordinates. fim_full keeps F (this unknown-power FIM, whatever the variant)
-for the determinant identity below; everything it scores comes from the
-reduced 2x2 matrix T = G.T D B D G, built from the direction matrix G, the
-sensitivity diagonal D = diag(r_i / d_i^2) and a noise-coupling matrix B.
-T and the LB-RMSE follow the scenario's variant: for RSSD, B profiles P0 out
-and the position CRLB is (slope^2 * sum 1/var_i * T)^-1; for RSS (known
-power) B is diagonal and the same formula gives the known-power bound.
+coordinates. fim_full keeps F for the determinant identity below;
+everything it scores comes from the reduced 2x2 matrix T = G.T D B D G,
+built from the direction matrix G, the sensitivity diagonal
+D = diag(r_i / d_i^2) and the noise-coupling matrix B, which profiles the
+unknown P0 out, so the position CRLB is (slope^2 * sum 1/var_i * T)^-1.
 reduced_scores evaluates T in O(N) as a weighted covariance, for a stack of
 placements at once (the solver scores every design of a batch with one
 call; fim_full calls it with one placement). t_scores holds the one rule
@@ -20,7 +18,7 @@ coupling_matrix and sensitivity_diag return B and the diagonal of D as plain
 arrays for the solver set-up; t_matrix builds T from them the N x N way, as
 a reference.
 
-For RSSD the determinant identity relating F and T is
+The determinant identity relating F and T is
 
     det(F) = (10*gamma/ln 10)^4 * (N * mean_inv_var)^3 * det(T)
 
@@ -71,17 +69,17 @@ def noise_weights(scenario: Scenario) -> NoiseWeights:
     )
 
 
-def coupling_matrix(weights: NoiseWeights, variant: Variant) -> np.ndarray:
+def coupling_matrix(weights: NoiseWeights, variant: Variant = Variant.RSSD) -> np.ndarray:
     """Noise-coupling matrix B of the reduced information form, as an (N, N) array.
 
-    RSSD (unknown power): B = diag(w) - w w^T, which is PSD, annihilates the
-    all-ones vector and is exactly symmetric as computed. RSS (known power):
-    B = diag(w).
+    B = diag(w) - w w^T profiles the unknown power out; it is PSD, annihilates
+    the all-ones vector and is exactly symmetric as computed. variant is the
+    measurement model; model.Variant has only RSSD, so any other value
+    raises ValueError.
     """
+    Variant(variant)
     w = weights.w
-    if Variant(variant) is Variant.RSSD:
-        return np.diag(w) - np.outer(w, w)
-    return np.diag(w)
+    return np.diag(w) - np.outer(w, w)
 
 
 def sensitivity_diag(scenario: Scenario) -> np.ndarray:
@@ -107,11 +105,8 @@ def t_matrix(g: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FimSummary:
     """Scalar figures of merit of one placement and the matrices behind them.
 
-    f is the 3x3 FIM of (P0, x, y), the unknown-power model of the
-    determinant identity, whatever the scenario's variant. t and lb_rmse
-    follow the variant: for RSSD t is the reduced matrix with P0 profiled
-    out, for RSS (known power) the plain weighted second moment, and
-    lb_rmse is the matching position bound. A numerically singular t
+    f is the 3x3 FIM of (P0, x, y), t the reduced matrix with P0 profiled
+    out and lb_rmse the position bound it gives. A numerically singular t
     (degenerate geometry) sets the degenerate flag and lb_rmse to +inf.
     """
 
@@ -152,7 +147,7 @@ def fim_full(scenario: Scenario, placement: Placement, source: SourceParams) -> 
 
     weights = noise_weights(scenario)
     t, _, lb, degenerate = reduced_scores(
-        dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale], scenario.variant
+        dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale]
     )
     return FimSummary(
         f=f, t=t[0], det_f=float(np.linalg.det(f)), lb_rmse=lb[0], degenerate=degenerate[0]
@@ -175,7 +170,7 @@ def sensor_offsets(center, horiz, vert, angles, at):
     return dx, dy, r**2 + vert**2
 
 
-def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
+def reduced_scores(dx, dy, d_sq, w, lb_scale):
     """T, det T, LB-RMSE and the degenerate flag of B placements at once.
 
     dx, dy: (B, N) sensor offsets from the evaluation source; d_sq: (B, N)
@@ -185,15 +180,14 @@ def reduced_scores(dx, dy, d_sq, w, lb_scale, variant: Variant):
     scored by t_scores.
 
     With u_i = (dy_i, dx_i) / d_i^2, T = sum w_i u_i u_i^T - m m^T with
-    m = sum w_i u_i (RSS: no m m^T term), computed as the weighted
-    covariance sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
+    m = sum w_i u_i, computed as the weighted covariance
+    sum w_i (u_i - m)(u_i - m)^T. The position CRLB is
     (slope^2 * sum 1/var_i * T)^-1, so
     LB-RMSE = sqrt(tr T^-1 / (slope^2 * sum 1/var_i)).
     """
     # rows (cos, sin) * r / d^2 of the angle convention tan(beta) = dx/dy
     u = np.stack([dy, dx], axis=-1) / d_sq[..., None]
-    if variant is Variant.RSSD:
-        u = u - w[..., None, :] @ u
+    u = u - w[..., None, :] @ u
     t = (w[..., None] * u).swapaxes(-1, -2) @ u
     t = 0.5 * (t + t.swapaxes(-1, -2))
     return t, *t_scores(t, lb_scale)

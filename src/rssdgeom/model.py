@@ -29,14 +29,10 @@ TWO_PI = 2.0 * math.pi
 
 
 class Variant(str, Enum):
-    """Measurement model flavor.
-
-    RSSD: transmit power unknown, localization uses strength differences.
-    RSS: transmit power known, absolute strengths are informative.
-    """
+    """The measurement model: RSSD, transmit power unknown and profiled out,
+    so localization uses strength differences."""
 
     RSSD = "rssd"
-    RSS = "rss"
 
 
 class ScenarioError(ValueError):
@@ -74,10 +70,18 @@ def as_real(value, name: str, minimum: float = -math.inf) -> float:
 
 
 def spread_bound(beta_max) -> float:
-    """The spread bound as a float in (0, 2*pi]; up to 1e-12 above 2*pi is clamped."""
-    if isinstance(beta_max, bool) or not 0.0 < beta_max <= TWO_PI + 1e-12:
+    """The spread bound as a float in (0, 2*pi]; up to 1e-12 above 2*pi is clamped.
+
+    beta_max follows the rule for reals (as_real); a value that breaks it or
+    lies outside the range is a ScenarioError naming the range.
+    """
+    try:
+        bound = as_real(beta_max, "beta_max")
+    except ScenarioError:
+        bound = math.nan
+    if not 0.0 < bound <= TWO_PI + 1e-12:
         raise ScenarioError(f"beta_max: must lie in (0, 2*pi], got {beta_max!r}")
-    return min(float(beta_max), TWO_PI)
+    return min(bound, TWO_PI)
 
 
 def _as_vector(values, n: int, name: str, zero_ok: bool = False) -> np.ndarray:
@@ -120,7 +124,9 @@ class Scenario:
         noise_std: per-sensor noise standard deviation (dB), > 0.
         samples_per_position: raw samples averaged into one measurement.
         beta_max: spread-angle bound in radians, 0 < beta_max <= 2*pi.
-        variant: RSSD (default) or RSS.
+
+    variant is a read-only property, always Variant.RSSD: the one
+    measurement model, named so that callers and the file form can say it.
     """
 
     source: np.ndarray
@@ -131,7 +137,6 @@ class Scenario:
     noise_std: np.ndarray
     samples_per_position: int = 10
     beta_max: float = TWO_PI
-    variant: Variant = Variant.RSSD
 
     def __post_init__(self):
         self.source = np.asarray(self.source, dtype=float).reshape(3)
@@ -151,7 +156,10 @@ class Scenario:
             raise ScenarioError(f"samples_per_position: must be a whole number, got {m!r}")
         self.samples_per_position = int(m)
         self.beta_max = spread_bound(self.beta_max)
-        self.variant = Variant(self.variant)
+
+    @property
+    def variant(self) -> Variant:
+        return Variant.RSSD
 
     @property
     def effective_var(self) -> np.ndarray:
@@ -332,8 +340,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not 0.0 < beta_max_deg <= 360.0:
         raise ScenarioError(f"beta_max_deg: must lie in (0, 360], got {beta_max_deg}")
     variant = str(data.get("variant", "rssd")).lower()
-    if variant not in (v.value for v in Variant):
-        raise ScenarioError(f"variant: expected 'rssd' or 'rss', got {variant!r}")
+    if variant != Variant.RSSD.value:
+        raise ScenarioError(f"variant: expected 'rssd', the only model, got {variant!r}")
     return Scenario(
         source=source,
         n_sensors=len(sensors),
@@ -343,7 +351,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         noise_std=sigma,
         samples_per_position=data.get("samples_per_position", 10),
         beta_max=math.radians(beta_max_deg),
-        variant=Variant(variant),
     )
 
 

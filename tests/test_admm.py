@@ -42,9 +42,10 @@ from rssdgeom.model import (
     Scenario,
     ScenarioError,
     SourceParams,
-    Variant,
     case_a,
     case_b,
+    scenario_from_dict,
+    scenario_to_dict,
     sensor_positions,
     wrap_angle,
     wrap_angles,
@@ -718,23 +719,13 @@ class TestOptimize:
             optimize(designs[1])
 
     def test_degenerate_uniform_start_alone_is_accepted(self):
-        # two RSS sensors spread uniformly over the full circle sit
-        # antipodally: T is singular there, but not at the optimum
-        sc = replace(resize_sensors(case_a(), 2), variant=Variant.RSS)
-        _, trace = optimize(sc, AdmmOptions(max_outer=20))
+        # the uniform points of this swarm are collinear: T is singular
+        # there, but not at the placement the run returns
+        _, trace = optimize(collinear_uniform_swarm())
         assert trace.records[0].lb_rmse == math.inf
         assert math.isfinite(trace.best.lb_rmse)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="two RSS sensors on the full circle: the LB-RMSE cycles with period 3 "
-        "(129.73, 119.31, 200.79 m at records 997-999) and the stop test compares "
-        "lags 1 and 2 only, so the run reaches the 1000-iteration cap",
-    )
-    def test_two_rss_sensors_on_the_full_circle_converge(self):
-        sc = replace(resize_sensors(replace(case_a(), variant=Variant.RSS), 2), beta_max=TWO_PI)
-        _, trace = optimize(sc)
-        assert trace.converged
+        assert trace.best.k == 8 and trace.stop_reason == "step"
+        assert trace.best.lb_rmse == pytest.approx(665.46, abs=0.01)
 
     @pytest.mark.xfail(
         strict=True,
@@ -807,18 +798,34 @@ class TestOptimize:
     def test_prior_centered_geometry_same_angles(self):
         # the optimal angles depend only on distances/noise, not on where the
         # assumed source sits, on arcs below and above pi
-        for sc in (
-            case_a(beta_max=math.radians(150.0)),
-            case_a(beta_max=math.radians(250.0)),
-            replace(case_a(beta_max=math.radians(150.0)), variant=Variant.RSS),
-        ):
+        for sc in (case_a(beta_max=math.radians(150.0)), case_a(beta_max=math.radians(250.0))):
             p0, _ = optimize(sc)
             p1, _ = optimize(sc.with_source([400.0, -250.0]))
             np.testing.assert_allclose(p0.angles, p1.angles, atol=1e-12)
 
 
-def tiny_swarm(n, variant):
+def collinear_uniform_swarm():
+    """3 sensors on a 90 degree arc whose uniform points c_i e(theta_i) are collinear.
+
+    r_i = 1000 (cos theta_i + sin theta_i) m at theta_i = 30, 60, 90 degrees,
+    h = 0 and sigma = 2 dB: with c_i = 1 / r_i every uniform point lies on
+    the line x + y = 1 / 1000, so the uniform start's LB-RMSE is infinite.
+    """
+    theta = np.radians([30.0, 60.0, 90.0])
     return Scenario(
+        source=[0.0, 0.0, 0.0],
+        n_sensors=3,
+        gamma=2.0,
+        horiz_dist=1000.0 * (np.cos(theta) + np.sin(theta)),
+        vert_dist=np.zeros(3),
+        noise_std=np.full(3, 2.0),
+        beta_max=math.radians(90.0),
+    )
+
+
+def tiny_swarm(n, variant="rssd"):
+    """n identical sensors on a 120 degree arc, read from the file form with that variant."""
+    sc = Scenario(
         source=[0.0, 0.0, 0.0],
         n_sensors=n,
         gamma=2.0,
@@ -826,29 +833,28 @@ def tiny_swarm(n, variant):
         vert_dist=np.full(n, 100.0),
         noise_std=np.full(n, 2.0),
         beta_max=math.radians(120.0),
-        variant=variant,
     )
+    return scenario_from_dict({**scenario_to_dict(sc), "variant": variant})
 
 
 class TestSwarmSizeChecks:
-    @pytest.mark.parametrize(
-        "n, variant", [(2, Variant.RSSD), (1, Variant.RSSD), (1, Variant.RSS)]
-    )
+    @pytest.mark.parametrize("n, variant", [(2, "rssd"), (1, "rssd"), (1, "rss")])
     def test_too_few_sensors_rejected(self, n, variant):
-        with pytest.raises(ScenarioError, match="at least"):
+        # the file form rejects a known-power RSS scenario on its variant,
+        # inside tiny_swarm, before optimize reads its sensor count
+        with pytest.raises(ScenarioError, match="at least 3" if variant == "rssd" else "variant"):
             optimize(tiny_swarm(n, variant))
 
     def test_smallest_accepted_swarms(self):
-        for n, variant in ((3, Variant.RSSD), (2, Variant.RSS)):
-            placement, _ = optimize(tiny_swarm(n, variant))
-            assert placement.n_sensors == n
+        placement, _ = optimize(tiny_swarm(3))
+        assert placement.n_sensors == 3
 
     def test_zero_constraint_operator_rejected(self, monkeypatch):
         # a zero coupling matrix leaves M = (S D)^T S D = 0, so lambda_max(M),
         # which sets the penalty, is 0
-        monkeypatch.setattr(admm, "coupling_matrix", lambda weights, variant: np.zeros((4, 4)))
+        monkeypatch.setattr(admm, "coupling_matrix", lambda weights: np.zeros((4, 4)))
         with pytest.raises(ValueError, match="constraint operator is zero"):
-            optimize(tiny_swarm(4, Variant.RSSD))
+            optimize(tiny_swarm(4))
 
 
 # -- lockstep designs against the serial reference -----------------------------
@@ -983,8 +989,7 @@ def ref_score(scenario, placement, source):
     inv_var_sum = inv_var.sum()
     w = inv_var / inv_var_sum
     u = np.column_stack([dy, dx]) / d_sq[:, None]
-    if scenario.variant is Variant.RSSD:
-        u = u - w @ u
+    u = u - w @ u
     t = (w[:, None] * u).T @ u
     t = 0.5 * (t + t.T)
     return ref_t_score(t, slope**2 * inv_var_sum)
@@ -1018,7 +1023,7 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
     bound = g0_bound(beta_max)
 
     weights = noise_weights(scenario)
-    coupling = coupling_matrix(weights, scenario.variant)
+    coupling = coupling_matrix(weights)
     sens = sensitivity_diag(scenario)
     half_bd = psd_sqrt(coupling) * sens[None, :]
     m_mat = half_bd.T @ half_bd
@@ -1142,7 +1147,6 @@ def studies_designs():
 
 def random_scenario(rng):
     n = int(rng.integers(3, 13))
-    variant = Variant.RSS if rng.uniform() < 0.3 else Variant.RSSD
     return Scenario(
         source=[float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)), 0.0],
         n_sensors=n,
@@ -1152,7 +1156,6 @@ def random_scenario(rng):
         noise_std=rng.uniform(0.5, 4.0, n),
         samples_per_position=int(rng.integers(1, 20)),
         beta_max=float(rng.uniform(0.2, TWO_PI)),
-        variant=variant,
     )
 
 
@@ -1161,10 +1164,7 @@ def group_pad(designs, scenario):
     n = scenario.n_sensors
     if n > admm._PAD_LIMIT:
         return n
-    return max(
-        sc.n_sensors for sc in designs
-        if sc.variant is scenario.variant and sc.n_sensors <= admm._PAD_LIMIT
-    )
+    return max(sc.n_sensors for sc in designs if sc.n_sensors <= admm._PAD_LIMIT)
 
 
 class TestLockstepMatchesSerialReference:
@@ -1187,10 +1187,6 @@ class TestLockstepMatchesSerialReference:
         shuffled = [designs[i] for i in order]
         results = self.check(shuffled)
         assert [p.n_sensors for p, _ in results] == [sc.n_sensors for sc in shuffled]
-
-    def test_rss_variant(self):
-        arcs = (60.0, 120.0, 280.0)
-        self.check([replace(case_a(beta_max=math.radians(d)), variant=Variant.RSS) for d in arcs])
 
     def test_arcs_above_pi(self):
         self.check([case_a(beta_max=math.radians(d)) for d in (250.0, 360.0)])
@@ -1288,7 +1284,7 @@ class TestLockstepMatchesSerialReference:
         started = []
         monkeypatch.setattr(admm, "_start", lambda *args: started.append(args))
         with pytest.raises(ScenarioError, match="at least 3"):
-            optimize_many([case_a(), tiny_swarm(3, Variant.RSSD), tiny_swarm(2, Variant.RSSD)])
+            optimize_many([case_a(), tiny_swarm(3), tiny_swarm(2)])
         assert started == []
 
 
@@ -1507,7 +1503,7 @@ class TestIterateScores:
                     center, sc.horiz_dist, sc.vert_dist, row_angles(g[0]), center
                 )
                 t, _, _, _ = reduced_scores(
-                    dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale], sc.variant
+                    dx[None], dy[None], d_sq[None], weights.w[None], [weights.lb_scale]
                 )
                 worst = max(worst, float(np.abs(hg.T @ hg - t[0]).max() / np.trace(t[0])))
                 count += 1

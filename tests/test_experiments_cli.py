@@ -34,13 +34,12 @@ from rssdgeom.model import (
     Placement,
     ScenarioError,
     SourceParams,
-    Variant,
     case_a,
     case_b,
     load_scenario,
     scenario_to_dict,
 )
-from test_admm import reference_optimize
+from test_admm import collinear_uniform_swarm, reference_optimize
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 CASE_A = REPO / "scenarios" / "caseA.json"
@@ -171,10 +170,9 @@ class TestScenarioHash:
             (load_scenario(CASE_B), "451c83de8b4a"),
             (resize_sensors(case_a(), 5), None),
             (replace(case_b(), beta_max=math.radians(75.0)), None),
-            (replace(case_a(), variant=Variant.RSS), None),
             (replace(case_b(), gamma=2), None),
         ],
-        ids=["caseA", "caseB", "resized", "beta", "rss", "int-gamma"],
+        ids=["caseA", "caseB", "resized", "beta", "int-gamma"],
     )
     def test_digest_is_hashlib_sha256_of_the_canonical_json(self, scenario, expected):
         canon = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
@@ -389,22 +387,11 @@ class TestSweepN:
         with pytest.raises(ScenarioError, match="integer"):
             run_sweep_n(case_a(), [4.7], [math.radians(120.0)])
 
-    def test_rss_two_sensors_equal_optimize(self):
-        template = replace(case_a(), variant=Variant.RSS)
-        arcs = [math.radians(120.0), math.radians(360.0)]
-        rows = run_sweep_n(template, [2], arcs).rows
-        assert [row["n"] for row in rows] == [2, 2]
-        for row, arc in zip(rows, arcs):
-            placement, trace = optimize(replace(resize_sensors(template, 2), beta_max=arc))
-            assert row["lb_rmse_opt_m"] == trace.best.lb_rmse
-            assert row["lb_rmse_uniform_m"] == trace.records[0].lb_rmse
-            assert row["placement_deg"] == experiments.placement_to_field(placement.angles)
-
     def test_no_improvement_against_an_infinite_uniform_bound(self, tmp_path):
-        # two antipodal RSS sensors, the uniform start on the full circle,
-        # have an infinite bound; a finite design is no 100 % gain over it
-        template = replace(case_a(), variant=Variant.RSS)
-        result = run_sweep_n(template, [2], [2.0 * math.pi, math.radians(120.0)])
+        # on 90 degrees the uniform points of this swarm are collinear, so
+        # the uniform start has an infinite bound; a finite design is no
+        # 100 % gain over it
+        result = run_sweep_n(collinear_uniform_swarm(), [3], [math.radians(d) for d in (90, 120)])
         full, arc = result.rows
         assert full["lb_rmse_uniform_m"] == math.inf
         assert math.isfinite(full["lb_rmse_opt_m"])
@@ -513,26 +500,13 @@ class TestPractical:
             agg["lb_rmse_theoretical_m"], rel=0.10
         )
 
-    @staticmethod
-    def _exact_prior_runs(variant):
-        """Aggregate rows of caseA at 200 degrees, priors exact, 100 trials, seeds 0-2."""
-        sc = replace(case_a(), beta_max=math.radians(200.0), variant=variant)
-        return [run_practical(sc, 0.0, 100, seed=seed).rows[-1] for seed in (0, 1, 2)]
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the ML refinement always profiles P0 out (the RSSD model), while an "
-        "RSS row scores the known-power bound: 46.5 m against an empirical RMSE "
-        "of 78.0, 106.8 and 83.7 m",
-    )
-    def test_rss_refinement_reaches_its_bound(self):
-        for agg in self._exact_prior_runs(Variant.RSS):
-            assert agg["empirical_rmse_m"] <= 1.25 * agg["lb_rmse_practical_m"]
-
     def test_rssd_refinement_reaches_its_bound(self):
-        # the control for the RSS case above: where the estimator and the
-        # bound share the unknown-power model, the bound holds within 25 %
-        for agg in self._exact_prior_runs(Variant.RSSD):
+        # the estimator and the bound share the unknown-power model, so on
+        # caseA at 200 degrees, priors exact, 100 trials and seeds 0-2, the
+        # bound holds within 25 %
+        sc = case_a(beta_max=math.radians(200.0))
+        for seed in (0, 1, 2):
+            agg = run_practical(sc, 0.0, 100, seed=seed).rows[-1]
             assert agg["empirical_rmse_m"] <= 1.25 * agg["lb_rmse_practical_m"]
 
     @pytest.mark.parametrize("prior_std", [10**400, -(10**400)])
@@ -713,6 +687,15 @@ class TestCli:
             pytest.param(
                 case_a_with(variant="toa"), "validate", [], "variant", id="variant-unknown",
             ),
+            # the known-power RSS model is not one the package designs for
+            *[
+                pytest.param(
+                    case_a_with(variant="rss"), mode, [], "variant", id=f"variant-rss-{mode}"
+                )
+                for mode in (
+                    "validate", "optimize", "convergence", "sweep-n", "sweep-angle", "practical"
+                )
+            ],
             pytest.param(
                 case_a_with(sensors=[{"r": "1000", "h": 100.0, "sigma": 2.0}] * 8),
                 "validate", [], "sensors[0].r", id="sensor-r-text",

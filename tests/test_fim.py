@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -116,10 +116,9 @@ class TestCouplingMatrix:
             b = coupling_matrix(noise_weights(sc), Variant.RSSD)
             np.testing.assert_allclose(b @ np.ones(sc.n_sensors), 0.0, atol=1e-10)
 
-    def test_rss_variant_is_diagonal(self):
-        sc = make_scenario(n=3, sigma_sq=np.full(3, 2.0), m=1)
-        b = coupling_matrix(noise_weights(sc), Variant.RSS)
-        np.testing.assert_allclose(b, np.diag([1.0 / 3] * 3), atol=1e-14)
+    def test_rejects_a_variant_other_than_rssd(self):
+        with pytest.raises(ValueError):
+            coupling_matrix(noise_weights(make_scenario()), "rss")
 
     def test_quadratic_form_matches_weighted_variance(self):
         # for any xi: xi' B xi = sum w_i xi_i^2 - (sum w_i xi_i)^2 >= 0
@@ -239,45 +238,30 @@ class TestFimFull:
         inv = cofactor_inverse_3x3(summary.f)
         assert summary.lb_rmse == pytest.approx(math.sqrt(inv[1, 1] + inv[2, 2]), rel=1e-12)
 
-    def test_t_matches_coupling_reference(self):
-        # the O(N) weighted-covariance T against G' D B D G built from the
-        # N x N coupling matrix, for both variants and an off-source evaluation
-        rng = np.random.default_rng(21)
-        for variant in (Variant.RSSD, Variant.RSS):
-            for _ in range(20):
-                sc = replace(random_scenario(rng), variant=variant)
-                placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
-                at = sc.source[:2] + rng.normal(0.0, 30.0, 2)
-                summary = fim_full(sc, placement, SourceParams(0.0, at))
-                pos = sensor_positions(sc, placement)
-                dx, dy = pos[:, 0] - at[0], pos[:, 1] - at[1]
-                r = np.hypot(dx, dy)
-                d_sq = r**2 + pos[:, 2] ** 2
-                ref = t_matrix(
-                    np.column_stack([dy / r, dx / r]),
-                    r / d_sq,
-                    coupling_matrix(noise_weights(sc), variant),
-                )
-                np.testing.assert_allclose(summary.t, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-
-    def test_rss_lb_rmse_is_known_power_bound(self):
-        # with P0 known the position FIM is the (x, y) block of F itself
-        rng = np.random.default_rng(22)
-        for _ in range(30):
-            sc = replace(random_scenario(rng), variant=Variant.RSS)
-            placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
-            summary = fim_full(sc, placement, SourceParams(0.0, sc.source[:2]))
-            expect = math.sqrt(np.trace(np.linalg.inv(summary.f[1:, 1:])))
-            assert summary.lb_rmse == pytest.approx(expect, rel=1e-12)
-        # case A geometry, uniform over 120 degrees: the known-power bound is
-        # far below the unknown-power one
+    def test_case_a_uniform_120_lb_rmse(self):
+        # case A geometry, uniform over 120 degrees, evaluated at the source
         sc = make_scenario(sigma_sq=[8.0] * 4 + [2.0] * 4, m=10, beta_max=math.radians(120.0))
         placement = Placement.from_angles(sc.beta_max * np.arange(1, 9) / 8)
-        src = SourceParams(0.0, [0.0, 0.0])
-        rss = fim_full(replace(sc, variant=Variant.RSS), placement, src).lb_rmse
-        rssd = fim_full(sc, placement, src).lb_rmse
-        assert rss == pytest.approx(58.32, abs=0.01)
-        assert rssd == pytest.approx(176.27, abs=0.01)
+        summary = fim_full(sc, placement, SourceParams(0.0, [0.0, 0.0]))
+        assert summary.lb_rmse == pytest.approx(176.27, abs=0.01)
+
+    def test_t_matches_coupling_reference(self):
+        # the O(N) weighted-covariance T against G' D B D G built from the
+        # N x N coupling matrix, with an off-source evaluation
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            sc = random_scenario(rng)
+            placement = Placement.from_angles(rng.uniform(0, TWO_PI, sc.n_sensors))
+            at = sc.source[:2] + rng.normal(0.0, 30.0, 2)
+            summary = fim_full(sc, placement, SourceParams(0.0, at))
+            pos = sensor_positions(sc, placement)
+            dx, dy = pos[:, 0] - at[0], pos[:, 1] - at[1]
+            r = np.hypot(dx, dy)
+            d_sq = r**2 + pos[:, 2] ** 2
+            ref = t_matrix(
+                np.column_stack([dy / r, dx / r]), r / d_sq, coupling_matrix(noise_weights(sc))
+            )
+            np.testing.assert_allclose(summary.t, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def cofactor_inverse_3x3(f):
@@ -343,24 +327,21 @@ class TestTScores:
         assert lb[:2] == [math.inf, math.inf] and math.isfinite(lb[2])
         assert abs(det[0]) <= 1e-12 * np.trace(t[0]) ** 2 and det[1] == 0.0
 
-    @pytest.mark.parametrize("variant", [Variant.RSSD, Variant.RSS])
-    def test_lb_rmse_matches_the_coupling_reference(self, variant):
+    def test_lb_rmse_matches_the_coupling_reference(self):
         # LB-RMSE = sqrt(tr T^-1 / lb_scale) with T = G' D B D G from the
         # N x N coupling matrix, for a stack of random placements in one call
         rng = np.random.default_rng(32)
         worst = 0.0
         for _ in range(10):
-            sc = replace(random_scenario(rng), variant=variant)
+            sc = random_scenario(rng)
             weights = noise_weights(sc)
-            b = coupling_matrix(weights, variant)
+            b = coupling_matrix(weights)
             sens = sensitivity_diag(sc)
             angles = rng.uniform(0, TWO_PI, (30, sc.n_sensors))
             center = sc.source[:2]
             dx, dy, d_sq = sensor_offsets(center, sc.horiz_dist, sc.vert_dist, angles, center)
             w = np.broadcast_to(weights.w, dx.shape)
-            _, _, lb, degenerate = reduced_scores(
-                dx, dy, d_sq, w, [weights.lb_scale] * len(angles), variant
-            )
+            _, _, lb, degenerate = reduced_scores(dx, dy, d_sq, w, [weights.lb_scale] * len(angles))
             assert not any(degenerate)
             for row, value in zip(angles, lb):
                 ref = t_matrix(Placement.from_angles(row).directions, sens, b)

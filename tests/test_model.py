@@ -359,6 +359,9 @@ class TestScenarioValidation:
             ("samples_per_position", True),
             ("samples_per_position", "10"),
             ("beta_max", True),  # would be a 1 rad arc
+            ("beta_max", "1"),
+            ("beta_max", None),
+            ("beta_max", np.array([1.0, 2.0])),
         ],
     )
     def test_number_rules_name_the_field(self, field, value):
@@ -466,7 +469,10 @@ class TestSpreadBound:
         assert SPREAD_BOUND_SITES[site](beta_max) == kept
 
     @pytest.mark.parametrize("site", SPREAD_BOUND_SITES)
-    @pytest.mark.parametrize("beta_max", [0.0, -0.1, math.nan, math.inf, TWO_PI + 1e-9])
+    @pytest.mark.parametrize(
+        "beta_max",
+        [0.0, -0.1, math.nan, math.inf, TWO_PI + 1e-9, True, "1", None, np.array([1.0, 2.0])],
+    )
     def test_rejected_naming_beta_max(self, site, beta_max):
         with pytest.raises(ScenarioError, match=r"beta_max: must lie in \(0, 2\*pi\]"):
             SPREAD_BOUND_SITES[site](beta_max)
@@ -493,6 +499,18 @@ class TestSerialization:
         assert back.variant is Variant.RSSD
         np.testing.assert_allclose(back.noise_std, sc.noise_std, rtol=1e-15)
         assert back.beta_max == pytest.approx(sc.beta_max, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", [None, "rssd", "RSSD"])
+    def test_the_one_variant_loads_absent_or_named(self, variant):
+        data = scenario_to_dict(case_b())
+        assert data["variant"] == "rssd"
+        if variant is None:
+            del data["variant"]
+        else:
+            data["variant"] = variant
+        sc = scenario_from_dict(data)
+        assert sc.variant is Variant.RSSD
+        assert scenario_hash(sc) == scenario_hash(case_b())
 
     def test_degrees_in_config_radians_inside(self, tmp_path):
         data = scenario_to_dict(case_b())

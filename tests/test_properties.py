@@ -1,7 +1,9 @@
-"""Property tests: sign invariance of the X-update, symmetries of the scores and the frame bound."""
+"""Property tests: sign invariance of the X-update, symmetries of the scores, the frame
+bound and the triangle identity."""
 
 import math
 from dataclasses import replace
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from rssdgeom import admm
 from rssdgeom.admm import x_update
 from rssdgeom.fim import fim_full, noise_weights, sensitivity_diag
-from rssdgeom.model import Placement, Scenario, SourceParams, Variant, case_b
+from rssdgeom.model import Placement, Scenario, SourceParams, case_b
 from rssdgeom.numerics import thin_svd
 
 TWO_PI = 2.0 * math.pi
@@ -49,7 +51,6 @@ def scenarios(draw):
         vert_dist=vector(0.0, 600.0),
         noise_std=vector(0.5, 4.0),
         samples_per_position=draw(st.integers(1, 20)),
-        variant=draw(st.sampled_from([Variant.RSSD, Variant.RSS])),
     )
     return sc, vector(0.0, TWO_PI)
 
@@ -131,9 +132,8 @@ def test_lb_rmse_scales_with_distances(case, k):
 
 @st.composite
 def bound_cases(draw):
-    """A scenario of either variant, N up to 19 on a random arc, and a placement seed."""
-    variant = draw(st.sampled_from([Variant.RSSD, Variant.RSS]))
-    n = draw(st.integers(3 if variant is Variant.RSSD else 2, 19))
+    """A scenario with N in [3, 19] on a random arc, and a placement seed."""
+    n = draw(st.integers(3, 19))
 
     def vector(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
@@ -147,7 +147,6 @@ def bound_cases(draw):
         noise_std=vector(0.5, 4.0),
         samples_per_position=draw(st.integers(1, 20)),
         beta_max=draw(st.floats(0.01, TWO_PI)),
-        variant=variant,
     )
     return sc, draw(st.integers(0, 2**32 - 1))
 
@@ -168,7 +167,7 @@ def det_t(sc, angles):
 @given(bound_cases())
 def test_det_t_never_exceeds_the_frame_bound(case):
     # tr T <= sum w_i c_i^2 (T is a weighted covariance of the points
-    # c_i g_i, or their second moment for RSS), so det T <= (tr T / 2)^2
+    # c_i g_i), so det T <= (tr T / 2)^2
     # is at most the bound on every arc
     sc, seed = case
     bound = frame_bound(sc)
@@ -181,3 +180,22 @@ def test_regular_polygon_meets_the_frame_bound(n):
     # identical sensors on a regular polygon: m = 0 and T = c^2 / 2 * I
     sc = case_b(n)
     assert det_t(sc, TWO_PI * np.arange(n) / n) == pytest.approx(frame_bound(sc), rel=1e-12)
+
+
+@PROPERTY
+@given(bound_cases())
+def test_triangle_identity(case):
+    # T is the w-weighted covariance of the points u_i = c_i e(theta_i), with
+    # sum w = 1, so by Cauchy-Binet det T is the weighted sum of the squared
+    # doubled areas of the triangles they span. det T is formed by
+    # cancellation near degenerate placements, hence the floor at the bound.
+    sc, seed = case
+    w, c = noise_weights(sc).w, sensitivity_diag(sc)
+    floor = 1e-12 * frame_bound(sc)
+    i, j, k = np.array(list(combinations(range(sc.n_sensors), 3))).T
+    for angles in np.random.default_rng(seed).uniform(0.0, sc.beta_max, (30, sc.n_sensors)):
+        u = c[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        a, b = u[j] - u[i], u[k] - u[i]
+        areas = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        want = float(np.sum(w[i] * w[j] * w[k] * areas**2))
+        assert abs(det_t(sc, angles) - want) <= max(1e-9 * want, floor), (det_t(sc, angles), want)
