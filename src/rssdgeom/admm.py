@@ -378,18 +378,18 @@ def g_update_mm(
     current iterate using m_tilde = M - lambda_max(M) I (negative
     semidefinite, so the linearization is a global upper bound); the linear
     surrogate splits into independent per-row problems, all solved at once
-    by _mm_rows. Sweeps stop when the subproblem objective change falls
-    below mm_tol (relative) or the iterate moves less than mm_tol in
-    Frobenius norm. Returns (G, sweeps performed). shift, the objective's
+    by _mm_rows. An MM sweep never raises the objective, so a design stops
+    sweeping once its objective changes by less than mm_tol * max(1, |obj|),
+    or at max_inner. Returns (G, sweeps performed). shift, the objective's
     constant per design, is _mm_shift of half_bd, m_tilde and rho, and is
     computed here unless the caller holds it.
 
     Every array may carry a leading design axis (B, ...), with one rho and
     one bound row per design, or one rho for all. Each sweep takes every
-    design's stop test on floats, after one tolist of its objective sums
-    and one of its step norms. _mm_rows reads -q, formed as q times -1.0,
-    or -0.0 once the design stops: a zero q keeps its rows. The
-    sweep counts come back as a list of B, or an int for a single design.
+    design's stop test on floats, after one tolist of its objective sums.
+    _mm_rows reads -q, formed as q times -1.0, or -0.0 once the design
+    stops: a zero q keeps its rows. The sweep counts come back as a list of
+    B, or an int for a single design.
     """
     one = np.ndim(g_start) == 2
     if one:
@@ -413,9 +413,7 @@ def g_update_mm(
     running = range(count)
     negate = np.full((count, 1, 1), -1.0)
     for sweep in range(1, max_inner + 1):
-        g_next = _mm_rows(q * negate, half_width, g)
-        steps = _design_norms(g_next - g).tolist()
-        g = g_next
+        g = _mm_rows(q * negate, half_width, g)
         q = base + rho_3d * (m_tilde @ g)
         sums = (g * (q + base)).reshape(count, -1).sum(axis=1).tolist()
         still = []
@@ -423,7 +421,7 @@ def g_update_mm(
             obj = 0.5 * sums[b] + shift[b]
             size = abs(obj)
             tol = mm_tol * (size if size > 1.0 else 1.0)  # mm_tol * max(1, |obj|)
-            if abs(prev_obj[b] - obj) < tol or steps[b] < mm_tol:
+            if abs(prev_obj[b] - obj) < tol:
                 inner[b] = sweep
                 negate[b] = -0.0
             else:
@@ -441,16 +439,6 @@ def _log_det_inv_gram(x: np.ndarray):
     """-log det(X^T X), +inf where X^T X is not positive definite; per design."""
     sign, logdet = np.linalg.slogdet(x.swapaxes(-1, -2) @ x)
     return np.where(sign > 0, -logdet, math.inf).tolist()
-
-
-def _iterate_scores(hg: np.ndarray, lb_scale: np.ndarray):
-    """det T and LB-RMSE of every entry of a (E, N, 2) stack of S*D*G, as lists.
-
-    T = (S D G)^T S D G is the reduced information matrix G^T D B D G, the
-    T of fim.reduced_scores at G's angles, scored by fim.t_scores.
-    """
-    det, lb, _ = t_scores(hg.swapaxes(-1, -2) @ hg, lb_scale)
-    return det, lb
 
 
 def _certified_scores(scenarios: list, weights: list, angles: list):
@@ -565,13 +553,13 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     The group advances in blocks of up to _SCORE_BLOCK outer steps, never
     past max_outer. Every outer step updates all running designs with one
     call per kernel and no scoring. The block's iterates are then stacked
-    step-major to (steps * designs, N, 2) and scored with one
-    _iterate_scores call on the S*D*G the steps already hold; their steps
-    G - G_prev are formed in one subtraction, and their record angles in
-    one np.arctan2 over the stacked G, wrapped and clipped at each design's
-    beta_max. Each design's AdmmTrace takes its records in step order. A
-    design that stops keeps the records up to its stop, drops the rest of
-    the block and leaves the batch; the others run on. At the end, each
+    step-major to (steps * designs, N, 2) and scored with one fim.t_scores
+    call on T = (S D G)^T S D G, from the S*D*G the steps already hold;
+    their steps G - G_prev are formed in one subtraction, and their record
+    angles in one np.arctan2 over the stacked G, wrapped and clipped at each
+    design's beta_max. Each design's AdmmTrace takes its records in step
+    order. A design that stops keeps the records up to its stop, drops the
+    rest of the block and leaves the batch; the others run on. At the end, each
     design's best record is re-scored by _certified_scores, as record 0 was
     at the start, so the numbers reported with the uniform and the returned
     placement are those of fim_full. A best record that scores
@@ -607,7 +595,8 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
         width = len(batch.index)
         path = np.stack(gs)
         moves = (path[1:] - path[:-1]).reshape(steps * width, -1)
-        det_t, lbs = _iterate_scores(np.concatenate(hgs), np.tile(batch.lb_scale, steps))
+        hg = np.concatenate(hgs)
+        det_t, lbs, _ = t_scores(hg.swapaxes(-1, -2) @ hg, np.tile(batch.lb_scale, steps))
         user = np.minimum(
             wrap_angles(np.arctan2(path[1:, ..., 1], path[1:, ..., 0])), batch.beta_max[:, None]
         )

@@ -46,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fim import loss_slope
-from .model import ScenarioError, SourceParams, as_real
+from .model import ScenarioError, SourceParams, as_real, loss_slope
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0

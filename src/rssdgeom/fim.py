@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Placement, Scenario, SourceParams, Variant, spread_bound
-
-
-def loss_slope(gamma: float) -> float:
-    """Coefficient 10*gamma/ln(10) converting dB path loss to log-distance."""
-    return 10.0 * gamma / math.log(10.0)
+from .model import Placement, Scenario, SourceParams, Variant, loss_slope, spread_bound
 
 
 @dataclass

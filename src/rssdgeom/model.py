@@ -69,6 +69,11 @@ def as_real(value, name: str, minimum: float = -math.inf) -> float:
     raise ScenarioError(f"{name}: must be a finite number{bound}, got {value!r}")
 
 
+def loss_slope(gamma: float) -> float:
+    """Coefficient 10*gamma/ln(10) converting dB path loss to log-distance."""
+    return 10.0 * gamma / math.log(10.0)
+
+
 def spread_bound(beta_max) -> float:
     """The spread bound as a float in (0, 2*pi]; up to 1e-12 above 2*pi is clamped.
 
@@ -125,6 +130,11 @@ class Scenario:
         samples_per_position: raw samples averaged into one measurement.
         beta_max: spread-angle bound in radians, 0 < beta_max <= 2*pi.
 
+    Every weight and bound scales with m / sigma_i^2 (m =
+    samples_per_position) and with loss_slope(gamma)^2 times their sum, so
+    each must be a finite positive float, or a ScenarioError names
+    noise_std[i] or gamma.
+
     variant is a read-only property, always Variant.RSSD: the one
     measurement model, named so that callers and the file form can say it.
     """
@@ -156,6 +166,17 @@ class Scenario:
             raise ScenarioError(f"samples_per_position: must be a whole number, got {m!r}")
         self.samples_per_position = int(m)
         self.beta_max = spread_bound(self.beta_max)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            inv_var = 1.0 / self.effective_var
+            total = float(inv_var.sum())
+        bad = ~((0.0 < inv_var) & (inv_var < math.inf))
+        if bad.any() or total == math.inf:
+            i = int(np.argmax(bad) if bad.any() else np.argmin(self.noise_std))
+            raise ScenarioError(f"noise_std[{i}]: {self.noise_std[i]:g} puts the inverse "
+                                "variances m / sigma^2 or their sum out of range")
+        slope = loss_slope(self.gamma)  # a float: slope ** 2 could raise OverflowError
+        if not 0.0 < slope * slope * total < math.inf:
+            raise ScenarioError(f"gamma: {self.gamma:g} puts slope^2 sum m / sigma^2 out of range")
 
     @property
     def variant(self) -> Variant:
@@ -177,17 +198,12 @@ class Scenario:
 
 
 def wrap_angle(beta: float) -> float:
-    """Normalize an angle to [0, 2*pi); a NaN or infinite angle raises ValueError."""
-    if not math.isfinite(beta):
-        raise ValueError(f"angle must be finite, got {beta!r}")
-    wrapped = math.fmod(beta, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    return wrapped if wrapped < TWO_PI else 0.0
+    """One angle normalized to [0, 2*pi) as a float: wrap_angles on a scalar."""
+    return float(wrap_angles(beta))
 
 
 def wrap_angles(beta) -> np.ndarray:
-    """Array form of wrap_angle, equal to it bit for bit on every entry."""
+    """Normalize every angle to [0, 2*pi); a NaN or infinite angle raises ValueError."""
     beta = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("angles must be finite, not NaN or infinite")

@@ -1,5 +1,6 @@
 """Optimizer tests: subproblem solvers, full runs, and the distance rule."""
 
+import itertools
 import math
 import warnings
 from dataclasses import fields, replace
@@ -943,13 +944,11 @@ def ref_g_update_mm(
     prev_obj = ref_g_objective(g, q, base, shift)
     inner = 0
     for _ in range(max_inner):
-        g_next = ref_mm_rows(q, bound, g, frame)
+        g = ref_mm_rows(q, bound, g, frame)
         inner += 1
-        delta = float(np.linalg.norm(g_next - g))
-        g = g_next
         q = base + rho * (m_tilde @ g)
         obj = ref_g_objective(g, q, base, shift)
-        if abs(prev_obj - obj) < mm_tol * max(1.0, abs(obj)) or delta < mm_tol:
+        if abs(prev_obj - obj) < mm_tol * max(1.0, abs(obj)):
             break
         prev_obj = obj
     return g, inner
@@ -1406,7 +1405,7 @@ class TestScoreBlocks:
         return steps
 
     def test_one_scoring_call_per_block_of_steps(self, monkeypatch):
-        scores = counting(monkeypatch, "_iterate_scores")
+        scores = counting(monkeypatch, "t_scores")
         x_updates = counting(monkeypatch, "x_update")
         scored = []  # the sensor count and placements of every reduced_scores call
         reduced_scores = admm.reduced_scores
@@ -1509,6 +1508,51 @@ class TestIterateScores:
                 count += 1
         assert count > 2000
         assert worst <= 1e-12, worst
+
+
+def three_point_det_t(scenario):
+    """Largest det T over placements whose every angle is 0, beta_max / 2 or beta_max.
+
+    Sensors of one noise class are interchangeable when r and h are equal
+    for all, so the candidates are, per class, every count at each of the
+    three points; each candidate is scored by fim_full.
+    """
+    assert np.ptp(scenario.horiz_dist) == 0 and np.ptp(scenario.vert_dist) == 0
+    points = (0.0, 0.5 * scenario.beta_max, scenario.beta_max)
+    classes = [np.flatnonzero(scenario.noise_std == s) for s in np.unique(scenario.noise_std)]
+    splits = [
+        [(a, b, len(members) - a - b)
+         for a in range(len(members) + 1) for b in range(len(members) + 1 - a)]
+        for members in classes
+    ]
+    source = SourceParams(0.0, scenario.source[:2])
+    best = 0.0
+    for choice in itertools.product(*splits):
+        angles = np.empty(scenario.n_sensors)
+        for members, counts in zip(classes, choice):
+            angles[members] = np.repeat(points, counts)
+        t = fim_full(scenario, Placement.from_angles(angles), source).t
+        best = max(best, float(np.linalg.det(t)))
+    return best
+
+
+class TestThreePointOracle:
+    def test_admm_reaches_half_the_three_point_design(self):
+        # the 3-point design is attained, so it bounds the optimum from
+        # below and is independent of the solver. On the study arcs up to
+        # 220 degrees ADMM reached 0.52 (caseA N = 4 at 120 degrees) to 1.0
+        # of it, with a median of 0.82
+        designs = [sc for sc in studies_designs() if sc.beta_max <= math.radians(220.0)]
+        assert len(designs) == 19
+        ratios = []
+        for sc, (placement, _) in zip(designs, optimize_many(designs)):
+            t = fim_full(sc, placement, SourceParams(0.0, sc.source[:2])).t
+            ratios.append(float(np.linalg.det(t)) / three_point_det_t(sc))
+        for sc, ratio in zip(designs, ratios):
+            case = "caseA" if len(np.unique(sc.noise_std)) > 1 else "caseB"
+            print(f"{case} N = {sc.n_sensors:2d}, {math.degrees(sc.beta_max):5.1f} deg: {ratio:.4f}")
+        print(f"min {min(ratios):.4f}, median {np.median(ratios):.4f}")
+        assert min(ratios) >= 0.5
 
 
 def grid_best_distance(r_range, h_range, n_grid=1000):

@@ -696,6 +696,20 @@ class TestCli:
                     "validate", "optimize", "convergence", "sweep-n", "sweep-angle", "practical"
                 )
             ],
+            # an information scale out of float range: sigma^2 / m underflows
+            # or slope^2 overflows
+            *[
+                pytest.param(
+                    case_a_with(sensors=[{"r": 1000.0, "h": 100.0, "sigma": 1e-154}]
+                                + [{"r": 1000.0, "h": 100.0, "sigma": 2.0}] * 7),
+                    mode, [], "noise_std[0]", id=f"sigma-tiny-{mode}",
+                )
+                for mode in ("validate", "optimize")
+            ],
+            *[
+                pytest.param(case_a_with(gamma=1e308), mode, [], "gamma", id=f"gamma-huge-{mode}")
+                for mode in ("validate", "optimize")
+            ],
             pytest.param(
                 case_a_with(sensors=[{"r": "1000", "h": 100.0, "sigma": 2.0}] * 8),
                 "validate", [], "sensors[0].r", id="sensor-r-text",

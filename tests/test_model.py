@@ -352,10 +352,20 @@ class TestScenarioValidation:
             ("gamma", "2"),
             ("gamma", 0.0),
             ("gamma", -2.0),
+            # slope^2 overflows to inf or underflows to 0
+            ("gamma", 1e308),
+            ("gamma", 1e160),
+            ("gamma", 1e-200),
             ("source", [math.nan, 0.0, 0.0]),
             ("horiz_dist", np.ones(3)),  # case_a has 8 sensors
             ("vert_dist", np.full(8, math.inf)),
             ("noise_std", np.ones(9)),
+            # sigma^2 / m underflows, so its inverse overflows to inf
+            ("noise_std", np.array([1e-154] + [2.0] * 7)),
+            # sigma^2 overflows, so its inverse is 0
+            ("noise_std", np.full(8, 1e200)),
+            # each inverse variance is finite, their sum overflows
+            ("noise_std", np.full(8, 3e-154)),
             ("samples_per_position", True),
             ("samples_per_position", "10"),
             ("beta_max", True),  # would be a 1 rad arc
