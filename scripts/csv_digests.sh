@@ -50,8 +50,10 @@ runs=(
   "sweep-angle-A|0|sweep-angle --scenario scenarios/caseA.json"
   # 41 arcs in one lockstep batch, wider than any other run's
   "sweep-angle-wide|0|sweep-angle --scenario scenarios/caseB.json --beta-grid-deg 60,67.5,75,82.5,90,97.5,105,112.5,120,127.5,135,142.5,150,157.5,165,172.5,180,187.5,195,202.5,210,217.5,225,232.5,240,247.5,255,262.5,270,277.5,285,292.5,300,307.5,315,322.5,330,337.5,345,352.5,360"
-  # narrow arcs: some designs reach the iteration cap
-  "sweep-angle-narrowA|3|sweep-angle --scenario scenarios/caseA.json --beta-grid-deg 5,10,15,20,25,30,35,40,45"
+  # narrow arcs, where the iterates leave the good region after a few
+  # steps: every design stops on a rule, the oscillating 30 degree one on
+  # patience, and none reaches the iteration cap
+  "sweep-angle-narrowA|0|sweep-angle --scenario scenarios/caseA.json --beta-grid-deg 5,10,15,20,25,30,35,40,45"
   # no placement on a 1e-6 degree arc has a finite bound
   "sweep-angle-tiny|2|sweep-angle --scenario scenarios/caseA.json --beta-grid-deg 1e-6"
   "sweep-n|0|sweep-n --scenario scenarios/caseA.json"
@@ -71,6 +73,8 @@ runs=(
   "sweep-n-clip|0|sweep-n --scenario scenarios/caseB.json --n-list 3,5,9,12,13 --beta-max-deg 55,105,200,360"
   "convergence|0|convergence --scenario scenarios/caseA.json"
   "convergence-B|0|convergence --scenario scenarios/caseB.json"
+  # both designs end on a patience stop, their best records 48 steps old
+  "convergence-patience|0|convergence --scenario scenarios/caseB.json --beta-max-deg 60,105"
   "optimize-caseA|0|optimize --scenario scenarios/caseA.json"
   "optimize-caseB|0|optimize --scenario scenarios/caseB.json"
   # a cap of 9 ends on a partial scoring block of one step (not converged)

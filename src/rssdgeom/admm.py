@@ -59,7 +59,9 @@ Two conventions worth knowing:
 * the outer stopping test watches the placement metric (relative LB-RMSE
   change) and the iterate step norm rather than the primal residual: the
   X singular values are bounded below by sqrt(2/rho), so the primal residual
-  of this splitting stays bounded away from zero by construction.
+  of this splitting stays bounded away from zero by construction. A run
+  also stops once its best record is _PATIENCE iterations old ("patience"),
+  since only a later, better record could change its result.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ _ADMM_TOL = 1e-4
 # Outer convergence requires the stopping test to hold this many consecutive
 # iterations, guarding against one-off stalls during transients.
 _STALL_ITERATIONS = 2
+
+# A run stops once its best record is this many outer iterations old: the
+# result is that record, so the later iterations only matter if one of them
+# beats it. Of 1288 designs (caseA and caseB, N = 3-16, 20-360 degrees),
+# this patience makes 6 return an earlier record, at 0.944-0.979 of their
+# det T; a patience of 20 moves 32, down to 0.596.
+_PATIENCE = 48
 
 # Outer steps a lockstep group advances between two scoring calls. A design
 # that stops inside a block has its later steps of that block computed and
@@ -160,9 +169,11 @@ class AdmmTrace:
     best, the record of the returned placement, has the largest det T among
     the records whose LB-RMSE is at most lb_budget, record 0's plus 1e-9 m.
     stop_reason is "lb_stall" (relative LB-RMSE change below _ADMM_TOL),
-    "step" (iterate step below _ADMM_TOL) or "max_outer" (iteration cap);
-    when both tolerance tests hold at the last iteration it is "lb_stall".
-    converged, outer_iters and mean_inner are read off records and stop_reason.
+    "step" (iterate step below _ADMM_TOL), "patience" (best record
+    _PATIENCE iterations old) or "max_outer" (iteration cap); when several
+    hold at the last iteration, the first in this order names it. converged,
+    false only at the cap, outer_iters and mean_inner are read off records
+    and stop_reason.
     """
 
     records: list
@@ -203,6 +214,9 @@ class AdmmTrace:
         self._stall = self._stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
         if self._stall >= _STALL_ITERATIONS:
             self.stop_reason = "lb_stall" if lb_stall else "step"
+            return True
+        if rec.k - self.best.k >= _PATIENCE:
+            self.stop_reason = "patience"
             return True
         return False
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,12 +176,17 @@ def _design_rows(designs, results, seed: int) -> list:
 
 
 def _result(mode: str, rows: list, results, **summary) -> RunResult:
-    """The RunResult of a mode whose designs gave results."""
+    """The RunResult of a mode whose designs gave results.
+
+    Its summary ends with stop_reasons, the number of designs that stopped
+    on each AdmmTrace.stop_reason, in name order.
+    """
+    reasons = Counter(trace.stop_reason for _, trace in results)
     return RunResult(
         mode=mode,
         rows=rows,
         converged_all=all(trace.converged for _, trace in results),
-        summary=summary,
+        summary={**summary, "stop_reasons": dict(sorted(reasons.items()))},
     )
 
 

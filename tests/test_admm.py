@@ -773,10 +773,13 @@ class TestOptimize:
         assert not trace.converged
 
     def test_stop_reason_at_the_iteration_cap(self):
+        # a cap below the patience: this design's best record stays at k = 0
+        # and no tolerance test holds, so the cap ends the run
+        assert admm._PATIENCE > 40
         sc = case_a(beta_max=math.radians(0.01))
-        _, trace = optimize(sc, options=AdmmOptions(max_outer=50))
+        _, trace = optimize(sc, options=AdmmOptions(max_outer=40))
         assert trace.stop_reason == "max_outer"
-        assert not trace.converged and trace.outer_iters == 50
+        assert not trace.converged and trace.outer_iters == 40
 
     def test_stop_reason_names_a_tolerance_test(self):
         _, trace = optimize(case_a(beta_max=math.radians(120.0)))
@@ -784,17 +787,39 @@ class TestOptimize:
         assert trace.stop_reason in ("lb_stall", "step")
 
     def test_stop_reason_is_the_test_that_held_last(self):
-        # "lb_stall" exactly when the relative LB-RMSE change of the last
-        # record (against lag 1 or 2) is below the tolerance 1e-4; otherwise
-        # the step test held. The studies designs stop both ways.
+        # a tolerance stop needs a tolerance test to hold at the last two
+        # records: then "lb_stall" exactly when the relative LB-RMSE change
+        # of the last record (against lag 1 or 2) is below 1e-4, "step"
+        # otherwise. Without one the run stopped on "patience", its best
+        # record _PATIENCE iterations old, and never older. The steps are
+        # read off the record angles, within rounding of the iterates. The
+        # studies designs stop on "lb_stall" and "patience", the collinear
+        # swarm on "step".
         tol = 1e-4
+
+        def held(records, i):
+            lb = records[i].lb_rmse
+            rel = min(abs(lb - records[i - lag].lb_rmse) / lb for lag in (1, 2) if lag <= i)
+            step = np.linalg.norm(
+                Placement.from_angles(records[i].angles).directions
+                - Placement.from_angles(records[i - 1].angles).directions
+            )
+            return rel < tol, step < tol
+
         seen = set()
-        for _, trace in optimize_many(studies_designs()):
-            last = trace.records[-1].lb_rmse
-            rel = min(abs(last - trace.records[-1 - lag].lb_rmse) / last for lag in (1, 2))
-            assert trace.stop_reason == ("lb_stall" if rel < tol else "step")
+        runs = optimize_many(studies_designs()) + [optimize(collinear_uniform_swarm())]
+        for _, trace in runs:
+            last = trace.outer_iters
+            lb_stall, step = held(trace.records, last)
+            age = last - trace.best.k
+            if (lb_stall or step) and any(held(trace.records, last - 1)):
+                assert trace.stop_reason == ("lb_stall" if lb_stall else "step")
+                assert age <= admm._PATIENCE
+            else:
+                assert trace.stop_reason == "patience"
+                assert age == admm._PATIENCE
             seen.add(trace.stop_reason)
-        assert seen == {"lb_stall", "step"}
+        assert seen == {"lb_stall", "step", "patience"}
 
     def test_prior_centered_geometry_same_angles(self):
         # the optimal angles depend only on distances/noise, not on where the
@@ -1099,6 +1124,9 @@ def reference_optimize(scenario, options=None, n_pad=None, frame=0.0):
         if stall >= 2:
             reason = "lb_stall" if rel_lb < 1e-4 else "step"
             break
+        if k - best.k >= 48:  # the best record is 48 iterations old
+            reason = "patience"
+            break
 
     best.det_t, best.lb_rmse = ref_score(scenario, Placement.from_angles(best.angles), source)
     mean_inner = float(np.mean(inner_counts)) if inner_counts else 0.0
@@ -1202,10 +1230,12 @@ class TestLockstepMatchesSerialReference:
         assert iters[1] == 2 and min(iters[0], iters[2]) > 2
 
     def test_design_at_the_iteration_cap(self):
-        options = AdmmOptions(max_outer=50)
+        # the 0.01 degree design keeps its best record at k = 0, so a cap
+        # below the patience ends it
+        options = AdmmOptions(max_outer=40)
         designs = [case_a(beta_max=math.radians(0.01)), case_a(beta_max=math.radians(120.0))]
         results = self.check(designs, options)
-        assert results[0][1].outer_iters == 50 and not results[0][1].converged
+        assert results[0][1].outer_iters == 40 and not results[0][1].converged
         assert results[1][1].converged
 
     def test_random_scenarios(self):
@@ -1353,13 +1383,71 @@ class TestSolverFrame:
         assert moved > 0  # the rotated reference did run a different path
 
 
+def tracked_batches():
+    """The studies and the tracked CLI runs at 20 degrees and up, batched as the CLI runs them."""
+
+    def arcs(case, degrees):
+        return [case(beta_max=math.radians(d)) for d in degrees]
+
+    def sizes(case, counts, degrees):
+        return [
+            replace(resize_sensors(case(), n), beta_max=math.radians(d))
+            for n in counts
+            for d in degrees
+        ]
+
+    studies = studies_designs()
+    return {
+        "optimize": studies[:1],
+        "convergence": studies[1:5],
+        "sweep-n": studies[5:21],
+        "sweep-angle": studies[21:],
+        "sweep-angle-A": [case_a(beta_max=sc.beta_max) for sc in studies[21:]],
+        "sweep-angle-wide": arcs(case_b, [60.0 + 7.5 * i for i in range(41)]),
+        "sweep-angle-narrowA": arcs(case_a, (20, 25, 30, 35, 40, 45)),
+        "sweep-n-odd": sizes(case_b, (3, 5, 7, 16), (90, 150, 250, 330)),
+        "sweep-n-oddA": sizes(case_a, (3, 5, 9), (120, 280)),
+        "sweep-n-clip": sizes(case_b, (3, 5, 9, 12, 13), (55, 105, 200, 360)),
+    }
+
+
+class TestPatience:
+    def test_tracked_designs_return_what_the_old_rule_returned(self, monkeypatch):
+        # the patience stop only cuts runs short: every record up to it and
+        # the returned placement are those of a run without it
+        batches = tracked_batches()
+        runs = {name: optimize_many(designs) for name, designs in batches.items()}
+        monkeypatch.setattr(admm, "_PATIENCE", 10**9)
+        shortened = 0
+        for name, designs in batches.items():
+            for (placement, trace), (was, old) in zip(runs[name], optimize_many(designs)):
+                assert placement.angles.tobytes() == was.angles.tobytes(), name
+                assert trace.best.k == old.best.k, name
+                assert _bits(trace.best.det_t) == _bits(old.best.det_t), name
+                for rec, old_rec in zip(trace.records, old.records):
+                    assert rec.angles.tobytes() == old_rec.angles.tobytes(), (name, rec.k)
+                if trace.stop_reason == "patience":
+                    assert trace.outer_iters < old.outer_iters, name
+                    shortened += 1
+                else:
+                    assert trace.outer_iters == old.outer_iters, name
+        assert shortened > 0
+
+    def test_a_run_past_its_best_record_stops_on_patience(self):
+        # caseB at 105 degrees has its best record at k = 23; without the
+        # patience stop it runs on to a stall at k = 135
+        _, trace = optimize(case_b(beta_max=math.radians(105.0)))
+        assert trace.stop_reason == "patience" and trace.converged
+        assert trace.outer_iters - trace.best.k == admm._PATIENCE
+
+
 class TestRecordAngles:
     def test_records_and_placements_stay_on_the_arc(self):
         # record angles are read off the rows of G; a row on the arc's upper
-        # end can read 1 ulp past beta_max (331 later records and 6 returned
-        # placements of this grid do), so the lockstep clips at beta_max,
-        # as uniform_init clips the start
-        arcs = [float(d) for d in range(5, 360, 5)] + [97.5, 179.5, 180.5, 359.5, 360.0]
+        # end can read 1 ulp past beta_max (585 angles of later records and
+        # 4 returned placements of this grid do), so the lockstep clips at
+        # beta_max, as uniform_init clips the start
+        arcs = [2.5 * i for i in range(1, 144)] + [179.5, 180.5, 359.5, 360.0]
         designs = [case(beta_max=math.radians(d)) for case in (case_a, case_b) for d in arcs]
         designs += [
             replace(resize_sensors(case(), n), beta_max=math.radians(d))
@@ -1367,7 +1455,7 @@ class TestRecordAngles:
             for n in (3, 4, 5, 9, 12, 16)
             for d in (60, 120, 200, 280, 360)
         ]
-        assert len(designs) == 212
+        assert len(designs) == 354
         count = 0
         for sc, (placement, trace) in zip(designs, optimize_many(designs)):
             for angles in [placement.angles] + [rec.angles for rec in trace.records]:
@@ -1437,10 +1525,12 @@ class TestScoreBlocks:
         # one step per scoring call and one group per sensor count took 785
         # lockstep steps over the four studies at their default flags, where
         # the CLI runs one batch per mode; one group per size took 533 on
-        # sweep-n alone, one padded group takes 192. The group maxima of
-        # sweep-n and sweep-angle come from caseA N = 4 at 120 degrees and
-        # caseB at 105 degrees, whose runs end on a chance stall: a change
-        # of rounding anywhere in the step moves them by a few steps
+        # sweep-n alone, one padded group 192 without the patience stop. With
+        # it, caseA N = 4 at 120 degrees and caseB at 105 degrees end 48 steps
+        # after their best records (k = 1 and 23) in place of a chance stall
+        # at 192 and 135; the group maxima now come from runs that stall
+        # near their best records, and a change of rounding anywhere in the
+        # step moves such stalls by a few steps
         x_updates = counting(monkeypatch, "x_update")
         steps = self.group_steps(monkeypatch)
         for mode, case in (
@@ -1450,7 +1540,7 @@ class TestScoreBlocks:
             scenario = SCENARIOS / f"{case}.json"
             argv = [mode, "--scenario", str(scenario), "--out", str(tmp_path / f"{mode}.csv")]
             assert cli.main(argv) == cli.EXIT_OK
-        assert steps == [24, 96, 192, 135]
+        assert steps == [24, 96, 139, 80]
         assert len(x_updates) <= sum(steps) + (admm._SCORE_BLOCK - 1) * len(steps)
 
     def test_swarms_above_the_pad_limit_keep_their_own_group(self, monkeypatch):

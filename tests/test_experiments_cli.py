@@ -811,6 +811,25 @@ class TestCli:
         pattern = rf"optimize: 1 rows -> {re.escape(str(out))} \(\d+\.\d\ds, converged=yes\)"
         assert re.fullmatch(pattern, line), line
 
+    @pytest.mark.parametrize(
+        "mode, extra, want",
+        [
+            ("optimize", [], {"lb_stall": 1}),
+            ("convergence", [], {"lb_stall": 4}),
+            ("sweep-n", [], {"lb_stall": 16}),
+            ("sweep-angle", [], {"lb_stall": 12, "patience": 2}),
+            ("practical", ["--trials", "2"], {"lb_stall": 1}),
+        ],
+    )
+    def test_summary_counts_the_stop_reasons(self, tmp_path, capsys, mode, extra, want):
+        # every design mode prints how many of its designs stopped on each
+        # rule, on stdout only
+        out = tmp_path / "x.csv"
+        assert main([mode, "--scenario", str(CASE_B), "--out", str(out), *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"  stop_reasons: {want}"
+        assert "stop_reason" not in out.read_text()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         out = tmp_path / "opt.csv"
         proc = run_cli(
