@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Run the tracked CLI runs and print one "name exit sha256[:12]" line each
-# ("-" when the run writes no CSV). Exits 1 if any run's exit code differs
-# from the one listed for it.
+# Run the tracked CLI runs and print one "name exit sha256[:12] stop_reasons"
+# line each: the digest is "-" when the run writes no CSV, and stop_reasons,
+# the count of each optimizer stop reason from the console summary, is "-"
+# when the run prints none. Exits 1 if any run's exit code differs from the
+# one listed for it.
 #
 # Usage: scripts/csv_digests.sh [CHECKOUT]
 #
@@ -75,6 +77,9 @@ runs=(
   "convergence-B|0|convergence --scenario scenarios/caseB.json"
   # both designs end on a patience stop, their best records 48 steps old
   "convergence-patience|0|convergence --scenario scenarios/caseB.json --beta-max-deg 60,105"
+  # designs whose iterates settle a few steps after their best records (2
+  # and 1), so only the patience stop ends them
+  "convergence-step|0|convergence --scenario scenarios/caseB.json --beta-max-deg 42.5,50"
   "optimize-caseA|0|optimize --scenario scenarios/caseA.json"
   "optimize-caseB|0|optimize --scenario scenarios/caseB.json"
   # a cap of 9 ends on a partial scoring block of one step (not converged)
@@ -101,12 +106,13 @@ for run in "${runs[@]}"; do
   # flags are split on spaces on purpose
   # shellcheck disable=SC2086
   PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}" python -W error::RuntimeWarning \
-    -m rssdgeom.cli ${rest#*|} --out "$out" >/dev/null 2>"$work/$name.err" || rc=$?
+    -m rssdgeom.cli ${rest#*|} --out "$out" >"$work/$name.log" 2>"$work/$name.err" || rc=$?
   digest=-
   if [ -f "$out" ]; then
     digest=$(sha256sum "$out" | cut -c1-12)
   fi
-  echo "$name $rc $digest"
+  reasons=$(sed -n 's/^  stop_reasons: //p' "$work/$name.log")
+  echo "$name $rc $digest ${reasons:--}"
   if [ "$rc" -ne "$want" ]; then
     echo "$name exited $rc, expected $want:" >&2
     cat "$work/$name.err" >&2

@@ -57,11 +57,11 @@ Two conventions worth knowing:
   spectral norm of the constraint operator S D, taken from the same
   eigenvalue as m_tilde, so trajectories do not depend on physical units;
 * the outer stopping test watches the placement metric (relative LB-RMSE
-  change) and the iterate step norm rather than the primal residual: the
-  X singular values are bounded below by sqrt(2/rho), so the primal residual
-  of this splitting stays bounded away from zero by construction. A run
-  also stops once its best record is _PATIENCE iterations old ("patience"),
-  since only a later, better record could change its result.
+  change) rather than the primal residual: the X singular values are
+  bounded below by sqrt(2/rho), so the primal residual of this splitting
+  stays bounded away from zero by construction. A run also stops once its
+  best record is _PATIENCE iterations old ("patience"), since only a later,
+  better record could change its result.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from .fim import fim_full  # noqa: F401
 # the path to it: it is a constant of the solver, not a setting.
 _PENALTY_SCALE = 4.0
 
-# Outer tolerance on the relative LB-RMSE change and the iterate step norm.
+# Outer tolerance on the relative LB-RMSE change.
 _ADMM_TOL = 1e-4
 
 # Outer convergence requires the stopping test to hold this many consecutive
@@ -167,13 +167,13 @@ class AdmmTrace:
     """One design's run: one record per outer iteration, record 0 the uniform start.
 
     best, the record of the returned placement, has the largest det T among
-    the records whose LB-RMSE is at most lb_budget, record 0's plus 1e-9 m.
-    stop_reason is "lb_stall" (relative LB-RMSE change below _ADMM_TOL),
-    "step" (iterate step below _ADMM_TOL), "patience" (best record
-    _PATIENCE iterations old) or "max_outer" (iteration cap); when several
-    hold at the last iteration, the first in this order names it. converged,
-    false only at the cap, outer_iters and mean_inner are read off records
-    and stop_reason.
+    the records whose LB-RMSE is at most lb_budget, record 0's plus 1e-9 m;
+    of records with equal det T (one that underflows to 0, say), the lowest
+    LB-RMSE. stop_reason is "lb_stall" (relative LB-RMSE change below
+    _ADMM_TOL), "patience" (best record _PATIENCE iterations old) or
+    "max_outer" (iteration cap); when both rules hold at the last iteration,
+    "lb_stall" names it. converged, false only at the cap, outer_iters and
+    mean_inner are read off records and stop_reason.
     """
 
     records: list
@@ -195,10 +195,13 @@ class AdmmTrace:
         inner = [rec.inner_iters for rec in self.records[1:]]
         return float(np.mean(inner)) if inner else 0.0
 
-    def _advance(self, rec: TraceRecord, step: float) -> bool:
+    def _advance(self, rec: TraceRecord) -> bool:
         """Add one outer iteration; True once the run stops, with stop_reason set."""
         self.records.append(rec)
-        if rec.det_t > self.best.det_t and rec.lb_rmse <= self.lb_budget:
+        best = self.best
+        if rec.lb_rmse <= self.lb_budget and (
+            rec.det_t > best.det_t or (rec.det_t == best.det_t and rec.lb_rmse < best.lb_rmse)
+        ):
             self.best = rec
         # Relative LB-RMSE change against the previous iterate and the one
         # two steps back: the splitting admits alternating (period-2) limit
@@ -210,10 +213,9 @@ class AdmmTrace:
                 if len(self.records) > lag:
                     prev = self.records[-1 - lag].lb_rmse
                     rel_lb = min(rel_lb, abs(rec.lb_rmse - prev) / rec.lb_rmse)
-        lb_stall = rel_lb < _ADMM_TOL
-        self._stall = self._stall + 1 if (lb_stall or step < _ADMM_TOL) else 0
+        self._stall = self._stall + 1 if rel_lb < _ADMM_TOL else 0
         if self._stall >= _STALL_ITERATIONS:
-            self.stop_reason = "lb_stall" if lb_stall else "step"
+            self.stop_reason = "lb_stall"
             return True
         if rec.k - self.best.k >= _PATIENCE:
             self.stop_reason = "patience"
@@ -569,8 +571,8 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
     call per kernel and no scoring. The block's iterates are then stacked
     step-major to (steps * designs, N, 2) and scored with one fim.t_scores
     call on T = (S D G)^T S D G, from the S*D*G the steps already hold;
-    their steps G - G_prev are formed in one subtraction, and their record
-    angles in one np.arctan2 over the stacked G, wrapped and clipped at each
+    their record angles come from one np.arctan2 over the stacked G,
+    wrapped and clipped at each
     design's beta_max. Each design's AdmmTrace takes its records in step
     order. A design that stops keeps the records up to its stop, drops the
     rest of the block and leaves the batch; the others run on. At the end, each
@@ -589,7 +591,7 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
         steps = min(_SCORE_BLOCK, max_outer - k)
         rho_3d = batch.rho[:, None, None]
         bound = ConstraintBound(batch.beta_max)
-        xs, gs, hgs, residuals, inner = [], [batch.g], [], [], []
+        xs, gs, hgs, residuals, inner = [], [], [], [], []
         for _ in range(steps):
             x = x_update(batch.v + rho_3d * batch.hg, batch.rho)
             g, sweeps = g_update_mm(
@@ -608,11 +610,10 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
 
         width = len(batch.index)
         path = np.stack(gs)
-        moves = (path[1:] - path[:-1]).reshape(steps * width, -1)
         hg = np.concatenate(hgs)
         det_t, lbs, _ = t_scores(hg.swapaxes(-1, -2) @ hg, np.tile(batch.lb_scale, steps))
         user = np.minimum(
-            wrap_angles(np.arctan2(path[1:, ..., 1], path[1:, ..., 0])), batch.beta_max[:, None]
+            wrap_angles(np.arctan2(path[..., 1], path[..., 0])), batch.beta_max[:, None]
         )
         columns = list(zip(
             _log_det_inv_gram(np.concatenate(xs)),
@@ -620,14 +621,12 @@ def _lockstep(scenarios: list, max_outer: int) -> list:
             lbs,
             inner,
             _design_norms(np.concatenate(residuals)).tolist(),
-            _design_norms(moves).tolist(),
         ))
         running = np.ones(width, dtype=bool)
         for j, (i, n) in enumerate(zip(batch.index.tolist(), batch.n.tolist())):
             for s in range(steps):
-                objective, det, lb, sweeps, primal, step = columns[s * width + j]
-                rec = TraceRecord(k + s + 1, objective, det, lb, sweeps, primal, user[s, j, :n])
-                if traces[i]._advance(rec, step):
+                rec = TraceRecord(k + s + 1, *columns[s * width + j], user[s, j, :n])
+                if traces[i]._advance(rec):
                     running[j] = False
                     break
         k += steps
