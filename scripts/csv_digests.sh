@@ -3,7 +3,8 @@
 # line each: the digest is "-" when the run writes no CSV, and stop_reasons,
 # the count of each optimizer stop reason from the console summary, is "-"
 # when the run prints none. Exits 1 if any run's exit code differs from the
-# one listed for it.
+# one listed for it, or if optimize-caseA-RSSD's CSV differs from
+# optimize-caseA's.
 #
 # Usage: scripts/csv_digests.sh [CHECKOUT]
 #
@@ -16,9 +17,12 @@ set -euo pipefail
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+# caseA with its variant upper-cased: the file value is lower-cased before
+# it is hashed, so this copy's CSV must equal optimize-caseA's byte for byte
+sed 's/"rssd"/"RSSD"/' "$root/scenarios/caseA.json" >"$work/caseA-RSSD.json"
 
 # one "name|expected exit|flags" entry per CLI run; scenario paths are
-# relative to the checkout
+# relative to the checkout, but for the upper-cased copy in $work
 runs=(
   "practical|0|practical --scenario scenarios/caseA.json --trials 45 --seed 7"
   # the benchmark's practical input
@@ -82,6 +86,7 @@ runs=(
   "convergence-step|0|convergence --scenario scenarios/caseB.json --beta-max-deg 42.5,50"
   "optimize-caseA|0|optimize --scenario scenarios/caseA.json"
   "optimize-caseB|0|optimize --scenario scenarios/caseB.json"
+  "optimize-caseA-RSSD|0|optimize --scenario $work/caseA-RSSD.json"
   # a cap of 9 ends on a partial scoring block of one step (not converged)
   "convergence-9|3|convergence --scenario scenarios/caseA.json --max-outer 9"
   # caps that end each run on its first step, and on a mid-run step of caseB
@@ -119,4 +124,8 @@ for run in "${runs[@]}"; do
     status=1
   fi
 done
+if ! cmp -s "$work/optimize-caseA.csv" "$work/optimize-caseA-RSSD.csv"; then
+  echo "optimize-caseA-RSSD's CSV differs from optimize-caseA's" >&2
+  status=1
+fi
 exit "$status"

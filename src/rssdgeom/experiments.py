@@ -420,7 +420,7 @@ def validate_scenario(path) -> ValidationReport:
     lam_min, lam_max = t_eigenvalues(uniform.t)
     details = {
         "n_sensors": scenario.n_sensors,
-        "variant": scenario.variant.value,
+        "variant": scenario.variant,
         "weights": [float(w) for w in weights.w],
         "mean_inv_var": weights.mean_inv_var,
         "g0": [float(x) for x in bound.g0],

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Placement, Scenario, SourceParams, Variant, loss_slope, spread_bound
+from .model import RSSD, Placement, Scenario, SourceParams, loss_slope, spread_bound
 
 
 @dataclass
@@ -64,15 +64,16 @@ def noise_weights(scenario: Scenario) -> NoiseWeights:
     )
 
 
-def coupling_matrix(weights: NoiseWeights, variant: Variant = Variant.RSSD) -> np.ndarray:
+def coupling_matrix(weights: NoiseWeights, variant: str = RSSD) -> np.ndarray:
     """Noise-coupling matrix B of the reduced information form, as an (N, N) array.
 
     B = diag(w) - w w^T profiles the unknown power out; it is PSD, annihilates
     the all-ones vector and is exactly symmetric as computed. variant is the
-    measurement model; model.Variant has only RSSD, so any other value
-    raises ValueError.
+    measurement model, and the one model is the string "rssd" (model.RSSD),
+    so any other value raises ValueError.
     """
-    Variant(variant)
+    if variant != RSSD:
+        raise ValueError(f"variant: expected {RSSD!r}, the only model, got {variant!r}")
     w = weights.w
     return np.diag(w) - np.outer(w, w)
 

@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +27,9 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class Variant(str, Enum):
-    """The measurement model: RSSD, transmit power unknown and profiled out,
-    so localization uses strength differences."""
-
-    RSSD = "rssd"
+# The measurement model's name: RSSD, transmit power unknown and profiled
+# out, so localization uses strength differences.
+RSSD = "rssd"
 
 
 class ScenarioError(ValueError):
@@ -135,8 +132,8 @@ class Scenario:
     each must be a finite positive float, or a ScenarioError names
     noise_std[i] or gamma.
 
-    variant is a read-only property, always Variant.RSSD: the one
-    measurement model, named so that callers and the file form can say it.
+    variant is a read-only property, always the string "rssd" (RSSD): the
+    one measurement model, named so that callers and the file form can say it.
     """
 
     source: np.ndarray
@@ -179,8 +176,8 @@ class Scenario:
             raise ScenarioError(f"gamma: {self.gamma:g} puts slope^2 sum m / sigma^2 out of range")
 
     @property
-    def variant(self) -> Variant:
-        return Variant.RSSD
+    def variant(self) -> str:
+        return RSSD
 
     @property
     def effective_var(self) -> np.ndarray:
@@ -327,7 +324,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         ],
         "samples_per_position": scenario.samples_per_position,
         "beta_max_deg": math.degrees(scenario.beta_max),
-        "variant": scenario.variant.value,
+        "variant": scenario.variant,
     }
 
 
@@ -355,8 +352,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     beta_max_deg = as_real(data.get("beta_max_deg"), "beta_max_deg")
     if not 0.0 < beta_max_deg <= 360.0:
         raise ScenarioError(f"beta_max_deg: must lie in (0, 360], got {beta_max_deg}")
-    variant = str(data.get("variant", "rssd")).lower()
-    if variant != Variant.RSSD.value:
+    variant = str(data.get("variant", RSSD)).lower()
+    if variant != RSSD:
         raise ScenarioError(f"variant: expected 'rssd', the only model, got {variant!r}")
     return Scenario(
         source=source,

@@ -27,7 +27,6 @@ from rssdgeom.model import (
     Placement,
     Scenario,
     SourceParams,
-    Variant,
     sensor_positions,
     wrap_angle,
     wrap_angles,
@@ -106,26 +105,27 @@ class TestNoiseWeights:
 class TestCouplingMatrix:
     def test_two_sensor_hand_expansion(self):
         sc = make_scenario(n=2, sigma_sq=[1.0, 1.0], m=1)
-        b = coupling_matrix(noise_weights(sc), Variant.RSSD)
+        b = coupling_matrix(noise_weights(sc), "rssd")
         np.testing.assert_allclose(b, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-14)
 
     def test_annihilates_all_ones(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             sc = random_scenario(rng)
-            b = coupling_matrix(noise_weights(sc), Variant.RSSD)
+            b = coupling_matrix(noise_weights(sc), "rssd")
             np.testing.assert_allclose(b @ np.ones(sc.n_sensors), 0.0, atol=1e-10)
 
-    def test_rejects_a_variant_other_than_rssd(self):
+    @pytest.mark.parametrize("variant", ["rss", "RSSD", None])
+    def test_rejects_a_variant_other_than_rssd(self, variant):
         with pytest.raises(ValueError):
-            coupling_matrix(noise_weights(make_scenario()), "rss")
+            coupling_matrix(noise_weights(make_scenario()), variant)
 
     def test_quadratic_form_matches_weighted_variance(self):
         # for any xi: xi' B xi = sum w_i xi_i^2 - (sum w_i xi_i)^2 >= 0
         rng = np.random.default_rng(12)
         sc = random_scenario(rng)
         w = noise_weights(sc)
-        b = coupling_matrix(w, Variant.RSSD)
+        b = coupling_matrix(w, "rssd")
         for _ in range(100):
             xi = rng.normal(size=sc.n_sensors)
             direct = xi @ b @ xi
@@ -137,7 +137,7 @@ class TestCouplingMatrix:
         rng = np.random.default_rng(13)
         for _ in range(10):
             sc = random_scenario(rng)
-            b = coupling_matrix(noise_weights(sc), Variant.RSSD)
+            b = coupling_matrix(noise_weights(sc), "rssd")
             assert np.linalg.eigvalsh(b)[0] >= -1e-10
 
 
@@ -151,7 +151,7 @@ class TestTMatrix:
         sc = make_scenario(sigma_sq=[8.0] * 4 + [2.0] * 4, m=10)
         placement = Placement.from_angles(TWO_PI * np.arange(1, 9) / 8)
         w = noise_weights(sc)
-        b = coupling_matrix(w, Variant.RSSD)
+        b = coupling_matrix(w, "rssd")
         sens = sensitivity_diag(sc)
         t_mat = t_matrix(placement.directions, sens, b)
         g = placement.directions
@@ -167,7 +167,7 @@ class TestTMatrix:
         from rssdgeom.fim import NoiseWeights
 
         w = NoiseWeights(w=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), mean_inv_var=1.0, lb_scale=1.0)
-        b = coupling_matrix(w, Variant.RSSD)
+        b = coupling_matrix(w, "rssd")
         np.testing.assert_allclose(b, 0.0, atol=1e-15)
         g = Placement.from_angles([0.3, 1.1, 2.2, 3.3, 4.4]).directions
         t_mat = t_matrix(g, np.ones(5), b)
@@ -314,7 +314,7 @@ class TestTScores:
         # coupling makes it 0
         sc = make_scenario(n=4, r=[500.0, 1000.0, 1500.0, 2000.0])
         sens = sensitivity_diag(sc)
-        b = coupling_matrix(noise_weights(sc), Variant.RSSD)
+        b = coupling_matrix(noise_weights(sc), "rssd")
         collinear = Placement.from_angles([0.7, 0.7, 0.7 + math.pi, 0.7 + math.pi]).directions
         spread = Placement.from_angles(TWO_PI * np.arange(1, 5) / 4).directions
         t = np.stack(
@@ -364,7 +364,7 @@ class TestApplyOrthogonal:
         rng = np.random.default_rng(18)
         sc = make_scenario(sigma_sq=[8.0] * 4 + [2.0] * 4)
         w = noise_weights(sc)
-        b = coupling_matrix(w, Variant.RSSD)
+        b = coupling_matrix(w, "rssd")
         sens = sensitivity_diag(sc)
         placement = Placement.from_angles(rng.uniform(0, TWO_PI, 8))
         t0 = np.linalg.det(t_matrix(placement.directions, sens, b))
